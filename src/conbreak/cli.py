@@ -23,11 +23,7 @@ from .connector import decompose, default_size_targets, make_cells
 from .engine import CONNECTOR, run_game
 from .errors import ConbreakError, FormatError, ParameterError
 from .graph import Graph, gen_gnp, read_edge_list
-from .harness import (
-    TrialConfig,
-    run_trials,
-    threshold_scan,
-)
+from .harness import TrialConfig, run_trials, summary_csv, threshold_scan
 from .solver import GOAL_SPANNING, solve_exact
 from .strategies import make_strategy, strategy_ids
 
@@ -158,16 +154,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         verify_isolation=args.verify_isolation,
         k_cap=args.k_cap,
         expansion_cap=args.expansion_cap,
-        structure_mode=args.structure_mode,
-        size_targets=tuple(args.size_targets) if args.size_targets else None,
         jobs=args.jobs,
     )
     _, rows = run_trials(cfg)
-    from .harness import CSV_HEADER
-
-    sys.stdout.write(CSV_HEADER + "\n")
-    for row in rows:
-        sys.stdout.write(row.csv_line() + "\n")
+    sys.stdout.write(summary_csv(rows))
     if args.scan:
         for n, est in sorted(threshold_scan(rows).items()):
             if est is None:
@@ -290,17 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--k-cap", type=int, default=4, help="tree depth cap")
     sweep.add_argument(
         "--expansion-cap", type=int, default=10**6, help="search node budget per structure"
-    )
-    sweep.add_argument(
-        "--structure-mode",
-        default="search",
-        choices=["search", "decompose"],
-        help="structure acquisition: direct backtracking or decompose-then-extract",
-    )
-    sweep.add_argument(
-        "--size-targets",
-        type=_float_list,
-        help="per-level selection size overrides for decompose mode",
     )
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     sweep.add_argument(

@@ -21,14 +21,15 @@ enough to feed it.
 
 The decomposition machinery (`decompose`, `extract_tree`) builds the same
 kind of trees from a levelled family of vertex cells around x; it backs
-the verifier pipeline and the optional "decompose" structure mode.
+the verifier pipeline.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .engine import GameState, Move
@@ -60,64 +61,55 @@ class TreeEmbedding:
 
     Position (i, j) is the j-th node on level i; the root is (k, 1), the
     children of (i, j) are (i-1, 2j-1) and (i-1, 2j), leaves live on
-    level 1.
+    level 1. `heap` lists the vertices in heap order: node h (root h=1)
+    has children 2h and 2h+1, so position (i, j) is node 2^(k-i) + j - 1.
     """
 
     k: int
-    nodes: Tuple[Tuple[Position, int], ...]
+    heap: Tuple[int, ...]
 
     def __post_init__(self):
-        want = tree_positions(self.k)
-        have = dict(self.nodes)
-        if sorted(have) != sorted(want):
+        if self.k < 1 or len(self.heap) != 2**self.k - 1:
             raise ParameterError(f"embedding does not cover the {self.k}-level tree")
-        if len(set(have.values())) != len(have):
+        if len(set(self.heap)) != len(self.heap):
             raise ParameterError("embedding reuses a vertex")
 
     @staticmethod
     def of(k: int, mapping: Mapping[Position, int]) -> "TreeEmbedding":
-        return TreeEmbedding(k, tuple(sorted(mapping.items())))
-
-    @property
-    def node_map(self) -> Dict[Position, int]:
-        return dict(self.nodes)
+        want = tree_positions(k)
+        if sorted(mapping) != sorted(want):
+            raise ParameterError(f"embedding does not cover the {k}-level tree")
+        # tree_positions lists the positions in heap order
+        return TreeEmbedding(k, tuple(mapping[pos] for pos in want))
 
     @property
     def root(self) -> int:
-        return self.node_map[(self.k, 1)]
+        return self.heap[0]
 
     def vertex_at(self, i: int, j: int) -> int:
-        return self.node_map[(i, j)]
+        return self.heap[2 ** (self.k - i) + j - 2]
 
     def vertices(self) -> FrozenSet[int]:
-        return frozenset(v for _, v in self.nodes)
+        return frozenset(self.heap)
 
     def leaves(self) -> List[int]:
-        nm = self.node_map
-        return [nm[(1, j)] for j in range(1, 2 ** (self.k - 1) + 1)]
+        return list(self.heap[2 ** (self.k - 1) - 1 :])
 
     def arcs(self) -> List[Tuple[int, int]]:
         """(parent vertex, child vertex) pairs, top level first."""
-        nm = self.node_map
-        out = []
-        for i in range(self.k, 1, -1):
-            for j in range(1, 2 ** (self.k - i) + 1):
-                u = nm[(i, j)]
-                out.append((u, nm[(i - 1, 2 * j - 1)]))
-                out.append((u, nm[(i - 1, 2 * j)]))
-        return out
+        t = self.heap
+        inner = range(1, 2 ** (self.k - 1))
+        return [(t[h - 1], t[c - 1]) for h in inner for c in (2 * h, 2 * h + 1)]
 
     def subtree(self, i: int, j: int) -> "TreeEmbedding":
         """The embedded subtree rooted at position (i, j), re-indexed so
         its own root is (i, 1)."""
-        nm = self.node_map
-        sub = {}
+        h = 2 ** (self.k - i) + j - 1
+        heap = []
         for d in range(i):
-            lvl = i - d
-            base = 2**d * (j - 1)
-            for jj in range(1, 2**d + 1):
-                sub[(lvl, jj)] = nm[(lvl, base + jj)]
-        return TreeEmbedding.of(i, sub)
+            first = h * 2**d
+            heap.extend(self.heap[first - 1 : first - 1 + 2**d])
+        return TreeEmbedding(i, tuple(heap))
 
 
 def validate_embedding(g: Graph, t: TreeEmbedding) -> bool:
@@ -125,15 +117,11 @@ def validate_embedding(g: Graph, t: TreeEmbedding) -> bool:
     return all(g.has_edge(u, w) for u, w in t.arcs())
 
 
-def is_good_tree(t: TreeEmbedding, x: int, state: GameState) -> bool:
-    """A tree is good for reaching x when x is outside it, every tree edge
-    is either unclaimed by Breaker or already leads into territory, and
-    every leaf has an unblocked edge to x."""
+def _tree_survives(t: TreeEmbedding, x: int, state: GameState) -> bool:
+    """Every tree edge is unclaimed by Breaker or already leads into
+    territory, and every leaf has an edge to x that Breaker has not
+    claimed."""
     g = state.graph
-    if x in t.vertices():
-        return False
-    if not validate_embedding(g, t):
-        return False
     eb = state.breaker_edges
     vc = state.v_c
     for u, w in t.arcs():
@@ -143,6 +131,17 @@ def is_good_tree(t: TreeEmbedding, x: int, state: GameState) -> bool:
         if not g.has_edge(leaf, x) or edge(leaf, x) in eb:
             return False
     return True
+
+
+def is_good_tree(t: TreeEmbedding, x: int, state: GameState) -> bool:
+    """A tree is good for reaching x when x is outside it, every tree edge
+    is either unclaimed by Breaker or already leads into territory, and
+    every leaf has an unblocked edge to x."""
+    return (
+        x not in t.vertices()
+        and validate_embedding(state.graph, t)
+        and _tree_survives(t, x, state)
+    )
 
 
 def base_strategy_step(state: GameState, t: TreeEmbedding, x: int) -> Move:
@@ -168,13 +167,8 @@ def base_strategy_step(state: GameState, t: TreeEmbedding, x: int) -> Move:
             if state.is_free(edge(t.root, leaf)) and state.is_free(edge(leaf, x)):
                 return Move((edge(t.root, leaf), edge(leaf, x)))
         raise ParameterError("no playable leaf on a good two-level tree")
-    claims = []
-    nm = t.node_map
-    for j in (1, 2):
-        child = nm[(t.k - 1, j)]
-        if child not in state.v_c:
-            claims.append(edge(t.root, child))
-    return Move(tuple(claims))
+    # heap nodes 2 and 3 are the root's children
+    return Move(tuple(edge(t.root, c) for c in t.heap[1:3] if c not in state.v_c))
 
 
 class _Capped(Exception):
@@ -608,20 +602,23 @@ class _Branch:
     sub: TreeEmbedding
 
 
+def _root_branches(t: TreeEmbedding) -> List[_Branch]:
+    """The two branches below t's root."""
+    subs = (t.subtree(t.k - 1, 1), t.subtree(t.k - 1, 2))
+    return [_Branch(t.root, sub.root, sub) for sub in subs]
+
+
 def _branch_good(br: _Branch, x: int, state: GameState) -> bool:
-    eb = state.breaker_edges
-    vc = state.v_c
-    if br.child not in vc:
-        e = edge(br.parent, br.child)
-        if not state.is_free(e):
-            return False
-    for u, w in br.sub.arcs():
-        if edge(u, w) in eb and w not in vc:
-            return False
-    for leaf in br.sub.leaves():
-        if not state.graph.has_edge(leaf, x) or edge(leaf, x) in eb:
-            return False
-    return True
+    if br.child not in state.v_c and not state.is_free(edge(br.parent, br.child)):
+        return False
+    return _tree_survives(br.sub, x, state)
+
+
+def _two_good(cands: Iterable[_Branch], x: int, state: GameState) -> Optional[List[_Branch]]:
+    """The first two candidates still good for reaching x, or None when
+    fewer survive (the structure is broken)."""
+    good = list(islice((br for br in cands if _branch_good(br, x, state)), 2))
+    return good if len(good) == 2 else None
 
 
 @dataclass
@@ -631,7 +628,8 @@ class ConnectorPlan:
     a1/a2 are the two reservoir vertex sets; k1/k2 the tree depths for the
     two structure cases; budget the per-target round allowance. stage
     alternates between "I" (reservoir fill) and "II" (Breaker-pressure
-    relief) each time a target lands in territory."""
+    relief) each time a target lands in territory. `chase` descends the
+    current target's structure once it is acquired."""
 
     a1: FrozenSet[int]
     a2: FrozenSet[int]
@@ -640,21 +638,16 @@ class ConnectorPlan:
     budget: int
     seed: int = 0
     expansion_cap: int = 10**6
-    structure_mode: str = "search"
-    size_targets: Optional[Tuple[float, ...]] = None
     stage: str = "I"
     target: Optional[int] = None
     rounds_used: int = 0
-    branches: Optional[List[_Branch]] = None
+    chase: Optional[TargetChase] = None
     pending_pivot: Optional[Tuple[int, List[TreeEmbedding]]] = None
-    needs_expand: bool = False
     case: int = 0
     vc_order: List[int] = None  # type: ignore[assignment]
     targets_done: int = 0
 
     def __post_init__(self):
-        if self.structure_mode not in ("search", "decompose"):
-            raise ParameterError(f"unknown structure mode {self.structure_mode!r}")
         if self.k1 < 2 or self.k2 < 2:
             raise ParameterError("tree depths must be at least 2")
         if self.vc_order is None:
@@ -667,8 +660,6 @@ def make_plan(
     p_hint: Optional[float] = None,
     k_cap: int = 4,
     expansion_cap: int = 10**6,
-    structure_mode: str = "search",
-    size_targets: Optional[Tuple[float, ...]] = None,
     seed: int = 0,
 ) -> ConnectorPlan:
     """Build a plan for one game on g. The density exponent offset eps is
@@ -702,8 +693,6 @@ def make_plan(
         budget=k_struct + 3,
         seed=seed,
         expansion_cap=expansion_cap,
-        structure_mode=structure_mode,
-        size_targets=size_targets,
     )
 
 
@@ -738,66 +727,14 @@ def _forfeit(reason: str) -> Move:
     return Move((), flags=(reason,), forfeit=True)
 
 
-def _decompose_structure(
-    g: Graph,
-    state: GameState,
-    a1: FrozenSet[int],
-    x: int,
-    k2: int,
-    seed: int,
-    size_targets: Optional[Tuple[float, ...]] = None,
-) -> Optional[Tuple[int, List[TreeEmbedding]]]:
-    """Stage-2 structure out of a fresh decomposition around x: pick a
-    pivot z adjacent to A1, then one extracted tree per branch rooted at a
-    skeleton neighbor of z, keeping the four trees disjoint by
-    construction. Slower than the direct search; used in decompose mode."""
-    try:
-        cells = make_cells(g.n, x, k2, seed=seed)
-    except ParameterError:
-        return None
-    dec = decompose(g, x, cells, k2, size_targets=size_targets, seed=seed)
-    if dec is None:
-        return None
-    eb = state.breaker_edges
-    vc = state.v_c
-    top = {l: dec.mset((k2, 1, l)) for l in range(1, 5)}
-    z_cands = set()
-    for a in a1:
-        for w in g.neighbors(a):
-            if w != x and w not in a1 and state.is_free(edge(a, w)):
-                z_cands.add(w)
-    for z in sorted(z_cands):
-        trees = []
-        for l in range(1, 5):
-            got = None
-            for r in sorted(g.neighbors(z) & top[l]):
-                if edge(z, r) in eb and r not in vc:
-                    continue
-                t = extract_tree(dec, r)
-                if t is None:
-                    continue
-                ok = all(edge(u, w) not in eb or w in vc for u, w in t.arcs()) and all(
-                    edge(leaf, x) not in eb for leaf in t.leaves()
-                )
-                if ok and x not in t.vertices():
-                    got = t
-                    break
-            if got is None:
-                break
-            trees.append(got)
-        if len(trees) == 4:
-            return (z, trees)
-    return None
-
-
 def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
     """Propose Connector's next move, advancing the plan in place.
 
     Per round: refresh bookkeeping, grab a free edge straight into the
-    target when one exists, otherwise run the structure lifecycle
-    (acquire, descend one level, re-select two good branches after each
-    Breaker reply). A missing or broken structure, or a blown round
-    budget, is an explicit forfeit carrying a reason flag."""
+    target when one exists, otherwise acquire the target's structure and
+    hand its first two branches to a TargetChase, which descends one level
+    per round. A missing or broken structure, or a blown round budget, is
+    an explicit forfeit carrying a reason flag."""
     g = state.graph
     vc = state.v_c
     for v in sorted(vc.difference(plan.vc_order)):
@@ -820,9 +757,8 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
     if plan.target is None:
         plan.target = select_target(state, plan)
         plan.rounds_used = 0
-        plan.branches = None
+        plan.chase = None
         plan.pending_pivot = None
-        plan.needs_expand = False
         if not plan.a1 <= vc:
             plan.case = 1
         elif not plan.a2 <= vc:
@@ -847,32 +783,7 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
         # every reservoir is in territory; a single free edge must exist
         return _forfeit(FORFEIT_NO_EDGE)
 
-    if plan.pending_pivot is not None:
-        z, trees = plan.pending_pivot
-        plan.pending_pivot = None
-        if z not in vc:
-            return _forfeit(FORFEIT_BROKEN)
-        cands = [_Branch(z, t.root, t) for t in trees]
-        good = [br for br in cands if _branch_good(br, x, state)]
-        if len(good) < 2:
-            return _forfeit(FORFEIT_BROKEN)
-        plan.branches = good[:2]
-    elif plan.needs_expand and plan.branches is not None:
-        plan.needs_expand = False
-        cands = []
-        for br in plan.branches:
-            if br.child not in vc:
-                continue
-            sub = br.sub
-            for j in (1, 2):
-                gsub = sub.subtree(sub.k - 1, j)
-                cands.append(_Branch(br.child, gsub.root, gsub))
-        good = [br for br in cands if _branch_good(br, x, state)]
-        if len(good) < 2:
-            return _forfeit(FORFEIT_BROKEN)
-        plan.branches = good[:2]
-
-    if plan.branches is None:
+    if plan.chase is None:
         if plan.case == 1:
             budget = [plan.expansion_cap]
             tree = None
@@ -894,17 +805,12 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
                 tree = None
             if tree is None:
                 return _forfeit(FORFEIT_NO_STRUCTURE)
-            branches = [
-                _Branch(tree.root, tree.subtree(tree.k - 1, j).root, tree.subtree(tree.k - 1, j))
-                for j in (1, 2)
-            ]
-            plan.branches = branches
+            branches = _root_branches(tree)
         else:
-            if plan.structure_mode == "decompose":
-                found = _decompose_structure(
-                    g, state, plan.a1, x, plan.k2, search_seed,
-                    size_targets=plan.size_targets,
-                )
+            if plan.pending_pivot is not None:
+                found, plan.pending_pivot = plan.pending_pivot, None
+                if found[0] not in vc:
+                    return _forfeit(FORFEIT_BROKEN)
             else:
                 found = find_structure_stage2(
                     g,
@@ -916,50 +822,25 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
                     seed=search_seed,
                     cap=plan.expansion_cap,
                 )
-            if found is None:
-                return _forfeit(FORFEIT_NO_STRUCTURE)
+                if found is None:
+                    return _forfeit(FORFEIT_NO_STRUCTURE)
+                z = found[0]
+                if z not in vc:
+                    # claim the pivot first; its trees are checked next round
+                    for a in sorted(plan.a1 & vc):
+                        if a != z and g.has_edge(a, z) and state.is_free(edge(a, z)):
+                            plan.pending_pivot = found
+                            return Move((edge(a, z),))
+                    return _forfeit(FORFEIT_BROKEN)
             z, trees = found
-            if z in vc:
-                cands = [_Branch(z, t.root, t) for t in trees]
-                good = [br for br in cands if _branch_good(br, x, state)]
-                if len(good) < 2:
-                    return _forfeit(FORFEIT_BROKEN)
-                plan.branches = good[:2]
-            else:
-                claim = None
-                for a in sorted(plan.a1 & vc):
-                    e = edge(a, z) if a != z else None
-                    if e is not None and g.has_edge(a, z) and state.is_free(e):
-                        claim = e
-                        break
-                if claim is None:
-                    return _forfeit(FORFEIT_BROKEN)
-                plan.pending_pivot = (z, trees)
-                return Move((claim,))
-
-    depth = plan.branches[0].sub.k
-    if depth == 1:
-        for br in plan.branches:
-            leaf = br.child
-            lx = edge(leaf, x)
-            if leaf in vc and state.is_free(lx):
-                return Move((lx,))
-            pe = edge(br.parent, leaf)
-            if state.is_free(pe) and state.is_free(lx):
-                return Move((pe, lx))
-        return _forfeit(FORFEIT_BROKEN)
-
-    claims = []
-    for br in plan.branches:
-        if br.child not in vc:
-            pe = edge(br.parent, br.child)
-            if not state.is_free(pe):
+            branches = _two_good([_Branch(z, t.root, t) for t in trees], x, state)
+            if branches is None:
                 return _forfeit(FORFEIT_BROKEN)
-            claims.append(pe)
-    plan.needs_expand = True
-    return Move(tuple(claims))
+        plan.chase = TargetChase(None, x, branches)
+    return plan.chase.step(state)
 
 
+@dataclass
 class TargetChase:
     """Drives one good tree toward a single target vertex, one proposed
     move per Connector turn, following the recursive branch descent.
@@ -970,61 +851,54 @@ class TargetChase:
     claiming a leaf-to-target edge. Proposals are forfeits (with a reason
     flag) when fewer than two branches survive a reply, which cannot
     happen against a Breaker bound by bias 2 while the tree was good.
+
+    `connector_move` starts its chases past the first move, with no tree
+    and the two `branches` whose entry edges it claims next.
     """
 
-    def __init__(self, tree: TreeEmbedding, x: int):
-        if x in tree.vertices():
-            raise ParameterError(f"target {x} lies inside the tree")
-        self.tree = tree
-        self.x = x
-        self.branches: Optional[List[_Branch]] = None
-        self.needs_expand = False
+    tree: Optional[TreeEmbedding]
+    x: int
+    branches: Optional[List[_Branch]] = None
+    needs_expand: bool = False
+
+    def __post_init__(self):
+        if self.tree is not None and self.x in self.tree.vertices():
+            raise ParameterError(f"target {self.x} lies inside the tree")
 
     def copy(self) -> "TargetChase":
-        dup = TargetChase(self.tree, self.x)
-        dup.branches = None if self.branches is None else list(self.branches)
-        dup.needs_expand = self.needs_expand
-        return dup
+        return replace(self, branches=None if self.branches is None else list(self.branches))
 
     def done(self, state: GameState) -> bool:
         return self.x in state.v_c
 
     def propose(self, state: GameState) -> Move:
-        vc = state.v_c
-        if self.x in vc:
+        if self.x in state.v_c:
             return Move(())
         if self.branches is None:
             move = base_strategy_step(state, self.tree, self.x)
             if self.tree.k > 2:
-                self.branches = [
-                    _Branch(
-                        self.tree.root,
-                        self.tree.subtree(self.tree.k - 1, j).root,
-                        self.tree.subtree(self.tree.k - 1, j),
-                    )
-                    for j in (1, 2)
-                ]
+                self.branches = _root_branches(self.tree)
                 self.needs_expand = True
             return move
+        return self.step(state)
+
+    def step(self, state: GameState) -> Move:
+        """One round of descent from the held branches: after Breaker's
+        reply to a level claim, re-select two good branches one level
+        down; then finish from depth 1 or claim the next entry edges."""
+        vc = state.v_c
+        x = self.x
         if self.needs_expand:
             self.needs_expand = False
-            cands = []
-            for br in self.branches:
-                if br.child not in vc:
-                    continue
-                sub = br.sub
-                for j in (1, 2):
-                    gsub = sub.subtree(sub.k - 1, j)
-                    cands.append(_Branch(br.child, gsub.root, gsub))
-            good = [br for br in cands if _branch_good(br, self.x, state)]
-            if len(good) < 2:
+            cands = [b for br in self.branches if br.child in vc for b in _root_branches(br.sub)]
+            good = _two_good(cands, x, state)
+            if good is None:
                 return _forfeit(FORFEIT_BROKEN)
-            self.branches = good[:2]
-        depth = self.branches[0].sub.k
-        if depth == 1:
+            self.branches = good
+        if self.branches[0].sub.k == 1:
             for br in self.branches:
                 leaf = br.child
-                lx = edge(leaf, self.x)
+                lx = edge(leaf, x)
                 if leaf in vc and state.is_free(lx):
                     return Move((lx,))
                 pe = edge(br.parent, leaf)

@@ -7,19 +7,14 @@ from the edge set and kept symmetric by construction.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .rng import Rng, check_seed, uniforms_at
+from .rng import check_seed, uniforms_at
 
 Edge = Tuple[int, int]
-
-# Below this many vertex pairs gen_gnp just walks the scalar stream; the
-# vectorised path only pays off on larger boards. Both paths are
-# bit-identical (tested), the cutover is purely a speed knob.
-_VECTOR_CUTOVER = 4096
 
 
 def edge(u: int, v: int) -> Edge:
@@ -101,18 +96,7 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     check_seed(seed)
     if n < 0:
         raise ParameterError(f"vertex count must be non-negative, got {n}")
-    npairs = n * (n - 1) // 2
-    if npairs == 0:
-        return Graph(n)
-    if npairs < _VECTOR_CUTOVER:
-        rng = Rng(seed)
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.append((i, j))
-        return Graph(n, edges)
-    draws = uniforms_at(seed, npairs)
+    draws = uniforms_at(seed, n * (n - 1) // 2)
     iu, ju = np.triu_indices(n, k=1)
     keep = draws < p
     pairs = zip(iu[keep].tolist(), ju[keep].tolist())

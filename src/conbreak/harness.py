@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,8 +58,6 @@ class TrialConfig:
     verify_isolation: bool = False
     k_cap: int = 4
     expansion_cap: int = 10**6
-    structure_mode: str = "search"
-    size_targets: Optional[Tuple[float, ...]] = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -82,6 +81,11 @@ class TrialConfig:
             raise ParameterError(f"bias must be at least 1, got m={self.m} b={self.b}")
         if self.jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {self.jobs}")
+        # checked here, before run_trials truncates any output file
+        if self.start_vertex is not None and self.start_vertex < 0:
+            raise ParameterError(f"start vertex must be non-negative, got {self.start_vertex}")
+        if self.k_cap < 2:
+            raise ParameterError(f"depth cap must be at least 2, got {self.k_cap}")
         check_seed(self.seed_base)
         # fail fast on unknown strategy ids
         make_strategy(self.connector_id)
@@ -193,8 +197,6 @@ def _connector_options(cfg: TrialConfig, p: float) -> Dict[str, object]:
             "p_hint": p,
             "k_cap": cfg.k_cap,
             "expansion_cap": cfg.expansion_cap,
-            "structure_mode": cfg.structure_mode,
-            "size_targets": cfg.size_targets,
         }
     return {}
 
@@ -256,17 +258,28 @@ def summarize(records: Sequence[TrialRecord]) -> List[SummaryRow]:
     return rows
 
 
+def summary_csv(rows: Sequence[SummaryRow]) -> str:
+    """The summary CSV: header line, then one line per row."""
+    return "".join([CSV_HEADER + "\n"] + [row.csv_line() + "\n" for row in rows])
+
+
+def records_jsonl(records: Sequence[TrialRecord]) -> str:
+    """One sorted-key JSON object per record, one per line."""
+    return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records)
+
+
+def _open_out(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_summary_csv(path: str, rows: Sequence[SummaryRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.csv_line() + "\n")
+    with _open_out(path) as fh:
+        fh.write(summary_csv(rows))
 
 
 def write_records_jsonl(path: str, records: Sequence[TrialRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
+    with _open_out(path) as fh:
+        fh.write(records_jsonl(records))
 
 
 def run_trials(cfg: TrialConfig) -> Tuple[List[TrialRecord], List[SummaryRow]]:
@@ -274,14 +287,10 @@ def run_trials(cfg: TrialConfig) -> Tuple[List[TrialRecord], List[SummaryRow]]:
     configured outputs. Parallel runs produce byte-identical outputs to
     serial ones: records are sorted by (n, p, trial) regardless of
     completion order."""
-    csv_fh = open(cfg.out_csv, "w", encoding="utf-8", newline="\n") if cfg.out_csv else None
-    try:
-        rec_fh = open(cfg.out_records, "w", encoding="utf-8", newline="\n") if cfg.out_records else None
-    except OSError:
-        if csv_fh:
-            csv_fh.close()
-        raise
-    try:
+    with ExitStack() as outputs:
+        # opened before any trial runs, so a bad path fails fast
+        csv_fh = outputs.enter_context(_open_out(cfg.out_csv)) if cfg.out_csv else None
+        rec_fh = outputs.enter_context(_open_out(cfg.out_records)) if cfg.out_records else None
         tasks = [
             (cfg, n, p, trial)
             for n, p in cfg.cells()
@@ -296,17 +305,9 @@ def run_trials(cfg: TrialConfig) -> Tuple[List[TrialRecord], List[SummaryRow]]:
         records.sort(key=lambda r: (r.n, r.p, r.trial))
         rows = summarize(records)
         if csv_fh:
-            csv_fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                csv_fh.write(row.csv_line() + "\n")
+            csv_fh.write(summary_csv(rows))
         if rec_fh:
-            for r in records:
-                rec_fh.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
-    finally:
-        if csv_fh:
-            csv_fh.close()
-        if rec_fh:
-            rec_fh.close()
+            rec_fh.write(records_jsonl(records))
     return records, rows
 
 

@@ -225,14 +225,10 @@ class SpanningConnectorStrategy:
         p_hint: Optional[float] = None,
         k_cap: int = 4,
         expansion_cap: int = 10**6,
-        structure_mode: str = "search",
-        size_targets=None,
     ):
         self.p_hint = p_hint
         self.k_cap = k_cap
         self.expansion_cap = expansion_cap
-        self.structure_mode = structure_mode
-        self.size_targets = None if size_targets is None else tuple(size_targets)
         self.seed: Seed = 0
         self.plan: Optional[ConnectorPlan] = None
 
@@ -250,8 +246,6 @@ class SpanningConnectorStrategy:
                 p_hint=self.p_hint,
                 k_cap=self.k_cap,
                 expansion_cap=self.expansion_cap,
-                structure_mode=self.structure_mode,
-                size_targets=self.size_targets,
                 seed=self.seed,
             )
         return connector_move(state, self.plan)

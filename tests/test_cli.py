@@ -131,6 +131,20 @@ def test_sweep_eps_mapping(capsys):
     assert out.strip().split("\n")[1].startswith(f"100,{p!r},1,")
 
 
+@pytest.mark.parametrize("bad", [["--start", "-1"], ["--k-cap", "1"]])
+def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, bad):
+    out_csv = tmp_path / "x.csv"
+    records = tmp_path / "x.jsonl"
+    out_csv.write_text("keep me\n")
+    records.write_text("keep me too\n")
+    rc, out, err = run_main(
+        capsys, sweep_argv(bad + ["--out", str(out_csv), "--records", str(records)])
+    )
+    assert rc == 2 and out == "" and err.startswith("conbreak:")
+    assert out_csv.read_text() == "keep me\n"
+    assert records.read_text() == "keep me too\n"
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

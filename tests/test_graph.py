@@ -78,17 +78,18 @@ def test_gnp_parameter_validation():
 
 
 def test_gnp_vector_path_matches_scalar_recipe():
-    # n=120 has 7140 pairs, well past the vectorised cutover; replay the
-    # documented scalar recipe and demand the identical edge set
-    n, p, seed = 120, 0.07, 2024
-    g = gen_gnp(n, p, seed)
-    rng = Rng(seed)
-    expect = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                expect.add((i, j))
-    assert set(g.edges) == expect
+    # replay the documented scalar recipe and demand the identical edge set,
+    # from empty boards up to n=120 (7140 pairs)
+    seed = 2024
+    for n, p in ((0, 0.4), (1, 0.4), (2, 0.4), (5, 0.4), (20, 0.4), (90, 0.07), (120, 0.07)):
+        g = gen_gnp(n, p, seed)
+        rng = Rng(seed)
+        expect = set()
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    expect.add((i, j))
+        assert g.n == n and set(g.edges) == expect, n
 
 
 def test_gnp_mean_edge_count():

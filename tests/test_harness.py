@@ -75,6 +75,10 @@ def test_config_validation():
         TrialConfig(ns=(5,), ps=(0.5,), seed_base=-1)
     with pytest.raises(ParameterError):
         TrialConfig(ns=(5,), ps=(0.5,), breaker_id="nonsense")
+    with pytest.raises(ParameterError):
+        TrialConfig(ns=(5,), ps=(0.5,), start_vertex=-1)
+    with pytest.raises(ParameterError):
+        TrialConfig(ns=(5,), ps=(0.5,), k_cap=1)
 
 
 def test_eps_list_maps_to_probabilities():
