@@ -221,8 +221,8 @@ def breaker_move(
     at the first layer, then the lowest free edges overall. When the
     violations exceed the allowance the move carries a
     'breaker-violation-overflow' flag and claims the first b of them.
-    `cursor` is an optional one-element list indexing into the sorted edge
-    list, letting a per-game caller amortize the final filler scan.
+    `cursor` is the optional scan cursor of `GameState.lowest_free`,
+    letting a per-game caller amortize the final filler scan.
     """
     viol = q_violations(state, dec)
     b = state.b
@@ -260,16 +260,6 @@ def breaker_move(
             picked.append(e)
             chosen.add(e)
 
-    if len(picked) < b:
-        all_edges = state.graph.sorted_edges()
-        i = cursor[0] if cursor is not None else 0
-        while len(picked) < b and i < len(all_edges):
-            e = all_edges[i]
-            if e not in chosen and state.is_free(e):
-                picked.append(e)
-                chosen.add(e)
-            i += 1
-        if cursor is not None:
-            cursor[0] = i
+    picked += state.lowest_free(b - len(picked), cursor, chosen)
 
     return Move(tuple(picked), flags=flags)

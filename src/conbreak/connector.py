@@ -236,9 +236,8 @@ def _find_tree(
         parent = assign[(i + 1, (j + 1) // 2)]
         sibling_rank = -1
         if j % 2 == 0:
-            sib = assign.get((i, j - 1))
-            if sib is not None and assign[(i + 1, (j + 1) // 2)] == parent:
-                sibling_rank = rank_cache[parent][sib]
+            # positions run level by level, so the left sibling is placed
+            sibling_rank = rank_cache[parent][assign[(i, j - 1)]]
         for c in ordered_neighbors(parent):
             if budget[0] <= 0:
                 raise _Capped()
@@ -707,20 +706,11 @@ def select_target(state: GameState, plan: ConnectorPlan) -> int:
             if missing:
                 return min(missing)
         raise ParameterError("no target: territory already spans the board")
-    deg_b = [0] * state.graph.n
-    for u, v in state.breaker_edges:
-        deg_b[u] += 1
-        deg_b[v] += 1
-    best = None
-    best_d = -1
-    for v in range(state.graph.n):
-        if v in vc:
-            continue
-        if deg_b[v] > best_d:
-            best, best_d = v, deg_b[v]
-    if best is None:
+    missing = [v for v in range(state.graph.n) if v not in vc]
+    if not missing:
         raise ParameterError("no target: territory already spans the board")
-    return best
+    # max keeps the first, so the lowest index wins ties
+    return max(missing, key=state.breaker_degrees.__getitem__)
 
 
 def _forfeit(reason: str) -> Move:
@@ -749,10 +739,8 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
         return Move(())
     if not vc:
         # free opening: no territory constraint yet, grab the lowest edge
-        for e in g.sorted_edges():
-            if state.is_free(e):
-                return Move((e,))
-        return _forfeit(FORFEIT_NO_EDGE)
+        opening = state.lowest_free(1)
+        return Move(tuple(opening)) if opening else _forfeit(FORFEIT_NO_EDGE)
 
     if plan.target is None:
         plan.target = select_target(state, plan)

@@ -18,7 +18,7 @@ from a position she refuses to play).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Protocol, Tuple
+from typing import Container, Iterable, Iterator, List, Optional, Protocol, Tuple
 
 from .errors import ConnectivityError, IllegalMoveError, ParameterError
 from .graph import Edge, Graph, edge
@@ -56,13 +56,15 @@ class GameState:
     `v_c` is Connector's territory: the endpoints of her claimed edges,
     plus the start vertex when one is fixed. `round` counts from 1 and
     increments after Breaker's reply, so within one round Connector moves
-    first and both moves share the round number.
+    first and both moves share the round number. `breaker_degrees[v]` is
+    the number of Breaker edges at v, kept up to date as moves apply.
     """
 
     __slots__ = (
         "graph",
         "connector_edges",
         "breaker_edges",
+        "breaker_degrees",
         "v_c",
         "m",
         "b",
@@ -96,6 +98,10 @@ class GameState:
         self.breaker_edges = set(breaker_edges)
         self.round = round
         self.to_move = to_move
+        self.breaker_degrees = [0] * graph.n
+        for u, v in self.breaker_edges:
+            self.breaker_degrees[u] += 1
+            self.breaker_degrees[v] += 1
         vc = set()
         if start_vertex is not None:
             vc.add(start_vertex)
@@ -112,6 +118,7 @@ class GameState:
         s.start_vertex = self.start_vertex
         s.connector_edges = set(self.connector_edges)
         s.breaker_edges = set(self.breaker_edges)
+        s.breaker_degrees = list(self.breaker_degrees)
         s.round = self.round
         s.to_move = self.to_move
         s.v_c = set(self.v_c)
@@ -128,10 +135,30 @@ class GameState:
         )
 
     def free_edges(self) -> List[Edge]:
-        """Free edges in ascending order. O(|E|); avoid in hot loops."""
+        """Free edges in ascending order. O(|E|)."""
         claimed = self.connector_edges
         blocked = self.breaker_edges
         return [e for e in self.graph.sorted_edges() if e not in claimed and e not in blocked]
+
+    def lowest_free(
+        self, k: int, cursor: Optional[List[int]] = None, skip: Container[Edge] = ()
+    ) -> List[Edge]:
+        """Up to k lowest free edges outside `skip`, in ascending order.
+
+        An optional one-element `cursor` list holds the index into the
+        sorted edge list where the scan starts, and is left just past the
+        last edge taken, so a per-game caller can resume its scan there."""
+        edges = self.graph.sorted_edges()
+        out: List[Edge] = []
+        i = cursor[0] if cursor is not None else 0
+        while len(out) < k and i < len(edges):
+            e = edges[i]
+            if self.is_free(e) and e not in skip:
+                out.append(e)
+            i += 1
+        if cursor is not None:
+            cursor[0] = i
+        return out
 
     def free_edge_count(self) -> int:
         return (
@@ -148,8 +175,8 @@ class GameState:
         return len(self.v_c) == self.graph.n
 
     def breaker_degree(self, v: int) -> int:
-        """Number of Breaker edges incident to v. O(|E_B|)."""
-        return sum(1 for e in self.breaker_edges if v in e)
+        """Number of Breaker edges incident to v. O(1)."""
+        return self.breaker_degrees[v]
 
     def snapshot_key(self):
         return (
@@ -200,7 +227,10 @@ def _apply_in_place(state: GameState, move: Move) -> None:
         state.to_move = BREAKER
     else:
         for e in move.edges:
-            state.breaker_edges.add(edge(*e))
+            u, v = edge(*e)
+            state.breaker_edges.add((u, v))
+            state.breaker_degrees[u] += 1
+            state.breaker_degrees[v] += 1
         state.to_move = CONNECTOR
         state.round += 1
 
@@ -239,8 +269,8 @@ class GameResult:
     """Outcome plus a replayable transcript.
 
     `transcript` holds one (round, role, edges) entry per move in play
-    order. Replaying the moves through validate_and_apply from the initial
-    state reproduces `final_state`. `rounds` is the round number of the
+    order. Replaying the moves from the initial state (`replay`)
+    reproduces `final_state`. `rounds` is the round number of the
     last recorded move, 0 when the game ended before any move.
     """
 
@@ -360,16 +390,28 @@ def run_game(
     )
 
 
-def replay(result: GameResult, graph: Graph) -> GameState:
-    """Re-derive the final state of a recorded game through the functional
-    path. Used to check transcript integrity."""
-    state = GameState(
-        graph, m=result.m, b=result.b, start_vertex=result.start_vertex
-    )
+def replay_states(
+    result: GameResult, graph: Graph
+) -> Iterator[Tuple[int, str, GameState]]:
+    """Replay a recorded game, checking each move like the game loop does,
+    and yield (round, role, state) after each move. The state is one
+    object updated in place. A move out of turn raises ParameterError."""
+    state = GameState(graph, m=result.m, b=result.b, start_vertex=result.start_vertex)
     for rnd, role, edges in result.transcript:
         if role != state.to_move:
             raise ParameterError(
                 f"transcript out of turn at round {rnd}: {role} cannot move"
             )
-        state = validate_and_apply(state, Move(edges))
+        move = Move(tuple(edges))
+        _check_move(state, move)
+        _apply_in_place(state, move)
+        yield rnd, role, state
+
+
+def replay(result: GameResult, graph: Graph) -> GameState:
+    """Re-derive the final state of a recorded game. Used to check
+    transcript integrity."""
+    state = GameState(graph, m=result.m, b=result.b, start_vertex=result.start_vertex)
+    for _, _, state in replay_states(result, graph):
+        pass
     return state

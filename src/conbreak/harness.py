@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .breaker import BadSetDecomposition
-from .engine import CONNECTOR, GameResult, REASON_FORFEIT, run_game
+from .engine import BREAKER, GameResult, REASON_FORFEIT, replay_states, run_game
 from .errors import ParameterError
 from .graph import Graph, gen_gnp
 from .rng import check_seed, derive
@@ -82,10 +82,14 @@ class TrialConfig:
         if self.jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {self.jobs}")
         # checked here, before run_trials truncates any output file
-        if self.start_vertex is not None and self.start_vertex < 0:
-            raise ParameterError(f"start vertex must be non-negative, got {self.start_vertex}")
+        if self.start_vertex is not None and not (0 <= self.start_vertex < min(self.ns)):
+            raise ParameterError(
+                f"start vertex {self.start_vertex} out of range for n={min(self.ns)}"
+            )
         if self.k_cap < 2:
             raise ParameterError(f"depth cap must be at least 2, got {self.k_cap}")
+        if self.expansion_cap < 1:
+            raise ParameterError(f"expansion cap must be at least 1, got {self.expansion_cap}")
         check_seed(self.seed_base)
         # fail fast on unknown strategy ids
         make_strategy(self.connector_id)
@@ -150,27 +154,14 @@ def degree_bound_flags(g: Graph, result: GameResult) -> List[str]:
     if n < 2:
         return []
     bound = math.log(n) ** 2
-    deg = [0] * n
-    vc = set()
-    if result.start_vertex is not None:
-        vc.add(result.start_vertex)
     out: List[str] = []
-    for rnd, role, edges in result.transcript:
-        if role == CONNECTOR:
-            for u, v in edges:
-                vc.add(u)
-                vc.add(v)
-        else:
-            worst = None
-            for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1
+    for rnd, role, state in replay_states(result, g):
+        if role == BREAKER:
+            deg, vc = state.breaker_degrees, state.v_c
             for v in range(n):
                 if v not in vc and deg[v] >= bound:
-                    worst = v
+                    out.append(f"{FLAG_DEGREE_BOUND}@{rnd}")
                     break
-            if worst is not None:
-                out.append(f"{FLAG_DEGREE_BOUND}@{rnd}")
     return out
 
 
@@ -207,11 +198,8 @@ def run_one(cfg: TrialConfig, n: int, p: float, trial: int) -> TrialRecord:
     g = gen_gnp(n, p, seed)
     connector = make_strategy(cfg.connector_id, **_connector_options(cfg, p))
     breaker = make_strategy(cfg.breaker_id)
-    start = cfg.start_vertex
-    if start is not None and start >= n:
-        start = 0
     result = run_game(
-        g, connector, breaker, m=cfg.m, b=cfg.b, start_vertex=start, seed=seed
+        g, connector, breaker, m=cfg.m, b=cfg.b, start_vertex=cfg.start_vertex, seed=seed
     )
     flags = list(result.flags)
     if cfg.verify_degree_bound:

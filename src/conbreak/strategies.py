@@ -31,17 +31,15 @@ class RandomStrategy:
     """Claims up to the full bias uniformly among currently legal edges."""
 
     def __init__(self):
-        self.graph: Optional[Graph] = None
         self.role = ""
         self.rng: Optional[Rng] = None
 
     def start(self, graph: Graph, role: str, seed: Seed) -> None:
-        self.graph = graph
         self.role = role
         self.rng = Rng(seed)
 
     def propose(self, state: GameState) -> Move:
-        free = [e for e in self.graph.sorted_edges() if state.is_free(e)]
+        free = state.free_edges()
         bias = state.bias(self.role)
         if self.role == BREAKER:
             k = min(bias, len(free))
@@ -85,7 +83,7 @@ class GreedyDegreeStrategy:
 
     def propose(self, state: GameState) -> Move:
         g = self.graph
-        free = [e for e in g.sorted_edges() if state.is_free(e)]
+        free = state.free_edges()
         bias = state.bias(self.role)
         if self.role == BREAKER:
             ranked = sorted(free, key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e))
@@ -175,17 +173,6 @@ class IsolationBreakerStrategy:
                 m_set.append(v)
         return sorted(m_set)
 
-    def _fallback(self, state: GameState) -> Move:
-        claims = []
-        edges = self.graph.sorted_edges()
-        i = self.cursor[0]
-        while i < len(edges) and len(claims) < state.b:
-            if state.is_free(edges[i]):
-                claims.append(edges[i])
-            i += 1
-        self.cursor[0] = i
-        return Move(tuple(claims))
-
     def propose(self, state: GameState) -> Move:
         if not self.attempted:
             self.attempted = True
@@ -211,7 +198,7 @@ class IsolationBreakerStrategy:
                 if flags:
                     mv = Move(mv.edges, flags=mv.flags + flags)
                 return mv
-        mv = self._fallback(state)
+        mv = Move(tuple(state.lowest_free(state.b, self.cursor)))
         if flags:
             mv = Move(mv.edges, flags=mv.flags + flags)
         return mv

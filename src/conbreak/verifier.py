@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from .breaker import BadSetDecomposition, SuccessiveBadSets, q_violations
 from .connector import Decomposition, TreeEmbedding, alpha_table
-from .engine import BREAKER, GameResult, GameState, Move, validate_and_apply
+from .engine import BREAKER, GameResult, replay_states
 from .errors import ParameterError
 from .graph import Edge, Graph, edge
 
@@ -528,17 +528,11 @@ def check_q(g: Graph, result: GameResult, dec: BadSetDecomposition) -> PropertyR
     center: `isolated` holds when the center never joined Connector
     territory, `cleared` when no violation edge survived any of Breaker's
     replies."""
-    state = GameState(
-        g, m=result.m, b=result.b, start_vertex=result.start_vertex
-    )
     isolated = Clause(True)
     cleared = Clause(True)
-    if dec.x in state.v_c:
+    if dec.x == result.start_vertex:
         isolated = Clause(False, {"round": 0, "reason": "center is the start vertex"})
-    for rnd, role, edges in result.transcript:
-        if role != state.to_move:
-            raise ParameterError(f"transcript out of turn at round {rnd}")
-        state = validate_and_apply(state, Move(tuple(edges)))
+    for rnd, role, state in replay_states(result, g):
         if isolated.passed and dec.x in state.v_c:
             isolated = Clause(False, {"round": rnd})
         if role == BREAKER and cleared.passed and isolated.passed:

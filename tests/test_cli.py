@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import conbreak
 from conbreak.cli import main, resolve_out
 from conbreak.harness import CSV_HEADER
 
@@ -131,7 +133,10 @@ def test_sweep_eps_mapping(capsys):
     assert out.strip().split("\n")[1].startswith(f"100,{p!r},1,")
 
 
-@pytest.mark.parametrize("bad", [["--start", "-1"], ["--k-cap", "1"]])
+@pytest.mark.parametrize(
+    "bad",
+    [["--start", "-1"], ["--k-cap", "1"], ["--expansion-cap", "0"], ["--start", "50"]],
+)
 def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, bad):
     out_csv = tmp_path / "x.csv"
     records = tmp_path / "x.jsonl"
@@ -288,11 +293,15 @@ def test_solve_subcommand(capsys, triangle_file, tmp_path):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(conbreak.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "conbreak.cli", "solve", "--n", "3", "--p", "1.0",
          "--m", "1", "--b", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "C\n"

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conbreak import (
     BREAKER,
@@ -22,6 +24,7 @@ from conbreak import (
     run_game,
     validate_and_apply,
 )
+from conbreak.engine import replay_states
 
 
 class Scripted:
@@ -59,6 +62,16 @@ def test_state_init_and_accessors():
     s2.v_c.add(9)
     assert (1, 2) not in s.connector_edges and 9 not in s.v_c
     assert s.snapshot_key() == (frozenset({(0, 1)}), frozenset(), 1, CONNECTOR)
+
+
+def test_lowest_free_cursor_and_skip():
+    s = GameState(square(), connector_edges=[(0, 1)])
+    assert s.lowest_free(2) == [(0, 3), (1, 2)]
+    cursor = [0]
+    assert s.lowest_free(1, cursor, skip={(0, 3)}) == [(1, 2)]
+    assert cursor == [3]
+    assert s.lowest_free(5, cursor) == [(2, 3)] and cursor == [4]
+    assert s.lowest_free(0, cursor) == [] and cursor == [4]
 
 
 def test_state_parameter_validation():
@@ -202,22 +215,45 @@ def test_breaker_wins_on_exhaustion():
     assert res.rounds == 1
 
 
-def test_replay_reproduces_final_state():
-    for seed in range(8):
-        g = gen_gnp(9, 0.45, seed)
-        res = run_game(
-            g,
-            make_strategy("random"),
-            make_strategy("random"),
-            m=2,
-            b=2,
-            start_vertex=0,
-            seed=seed,
-        )
-        state = replay(res, g)
-        assert state.connector_edges == res.final_state.connector_edges
-        assert state.breaker_edges == res.final_state.breaker_edges
-        assert state.v_c == res.final_state.v_c
+@example(9, 0.45, 0, "random", "random")
+@example(9, 0.45, 1, "random", "random")
+@example(9, 0.45, 2, "random", "random")
+@example(9, 0.45, 3, "random", "random")
+@example(9, 0.45, 4, "random", "random")
+@example(9, 0.45, 5, "random", "random")
+@example(9, 0.45, 6, "random", "random")
+@example(9, 0.45, 7, "random", "random")
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    p=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+    connector=st.sampled_from(["random", "greedy-degree"]),
+    breaker=st.sampled_from(["random", "greedy-degree", "paper-breaker"]),
+)
+def test_replay_reproduces_final_state(n, p, seed, connector, breaker):
+    g = gen_gnp(n, p, seed)
+    res = run_game(
+        g,
+        make_strategy(connector),
+        make_strategy(breaker),
+        m=2,
+        b=2,
+        start_vertex=0,
+        seed=seed,
+    )
+    # the engine's derived facts match a naive recount at every replayed state
+    for _, _, s in replay_states(res, g):
+        counts = [sum(1 for e in s.breaker_edges if v in e) for v in range(n)]
+        assert [s.breaker_degree(v) for v in range(n)] == counts
+        naive_free = [e for e in g.sorted_edges() if s.is_free(e)]
+        assert s.free_edges() == naive_free
+        assert s.lowest_free(3) == naive_free[:3]
+    state = replay(res, g)
+    assert state.connector_edges == res.final_state.connector_edges
+    assert state.breaker_edges == res.final_state.breaker_edges
+    assert state.breaker_degrees == res.final_state.breaker_degrees
+    assert state.v_c == res.final_state.v_c
 
 
 def test_same_seed_same_transcript():

@@ -100,9 +100,11 @@ def test_run_one_is_deterministic():
     assert rec.seed == derive(0, 2)
     assert rec.n == 10 and rec.p == 0.5 and rec.trial == 2
     assert rec.winner in ("C", "B")
-    # an out-of-range start vertex falls back to vertex 0
-    high = small_cfg(start_vertex=99)
-    assert run_one(high, 10, 0.5, 0).winner in ("C", "B")
+    # a start vertex outside the board is refused, never replaced
+    with pytest.raises(ParameterError):
+        small_cfg(start_vertex=99)
+    with pytest.raises(ParameterError):
+        run_one(small_cfg(ns=(100,), start_vertex=50), 10, 0.5, 0)
 
 
 def test_p_zero_means_no_connector_wins():
