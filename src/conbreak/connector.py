@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -423,14 +424,24 @@ class Decomposition:
     h: Graph
     targets: Optional[Tuple[float, ...]]
 
+    # lookup tables, built once on first use; a cached_property lives in
+    # the instance dict, outside the dataclass fields, == and hash
+    @cached_property
+    def _cell_table(self) -> Dict[CellKey, FrozenSet[int]]:
+        return dict(self.cells)
+
+    @cached_property
+    def _mset_table(self) -> Dict[CellKey, FrozenSet[int]]:
+        return dict(self.msets)
+
     def cell(self, key: CellKey) -> FrozenSet[int]:
-        return dict(self.cells)[key]
+        return self._cell_table[key]
 
     def mset(self, key: CellKey) -> FrozenSet[int]:
         i, j, l = key
         if i == 0:
             return frozenset((self.x,))
-        return dict(self.msets)[key]
+        return self._mset_table[key]
 
     def mset_map(self) -> Dict[CellKey, FrozenSet[int]]:
         return dict(self.msets)

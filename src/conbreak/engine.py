@@ -18,7 +18,7 @@ from a position she refuses to play).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator, List, Optional, Protocol, Tuple
+from typing import Container, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
 
 from .errors import ConnectivityError, IllegalMoveError, ParameterError
 from .graph import Edge, Graph, edge
@@ -196,7 +196,8 @@ def _check_move(state: GameState, move: Move) -> None:
             f"{role} claimed {len(move.edges)} edges, bias allows {limit}"
         )
     seen = set()
-    vc = set(state.v_c)
+    vc = state.v_c
+    added: Set[int] = set()  # vertices this move has added so far
     for e in move.edges:
         e = edge(*e)
         if e in seen:
@@ -207,12 +208,17 @@ def _check_move(state: GameState, move: Move) -> None:
         if e in state.connector_edges or e in state.breaker_edges:
             raise IllegalMoveError(f"edge {e} is already claimed", edge=e)
         if role == CONNECTOR:
-            if vc and e[0] not in vc and e[1] not in vc:
+            u, v = e
+            if (
+                (vc or added)
+                and u not in vc and v not in vc
+                and u not in added and v not in added
+            ):
                 raise ConnectivityError(
                     f"edge {e} does not touch Connector territory", edge=e
                 )
-            vc.add(e[0])
-            vc.add(e[1])
+            added.add(u)
+            added.add(v)
 
 
 def _apply_in_place(state: GameState, move: Move) -> None:

@@ -1,13 +1,18 @@
 """Simple undirected graphs on dense integer vertices, plus seeded G(n,p).
 
-Vertices are the integers 0..n-1. Edges are unordered pairs stored as
-tuples (u, v) with u < v; no loops, no parallel edges. Adjacency is derived
-from the edge set and kept symmetric by construction.
+Vertices are the integers 0..n-1. A graph stores its edges as two int64
+arrays `u` and `v` with u < v, sorted by (u, v): no loops, no parallel
+edges. Adjacency is a CSR structure (compressed sparse rows) built from
+those arrays: `off[x]:off[x+1]` is the slice of the flat `nbr` array
+holding x's neighbours, in ascending order, so it is symmetric by
+construction. The Python views (the edge frozenset, the sorted edge
+tuple, each vertex's neighbour frozenset) are built on first use and
+cached; the degrees are a plain list of ints.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,64 +29,126 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-class Graph:
-    """Immutable undirected graph."""
+def _reject_bad_pair(pairs, n: int) -> None:
+    """Raise ParameterError for the first pair in `pairs` that is not an
+    edge of a graph on n vertices: not a pair, a non-integer vertex, a
+    loop or an out-of-range vertex. Returns when every pair is an edge."""
+    for pair in pairs:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise ParameterError(f"edge {pair!r} is not a pair of vertices") from None
+        for w in (a, b):
+            if not isinstance(w, (int, np.integer)):
+                raise ParameterError(f"edge {pair!r} has a non-integer vertex {w!r}")
+        e = edge(int(a), int(b))
+        if not (0 <= e[0] and e[1] < n):
+            raise ParameterError(f"edge {e} out of range for n={n}")
 
-    __slots__ = ("n", "_edges", "_adj", "_sorted")
+
+def _canonical_arrays(n: int, edges) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge list as int64 arrays (u, v, u*n + v), u < v, sorted by
+    (u, v) with duplicates merged. Accepts any iterable of pairs or an
+    (m, 2) integer array; bad input raises ParameterError before any cast."""
+    pairs = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
+    if len(pairs) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    try:
+        arr = np.asarray(pairs)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        # mixed, ragged or non-integer input: check it pair by pair
+        _reject_bad_pair(pairs, n)
+        arr = np.array([(int(a), int(b)) for a, b in pairs], dtype=np.int64)
+    a = arr[:, 0].astype(np.int64)
+    b = arr[:, 1].astype(np.int64)
+    u = np.minimum(a, b)
+    v = np.maximum(a, b)
+    if (u == v).any() or (u < 0).any() or (v >= n).any():
+        _reject_bad_pair(arr.tolist(), n)
+    keys = u * n + v
+    if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
+        keys = np.unique(keys)
+        u, v = np.divmod(keys, n)
+    return u, v, keys
+
+
+class Graph:
+    """Immutable undirected graph.
+
+    `Graph(n, edges)` takes any iterable of vertex pairs, or an (m, 2)
+    integer array, in any order and orientation; duplicates are merged.
+    Loops, out-of-range and non-integer vertices raise ParameterError."""
+
+    __slots__ = ("n", "u", "v", "off", "nbr", "_deg", "_nbrs", "_edges", "_sorted")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ParameterError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ParameterError(f"vertex count must be non-negative, got {n}")
+        n = int(n)
         self.n = n
-        canon = set()
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            e = edge(u, v)
-            if not (0 <= e[0] and e[1] < n):
-                raise ParameterError(f"edge {e} out of range for n={n}")
-            if e in canon:
-                continue
-            canon.add(e)
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
-        self._edges = frozenset(canon)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._sorted: Optional[tuple] = None
+        self.u, self.v, keys = _canonical_arrays(n, edges)
+        # CSR: each edge keyed as (endpoint, neighbour) both ways round;
+        # sorting the keys groups the rows, each in ascending order
+        both = np.sort(np.concatenate((self.v * n + self.u, keys)))
+        self.nbr = both % n
+        deg = np.bincount(self.u, minlength=n) + np.bincount(self.v, minlength=n)
+        self.off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=self.off[1:])
+        for a in (self.u, self.v, self.nbr, self.off):
+            a.flags.writeable = False
+        self._deg: List[int] = deg.tolist()
+        self._nbrs: List[Optional[FrozenSet[int]]] = [None] * n
+        self._edges: Optional[FrozenSet[Edge]] = None
+        self._sorted: Optional[Tuple[Edge, ...]] = None
 
     @property
     def edges(self) -> FrozenSet[Edge]:
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
         return self._edges
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self.u)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self._edges
+        if u == v:
+            raise ParameterError(f"loop edge ({u},{v}) is not allowed")
+        return 0 <= u < self.n and 0 <= v < self.n and v in self.neighbors(u)
 
     def neighbors(self, v: int) -> FrozenSet[int]:
-        return self._adj[v]
+        s = self._nbrs[v]
+        if s is None:
+            x = v + self.n if v < 0 else v
+            lo, hi = self.off[x : x + 2].tolist()
+            s = self._nbrs[v] = frozenset(self.nbr[lo:hi].tolist())
+        return s
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._deg[v]
 
-    def sorted_edges(self) -> tuple:
-        # cached: the graph is immutable and game loops poll this often
+    def sorted_edges(self) -> Tuple[Edge, ...]:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self._edges))
+            self._sorted = tuple(zip(self.u.tolist(), self.v.tolist()))
         return self._sorted
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self._edges == other._edges
+            and np.array_equal(self.u, other.u)
+            and np.array_equal(self.v, other.v)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash((self.n, self.sorted_edges()))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={len(self._edges)})"
+        return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
@@ -96,11 +163,13 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     check_seed(seed)
     if n < 0:
         raise ParameterError(f"vertex count must be non-negative, got {n}")
-    draws = uniforms_at(seed, n * (n - 1) // 2)
-    iu, ju = np.triu_indices(n, k=1)
-    keep = draws < p
-    pairs = zip(iu[keep].tolist(), ju[keep].tolist())
-    return Graph(n, pairs)
+    hits = np.flatnonzero(uniforms_at(seed, n * (n - 1) // 2) < p)
+    # pair (i, j) is draw number starts[i] + (j - i - 1) in that order
+    i = np.arange(n, dtype=np.int64)
+    starts = i * n - i * (i + 1) // 2
+    rows = np.searchsorted(starts, hits, side="right") - 1
+    cols = hits - starts[rows] + rows + 1
+    return Graph(n, np.column_stack((rows, cols)))
 
 
 def degree_into(g: Graph, v: int, subset: Iterable[int]) -> int:

@@ -17,7 +17,7 @@ import math
 import multiprocessing
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .breaker import BadSetDecomposition
 from .engine import BREAKER, GameResult, REASON_FORFEIT, replay_states, run_game
@@ -155,13 +155,16 @@ def degree_bound_flags(g: Graph, result: GameResult) -> List[str]:
         return []
     bound = math.log(n) ** 2
     out: List[str] = []
-    for rnd, role, state in replay_states(result, g):
+    # Breaker degrees only grow, and only at the endpoints of Breaker
+    # moves, so the vertices at or over the bound are kept as a set
+    over: Set[int] = set()
+    states = replay_states(result, g)
+    for (rnd, role, state), (_, _, edges) in zip(states, result.transcript):
         if role == BREAKER:
-            deg, vc = state.breaker_degrees, state.v_c
-            for v in range(n):
-                if v not in vc and deg[v] >= bound:
-                    out.append(f"{FLAG_DEGREE_BOUND}@{rnd}")
-                    break
+            deg = state.breaker_degrees
+            over.update(w for e in edges for w in e if deg[w] >= bound)
+            if any(w not in state.v_c for w in over):
+                out.append(f"{FLAG_DEGREE_BOUND}@{rnd}")
     return out
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -399,6 +400,23 @@ def test_decompose_on_complete_graph():
     assert all(dec.branch_of(v) == 1 for v in top)
     assert dec.branch_of(0) is None
     assert top <= dec.branch_union(1)
+
+
+def test_decomposition_lookups_leave_equality_alone():
+    g = complete_graph(25)
+    cells = make_cells(25, x=0, k=2, seed=2, cell_size=2)
+    dec = decompose(g, 0, cells, 2)
+    twin = decompose(g, 0, cells, 2)
+    for key, cell in dec.cells:
+        assert dec.cell(key) == cell and dec.mset(key) == dict(dec.msets)[key]
+    # the lookup tables built above are not part of the value
+    assert dec == twin and hash(dec) == hash(twin) and repr(dec) == repr(twin)
+    assert dataclasses.astuple(dec) == dataclasses.astuple(twin)
+    # mset_map hands out a fresh dict, so a caller's edit stays local
+    fresh = dec.mset_map()
+    fresh.clear()
+    assert dec.mset_map() == dict(dec.msets)
+    assert dec.mset((2, 1, 1)) == dict(dec.msets)[(2, 1, 1)]
 
 
 def test_decompose_downsamples_to_target():

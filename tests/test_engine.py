@@ -104,6 +104,17 @@ def test_first_move_unanchored_without_start():
     s = GameState(g, m=1, b=1)
     out = validate_and_apply(s, Move.of((2, 3)))
     assert out.v_c == {2, 3}
+    # a two-edge opening must still hang together, and a rejected move
+    # leaves the state's territory as it was
+    s2 = GameState(g, m=2, b=1)
+    assert validate_and_apply(s2, Move.of((2, 3), (1, 2))).v_c == {1, 2, 3}
+    with pytest.raises(ConnectivityError):
+        validate_and_apply(s2, Move.of((2, 3), (0, 1)))
+    assert s2.v_c == set()
+    anchored = GameState(g, m=2, b=1, start_vertex=0)
+    with pytest.raises(ConnectivityError):
+        validate_and_apply(anchored, Move.of((0, 1), (2, 3)))
+    assert anchored.v_c == {0}
 
 
 def test_illegal_moves():

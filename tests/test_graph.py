@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conbreak import (
     FormatError,
@@ -45,6 +48,39 @@ def test_graph_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(ParameterError):
         Graph(3, [(1, 1)])
+    # non-integer vertices fail before any cast could truncate them
+    for bad in (
+        [(0.5, 1)],
+        [("a", 1)],
+        [(0, 1), (1.0, 2)],
+        [(0, 1, 2)],
+        [(0,)],
+        [None],
+        np.array([(0.5, 1.0)]),
+        [(0, 2**70)],
+    ):
+        with pytest.raises(ParameterError):
+            Graph(3, bad)
+    with pytest.raises(ParameterError):
+        Graph(2.0)
+    # the first offending pair names the error, as it always did
+    with pytest.raises(ParameterError, match=r"loop edge \(2,2\)"):
+        Graph(3, [(0, 1), (2, 2), (0, 3)])
+    with pytest.raises(ParameterError, match=r"edge \(0, 3\) out of range for n=3"):
+        Graph(3, [(0, 1), (3, 0), (2, 2)])
+    # integer arrays of any width and numpy scalars are accepted
+    want = frozenset({(0, 1), (1, 2)})
+    assert Graph(3, np.array([(1, 0), (1, 2)], dtype=np.uint8)).edges == want
+    assert Graph(3, [(np.int32(2), 1), (0, np.int64(1))]).edges == want
+
+
+def test_graph_arrays_are_read_only():
+    g = Graph(4, [(2, 3), (0, 1)])
+    for arr in (g.u, g.v, g.off, g.nbr):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert g.u.tolist() == [0, 2] and g.v.tolist() == [1, 3]
+    assert g.off.tolist() == [0, 1, 2, 3, 4] and g.nbr.tolist() == [1, 0, 3, 2]
 
 
 def test_graph_eq_hash():
@@ -53,6 +89,58 @@ def test_graph_eq_hash():
     c = Graph(4, [(0, 1)])
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count in 0..30 and a list of its vertex pairs, in any
+    orientation, with repeats."""
+    n = draw(st.integers(0, 30))
+    if n < 2:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pairs, max_size=80))
+
+
+@example(case=(0, []), seed=0)
+@example(case=(5, []), seed=1)
+@example(case=(4, [(1, 0), (0, 1), (1, 0), (3, 2)]), seed=2)
+@settings(max_examples=150, deadline=None)
+@given(case=edge_lists(), seed=st.integers(0, 2**32 - 1))
+def test_graph_matches_set_reference(case, seed):
+    n, pairs = case
+    canon = {(min(e), max(e)) for e in pairs}
+    adj = {w: {b if a == w else a for a, b in canon if w in (a, b)} for w in range(n)}
+    g = Graph(n, pairs)
+    assert g.n == n
+    assert g.edges == frozenset(canon)
+    assert g.sorted_edges() == tuple(sorted(canon))
+    assert g.edge_count() == len(canon)
+    for w in range(n):
+        assert g.neighbors(w) == frozenset(adj[w])
+        assert g.degree(w) == len(adj[w])
+        assert type(g.degree(w)) is int
+        assert all(type(x) is int for x in g.neighbors(w))
+    for a in range(-2, n + 2):
+        for b in range(-2, n + 2):
+            if a != b:
+                assert g.has_edge(a, b) == ((min(a, b), max(a, b)) in canon), (a, b)
+    assert all(type(x) is int for e in g.sorted_edges() for x in e)
+    # two shuffles of the edge list, with pairs flipped, give equal graphs
+    shuffles = []
+    for k in (0, 1):
+        xs = list(pairs)
+        Rng(seed + k).shuffle(xs)
+        flipped = [(b, a) if (i + k) % 2 else (a, b) for i, (a, b) in enumerate(xs)]
+        shuffles.append(Graph(n, flipped))
+    assert shuffles[0] == shuffles[1] == g
+    assert hash(shuffles[0]) == hash(shuffles[1]) == hash(g)
+    assert Graph(n, sorted(canon)) == g
+    assert Graph(n + 1, pairs) != g
+    if canon:
+        fewer = sorted(canon)[1:]
+        assert Graph(n, fewer) != g
 
 
 def test_gnp_determinism_and_extremes():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -15,11 +17,14 @@ from conbreak import (
     TrialConfig,
     TrialRecord,
     build_bad_set,
+    gen_gnp,
+    make_strategy,
+    run_game,
     run_trials,
     threshold_scan,
     validate_and_apply,
 )
-from conbreak.engine import BREAKER, CONNECTOR, REASON_EXHAUSTED
+from conbreak.engine import BREAKER, CONNECTOR, REASON_EXHAUSTED, replay_states
 from conbreak.harness import (
     CSV_HEADER,
     FLAG_DEGREE_BOUND,
@@ -294,6 +299,42 @@ def test_degree_bound_flags_detect_piling():
     assert degree_bound_flags(g, shielded) == []
 
     assert degree_bound_flags(Graph(1), fabricate_result(Graph(1), 1, 1, None, ())) == []
+
+
+def naive_degree_bound_flags(g: Graph, result: GameResult):
+    """The audit as a full recount of Breaker's edges after every Breaker
+    move, over every vertex outside Connector's territory."""
+    bound = math.log(g.n) ** 2
+    out = []
+    for rnd, role, state in replay_states(result, g):
+        if role == BREAKER:
+            counts = Counter(w for e in state.breaker_edges for w in e)
+            if any(c >= bound and w not in state.v_c for w, c in counts.items()):
+                out.append(f"{FLAG_DEGREE_BOUND}@{rnd}")
+    return out
+
+
+def test_degree_bound_flags_match_naive_scan():
+    flagged = cleared = 0
+    for n, p, seed in itertools.product((20, 40, 60), (0.3, 0.9), range(3)):
+        g = gen_gnp(n, p, seed)
+        for connector, breaker in (
+            ("random", "greedy-degree"),
+            ("random", "paper-breaker"),
+            ("greedy-degree", "paper-breaker"),
+        ):
+            result = run_game(
+                g, make_strategy(connector), make_strategy(breaker),
+                m=2, b=2, start_vertex=0, seed=seed,
+            )
+            got = degree_bound_flags(g, result)
+            assert got == naive_degree_bound_flags(g, result), (n, p, seed, connector, breaker)
+            if got:
+                flagged += 1
+                last = int(got[-1].split("@")[1])
+                cleared += last < result.transcript[-1][0]
+    # games that cross the bound, some of which Connector later absorbs
+    assert flagged >= 10 and cleared >= 1, (flagged, cleared)
 
 
 def fan_graph() -> Graph:
