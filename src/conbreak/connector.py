@@ -26,14 +26,15 @@ the verifier pipeline.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .engine import GameState, Move
+from .engine import BREAKER, GameState, Move
 from .errors import ParameterError
 from .graph import Edge, Graph, edge, edges_between
 from .rng import MASK64, Rng
@@ -639,7 +640,13 @@ class ConnectorPlan:
     two structure cases; budget the per-target round allowance. stage
     alternates between "I" (reservoir fill) and "II" (Breaker-pressure
     relief) each time a target lands in territory. `chase` descends the
-    current target's structure once it is acquired."""
+    current target's structure once it is acquired. `vc_order` lists the
+    territory, each batch of new vertices sorted, as the case-1 roots.
+
+    `select_target` keeps its per-game state here, outside equality:
+    one cursor per stage-I pool (territory only grows, so they only move
+    forward), and the stage-II max-heap of (-Breaker degree, vertex) with
+    the number of claim-log entries it has read."""
 
     a1: FrozenSet[int]
     a2: FrozenSet[int]
@@ -656,6 +663,12 @@ class ConnectorPlan:
     case: int = 0
     vc_order: List[int] = None  # type: ignore[assignment]
     targets_done: int = 0
+    pools: Optional[Tuple[Sequence[int], ...]] = field(default=None, repr=False, compare=False)
+    cursors: List[int] = field(default_factory=lambda: [0, 0, 0], repr=False, compare=False)
+    degree_heap: Optional[List[Tuple[int, int]]] = field(
+        default=None, repr=False, compare=False
+    )
+    log_read: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k1 < 2 or self.k2 < 2:
@@ -709,19 +722,42 @@ def make_plan(
 def select_target(state: GameState, plan: ConnectorPlan) -> int:
     """Stage I: lowest missing vertex from a1, else a2, else anywhere.
     Stage II: the missing vertex with the most Breaker edges, lowest
-    index on ties."""
+    index on ties.
+
+    The states passed to one plan must be successive positions of one
+    game: stage I advances per-pool cursors past territory, and stage II
+    reads a lazy heap fed with the Breaker claims logged since its last
+    call. An entry is dropped when its vertex has joined the territory or
+    gained Breaker edges since (a newer entry holds the new degree)."""
     vc = state.v_c
     if plan.stage == "I":
-        for pool in (plan.a1, plan.a2, range(state.graph.n)):
-            missing = [v for v in pool if v not in vc]
-            if missing:
-                return min(missing)
+        if plan.pools is None:
+            plan.pools = (sorted(plan.a1), sorted(plan.a2), range(state.graph.n))
+        for i, pool in enumerate(plan.pools):
+            c = plan.cursors[i]
+            while c < len(pool) and pool[c] in vc:
+                c += 1
+            plan.cursors[i] = c
+            if c < len(pool):
+                return pool[c]
         raise ParameterError("no target: territory already spans the board")
-    missing = [v for v in range(state.graph.n) if v not in vc]
-    if not missing:
-        raise ParameterError("no target: territory already spans the board")
-    # max keeps the first, so the lowest index wins ties
-    return max(missing, key=state.breaker_degrees.__getitem__)
+    deg = state.breaker_degrees
+    heap = plan.degree_heap
+    if heap is None:
+        heap = plan.degree_heap = [(-deg[v], v) for v in range(state.graph.n) if v not in vc]
+        heapq.heapify(heap)
+    else:
+        for role, e in state.log[plan.log_read:]:
+            if role == BREAKER:
+                for w in e:
+                    heapq.heappush(heap, (-deg[w], w))
+    plan.log_read = len(state.log)
+    while heap:
+        d, v = heap[0]
+        if v not in vc and -d == deg[v]:
+            return v
+        heapq.heappop(heap)
+    raise ParameterError("no target: territory already spans the board")
 
 
 def _forfeit(reason: str) -> Move:
@@ -738,8 +774,8 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
     an explicit forfeit carrying a reason flag."""
     g = state.graph
     vc = state.v_c
-    for v in sorted(vc.difference(plan.vc_order)):
-        plan.vc_order.append(v)
+    # the territory only grows, so its entries past len(vc_order) are new
+    plan.vc_order.extend(sorted(state.territory[len(plan.vc_order):]))
 
     if plan.target is not None and plan.target in vc:
         plan.stage = "II" if plan.stage == "I" else "I"
@@ -790,7 +826,7 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
                 for r in plan.vc_order:
                     tree = _find_tree(
                         g,
-                        set(state.breaker_edges),
+                        state.breaker_edges,
                         r,
                         x,
                         plan.k1,

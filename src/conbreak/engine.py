@@ -17,8 +17,13 @@ from a position she refuses to play).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import (
+    Container, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
+)
+
+import numpy as np
 
 from .errors import ConnectivityError, IllegalMoveError, ParameterError
 from .graph import Edge, Graph, edge
@@ -50,14 +55,129 @@ class Move:
         return Move(tuple(edge(u, v) for u, v in pairs))
 
 
+class _Fenwick:
+    """Fenwick tree (Fenwick 1994) over 0/1 flags: flip a flag or find
+    the k-th set flag, each in O(log size). Built from a boolean array in
+    O(size) with numpy."""
+
+    __slots__ = ("flags", "tree", "size", "count", "top")
+
+    def __init__(self, flags: np.ndarray):
+        self.size = size = len(flags)
+        csum = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(flags, out=csum[1:])
+        i = np.arange(1, size + 1, dtype=np.int64)
+        # node i holds the flags in (i - lowbit(i), i], 1-based
+        self.tree = [0] + (csum[1:] - csum[i - (i & -i)]).tolist()
+        self.flags = bytearray(flags.astype(np.uint8).tobytes())
+        self.count = int(csum[-1])
+        self.top = 1 << (size.bit_length() - 1) if size else 0
+
+    def copy(self) -> "_Fenwick":
+        t = _Fenwick.__new__(_Fenwick)
+        t.flags = bytearray(self.flags)
+        t.tree = list(self.tree)
+        t.size = self.size
+        t.count = self.count
+        t.top = self.top
+        return t
+
+    def set(self, i: int, on: int) -> None:
+        flags = self.flags
+        if flags[i] == on:
+            return
+        flags[i] = on
+        d = 1 if on else -1
+        self.count += d
+        tree = self.tree
+        size = self.size
+        i += 1
+        while i <= size:
+            tree[i] += d
+            i += i & -i
+
+    def kth(self, k: int) -> int:
+        """Position of the k-th set flag, counting from 0; k < count."""
+        tree = self.tree
+        size = self.size
+        pos = 0
+        step = self.top
+        while step:
+            nxt = pos + step
+            if nxt <= size and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return pos
+
+    def select(self, k: int, skip: List[int], extra: List[int]) -> int:
+        """Position of the k-th element, counting from 0, of the set flags
+        minus `skip` plus `extra`: sorted lists of set and of clear
+        positions. The descent of `kth`, with each node's count corrected
+        by the skipped and extra positions it covers."""
+        tree = self.tree
+        size = self.size
+        pos = ns = nx = 0  # ns, nx: skipped and extra positions below pos
+        step = self.top
+        while step:
+            nxt = pos + step
+            if nxt <= size:
+                s = bisect_left(skip, nxt, ns)
+                x = bisect_left(extra, nxt, nx)
+                c = tree[nxt] - (s - ns) + (x - nx)
+                if c <= k:
+                    pos = nxt
+                    k -= c
+                    ns, nx = s, x
+            step >>= 1
+        return pos
+
+
+class Choices:
+    """A set of free edges as a read-only sequence in ascending order:
+    the positions flagged in a Fenwick tree over edge ids, minus `drop`
+    and plus `extra` (sorted ids). `len` is O(1) and the k-th element
+    O(log |E|), times log |drop| + log |extra| when they are not empty.
+    Valid until the state it came from changes."""
+
+    __slots__ = ("_edges", "_tree", "_drop", "_extra", "_size")
+
+    def __init__(self, graph: Graph, tree: _Fenwick, drop: List[int], extra: List[int]):
+        self._edges = graph.sorted_edges()
+        self._tree = tree
+        self._drop = drop
+        self._extra = extra
+        self._size = tree.count - len(drop) + len(extra)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, k: int) -> Edge:
+        if not 0 <= k < self._size:
+            raise IndexError(f"no edge number {k} among {self._size}")
+        if self._drop or self._extra:
+            return self._edges[self._tree.select(k, self._drop, self._extra)]
+        return self._edges[self._tree.kth(k)]
+
+
 class GameState:
     """Snapshot of a game in progress.
 
     `v_c` is Connector's territory: the endpoints of her claimed edges,
-    plus the start vertex when one is fixed. `round` counts from 1 and
-    increments after Breaker's reply, so within one round Connector moves
-    first and both moves share the round number. `breaker_degrees[v]` is
-    the number of Breaker edges at v, kept up to date as moves apply.
+    plus the start vertex when one is fixed. `territory` lists the same
+    vertices in the order they joined it, and `log` holds every claim
+    applied since the state was built, as (role, edge) in play order;
+    both only grow. `round` counts from 1 and increments after Breaker's
+    reply, so within one round Connector moves first and both moves share
+    the round number. `breaker_degrees[v]` is the number of Breaker edges
+    at v, kept up to date as moves apply.
+
+    Two Fenwick trees over edge ids (positions in `graph.sorted_edges()`)
+    index the free edges and the frontier, the free edges that touch
+    `v_c`; `free_edges_at`, `free_choices` and `connector_choices` read
+    them. Each is built with numpy on the first query that needs it,
+    then kept up to date by every applied move and copied by `copy`; a
+    game that never queries them pays nothing for them.
     """
 
     __slots__ = (
@@ -66,11 +186,15 @@ class GameState:
         "breaker_edges",
         "breaker_degrees",
         "v_c",
+        "territory",
+        "log",
         "m",
         "b",
         "round",
         "to_move",
         "start_vertex",
+        "_free",
+        "_front",
     )
 
     def __init__(
@@ -102,13 +226,14 @@ class GameState:
         for u, v in self.breaker_edges:
             self.breaker_degrees[u] += 1
             self.breaker_degrees[v] += 1
-        vc = set()
-        if start_vertex is not None:
-            vc.add(start_vertex)
-        for u, v in self.connector_edges:
-            vc.add(u)
-            vc.add(v)
-        self.v_c = vc
+        order = [] if start_vertex is None else [start_vertex]
+        for e in sorted(self.connector_edges):
+            order.extend(e)
+        self.territory = list(dict.fromkeys(order))
+        self.v_c = set(self.territory)
+        self.log: List[Tuple[str, Edge]] = []
+        self._free: Optional[_Fenwick] = None
+        self._front: Optional[_Fenwick] = None
 
     def copy(self) -> "GameState":
         s = GameState.__new__(GameState)
@@ -122,6 +247,10 @@ class GameState:
         s.round = self.round
         s.to_move = self.to_move
         s.v_c = set(self.v_c)
+        s.territory = list(self.territory)
+        s.log = list(self.log)
+        s._free = None if self._free is None else self._free.copy()
+        s._front = None if self._front is None else self._front.copy()
         return s
 
     def bias(self, role: str) -> int:
@@ -135,7 +264,9 @@ class GameState:
         )
 
     def free_edges(self) -> List[Edge]:
-        """Free edges in ascending order. O(|E|)."""
+        """Free edges in ascending order. O(|E|): a full scan, kept for
+        tests, audits and the greedy Connector's opening from an empty
+        territory; per-move play uses the indexed queries below."""
         claimed = self.connector_edges
         blocked = self.breaker_edges
         return [e for e in self.graph.sorted_edges() if e not in claimed and e not in blocked]
@@ -166,6 +297,64 @@ class GameState:
             - len(self.connector_edges)
             - len(self.breaker_edges)
         )
+
+    def _free_tree(self) -> _Fenwick:
+        """The free-edge tree, built from the claimed sets on first use."""
+        if self._free is None:
+            g = self.graph
+            claimed = [g.edge_id(e) for e in self.connector_edges]
+            claimed += [g.edge_id(e) for e in self.breaker_edges]
+            free = np.ones(g.edge_count(), dtype=bool)
+            free[np.array(claimed, dtype=np.int64)] = False
+            self._free = _Fenwick(free)
+        return self._free
+
+    def _front_tree(self) -> _Fenwick:
+        """The frontier tree, built on first use from the free flags.
+        Games whose strategies never ask for it do not keep it."""
+        if self._front is None:
+            g = self.graph
+            free = np.frombuffer(self._free_tree().flags, dtype=np.uint8).astype(bool)
+            vc = np.zeros(g.n, dtype=bool)
+            vc[np.array(sorted(self.v_c), dtype=np.int64)] = True
+            self._front = _Fenwick(free & (vc[g.u] | vc[g.v]))
+        return self._front
+
+    def free_edges_at(self, v: int) -> List[Edge]:
+        """Free edges at v, in ascending order of the other endpoint.
+        O(deg v)."""
+        flags = self._free_tree().flags
+        edges = self.graph.sorted_edges()
+        return [edges[i] for i in self.graph.incident_ids(v) if flags[i]]
+
+    def free_choices(self) -> "Choices":
+        """The free edges, Breaker's choices."""
+        return Choices(self.graph, self._free_tree(), [], [])
+
+    def connector_choices(self, claims: Sequence[Edge] = ()) -> "Choices":
+        """The edges Connector may claim next in a move whose earlier
+        claims are `claims`: the free edges touching `v_c` or the claims,
+        minus the claims; every free edge while both are empty. The
+        claims' new vertices cost one scan of their edges."""
+        free, front = self._free_tree(), self._front_tree()
+        vc = self.v_c
+        if not claims:
+            return Choices(self.graph, front if vc else free, [], [])
+        grown = {w for e in claims for w in e if w not in vc}
+        skipped = [self.graph.edge_id(e) for e in claims]
+        inc = self.graph.incident_ids
+        # free edges at the new vertices whose other end is outside v_c;
+        # each vertex's edge ids come in ascending order
+        extra = [
+            j
+            for w in grown
+            for j in inc(w)
+            if free.flags[j] and not front.flags[j] and j not in skipped
+        ]
+        if len(grown) > 1:
+            extra = sorted(set(extra))
+        drop = sorted(i for i in skipped if front.flags[i])
+        return Choices(self.graph, front, drop, extra)
 
     def connector_has_spanned(self) -> bool:
         """Connector's edges are kept connected by the rules, so she spans
@@ -224,19 +413,33 @@ def _check_move(state: GameState, move: Move) -> None:
 def _apply_in_place(state: GameState, move: Move) -> None:
     """Apply a checked move. Mutates `state`; used by the game loop."""
     role = state.to_move
-    if role == CONNECTOR:
-        for e in move.edges:
-            e = edge(*e)
+    g = state.graph
+    free, front = state._free, state._front  # no frontier tree without a free one
+    for e in move.edges:
+        e = edge(*e)
+        state.log.append((role, e))
+        if free is not None:
+            i = g.edge_id(e)
+            free.set(i, 0)
+            if front is not None:
+                front.set(i, 0)
+        if role == CONNECTOR:
             state.connector_edges.add(e)
-            state.v_c.add(e[0])
-            state.v_c.add(e[1])
+            for w in e:
+                if w not in state.v_c:
+                    state.v_c.add(w)
+                    state.territory.append(w)
+                    if front is not None:
+                        for j in g.incident_ids(w):
+                            if free.flags[j]:
+                                front.set(j, 1)
+        else:
+            state.breaker_edges.add(e)
+            state.breaker_degrees[e[0]] += 1
+            state.breaker_degrees[e[1]] += 1
+    if role == CONNECTOR:
         state.to_move = BREAKER
     else:
-        for e in move.edges:
-            u, v = edge(*e)
-            state.breaker_edges.add((u, v))
-            state.breaker_degrees[u] += 1
-            state.breaker_degrees[v] += 1
         state.to_move = CONNECTOR
         state.round += 1
 

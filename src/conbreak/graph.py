@@ -6,13 +6,14 @@ edges. Adjacency is a CSR structure (compressed sparse rows) built from
 those arrays: `off[x]:off[x+1]` is the slice of the flat `nbr` array
 holding x's neighbours, in ascending order, so it is symmetric by
 construction. The Python views (the edge frozenset, the sorted edge
-tuple, each vertex's neighbour frozenset) are built on first use and
-cached; the degrees are a plain list of ints.
+tuple, each vertex's neighbour frozenset) and the edge ids (an edge's
+position in the sorted edge tuple, by edge and by vertex) are built on
+first use and cached; the degrees are a plain list of ints.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,7 +83,9 @@ class Graph:
     integer array, in any order and orientation; duplicates are merged.
     Loops, out-of-range and non-integer vertices raise ParameterError."""
 
-    __slots__ = ("n", "u", "v", "off", "nbr", "_deg", "_nbrs", "_edges", "_sorted")
+    __slots__ = (
+        "n", "u", "v", "off", "nbr", "_deg", "_nbrs", "_edges", "_sorted", "_ids", "_inc"
+    )
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -105,6 +108,8 @@ class Graph:
         self._nbrs: List[Optional[FrozenSet[int]]] = [None] * n
         self._edges: Optional[FrozenSet[Edge]] = None
         self._sorted: Optional[Tuple[Edge, ...]] = None
+        self._ids: Optional[Dict[int, int]] = None
+        self._inc: Optional[List[Tuple[int, ...]]] = None
 
     @property
     def edges(self) -> FrozenSet[Edge]:
@@ -135,6 +140,31 @@ class Graph:
         if self._sorted is None:
             self._sorted = tuple(zip(self.u.tolist(), self.v.tolist()))
         return self._sorted
+
+    def edge_id(self, e: Edge) -> int:
+        """Position of the canonical edge e in `sorted_edges()`."""
+        if self._ids is None:
+            keys = (self.u * self.n + self.v).tolist()
+            self._ids = dict(zip(keys, range(len(keys))))
+        return self._ids[e[0] * self.n + e[1]]
+
+    def incident_ids(self, v: int) -> Tuple[int, ...]:
+        """Edge ids of the edges at v in ascending order, which is also
+        the order of the other endpoint (v's CSR row). All rows are built
+        on the first call."""
+        if self._inc is None:
+            n = self.n
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.off))
+            # a row's neighbours above it are its edges in sorted order;
+            # those below it come in (v, u) order
+            upper = self.nbr > rows
+            ids = np.empty(len(self.nbr), dtype=np.int64)
+            ids[upper] = np.arange(len(self.u))
+            ids[~upper] = np.argsort(self.v * n + self.u)
+            flat = ids.tolist()
+            off = self.off.tolist()
+            self._inc = [tuple(flat[off[x] : off[x + 1]]) for x in range(n)]
+        return self._inc[v]
 
     def __eq__(self, other) -> bool:
         return (

@@ -23,6 +23,8 @@ and per-purpose sub-seeds.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .errors import ParameterError
@@ -107,13 +109,23 @@ class Rng:
             xs[i], xs[j] = xs[j], xs[i]
 
     def sample(self, xs, k: int) -> list:
-        """k distinct elements, drawn without replacement."""
-        if k > len(xs):
-            raise ParameterError(f"cannot sample {k} from {len(xs)} items")
-        pool = list(xs)
+        """k distinct elements of the sequence xs, drawn without
+        replacement: draw i is randrange(len(xs) - i), an index into the
+        elements not drawn yet, in their order. Reads len(xs) and the k
+        drawn elements only."""
+        n = len(xs)
+        if k > n:
+            raise ParameterError(f"cannot sample {k} from {n} items")
+        taken: list = []  # indices into xs drawn so far, ascending
         out = []
-        for _ in range(k):
-            out.append(pool.pop(self.randrange(len(pool))))
+        for i in range(k):
+            r = self.randrange(n - i)
+            for t in taken:
+                if t > r:
+                    break
+                r += 1
+            bisect.insort(taken, r)
+            out.append(xs[r])
         return out
 
     def spawn(self, tag: int) -> "Rng":

@@ -16,19 +16,27 @@ seed, `propose` reads the live state without mutating it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+import heapq
+from typing import Dict, List, Optional, Set, Tuple, Type
+
+import numpy as np
 
 from .breaker import BadSetDecomposition, breaker_move, find_candidate
 from .connector import ConnectorPlan, connector_move, make_plan
 from .engine import BREAKER, CONNECTOR, GameState, Move
 from .errors import CapacityError, ParameterError
-from .graph import Graph
+from .graph import Edge, Graph
 from .rng import Rng, Seed
 from .solver import Goal, GOAL_SPANNING, best_move
 
 
 class RandomStrategy:
-    """Claims up to the full bias uniformly among currently legal edges."""
+    """Claims up to the full bias uniformly among currently legal edges.
+
+    Each claim draws one index into the legal edges in ascending order
+    and reads it off the state's free-edge or frontier index, so a move
+    costs O(bias log |E|) plus, for Connector, a scan of the edges at the
+    vertices her earlier claims in the move add."""
 
     def __init__(self):
         self.role = ""
@@ -39,28 +47,15 @@ class RandomStrategy:
         self.rng = Rng(seed)
 
     def propose(self, state: GameState) -> Move:
-        free = state.free_edges()
-        bias = state.bias(self.role)
         if self.role == BREAKER:
-            k = min(bias, len(free))
-            if k == 0:
-                return Move(())
-            return Move(tuple(self.rng.sample(free, k)))
-        claims: List = []
-        vc = set(state.v_c)
-        taken = set()
-        for _ in range(bias):
-            cands = [
-                e
-                for e in free
-                if e not in taken and (not vc or e[0] in vc or e[1] in vc)
-            ]
+            free = state.free_choices()
+            return Move(tuple(self.rng.sample(free, min(state.b, len(free)))))
+        claims: List[Edge] = []
+        for _ in range(state.m):
+            cands = state.connector_choices(claims)
             if not cands:
                 break
-            e = self.rng.choice(cands)
-            taken.add(e)
-            claims.append(e)
-            vc.update(e)
+            claims.append(self.rng.choice(cands))
         return Move(tuple(claims))
 
 
@@ -71,6 +66,13 @@ class GreedyDegreeStrategy:
     the legal free edge whose new endpoint has the largest graph degree
     (lowest edge on ties). Breaker claims the free edges with the largest
     endpoint degree sums.
+
+    Breaker reads one rank order, sorted once per game, through a cursor
+    past the claimed edges. Connector keeps a lazy heap of (-gain, edge)
+    over the frontier, fed from the state's territory order: a gain only
+    falls once the edge's new endpoint joins the territory, so a stale
+    entry is re-keyed when it reaches the top. Her opening from an empty
+    territory, at most once a game, scans the free edges.
     """
 
     def __init__(self):
@@ -80,37 +82,102 @@ class GreedyDegreeStrategy:
     def start(self, graph: Graph, role: str, seed: Seed) -> None:
         self.graph = graph
         self.role = role
+        if role == BREAKER:
+            # descending endpoint degree sum; a stable sort keeps ties in
+            # ascending edge order
+            deg = np.diff(graph.off)
+            rank = np.argsort(-(deg[graph.u] + deg[graph.v]), kind="stable")
+            edges = graph.sorted_edges()
+            self.order = [edges[i] for i in rank.tolist()]
+            self.cursor = 0
+        else:
+            self.heap: List[Tuple[int, Edge]] = []
+            self.synced: Set[int] = set()  # territory whose edges are in the heap
 
     def propose(self, state: GameState) -> Move:
-        g = self.graph
-        free = state.free_edges()
-        bias = state.bias(self.role)
         if self.role == BREAKER:
-            ranked = sorted(free, key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e))
-            return Move(tuple(ranked[:bias]))
-        claims: List = []
-        vc = set(state.v_c)
-        taken = set()
-        for _ in range(bias):
-            best = None
-            best_key = None
-            for e in free:
-                if e in taken:
-                    continue
-                u, v = e
-                if vc and u not in vc and v not in vc:
-                    continue
-                outside = [w for w in e if w not in vc]
-                gain = max((g.degree(w) for w in outside), default=-1)
-                key = (-gain, e)
-                if best_key is None or key < best_key:
-                    best, best_key = e, key
+            order = self.order
+            i = self.cursor
+            while i < len(order) and not state.is_free(order[i]):
+                i += 1
+            self.cursor = i
+            picks: List[Edge] = []
+            while len(picks) < state.b and i < len(order):
+                if state.is_free(order[i]):
+                    picks.append(order[i])
+                i += 1
+            return Move(tuple(picks))
+        self._sync(state)
+        vc = state.v_c
+        claims: List[Edge] = []
+        new: Set[int] = set()  # vertices this move's claims add to vc
+        held: List[Tuple[int, Edge]] = []  # heap entries set aside for this move
+        for _ in range(state.m):
+            if not vc and not claims:
+                best = min(((-self._gain(e, vc), e) for e in state.free_edges()), default=None)
+            else:
+                tops = (
+                    self._heap_best(state, new, claims, held),
+                    self._best_at(state, new, claims),
+                )
+                best = min((t for t in tops if t is not None), default=None)
             if best is None:
                 break
-            taken.add(best)
-            claims.append(best)
-            vc.update(best)
+            claims.append(best[1])
+            new.update(w for w in best[1] if w not in vc)
+        for entry in held:
+            heapq.heappush(self.heap, entry)
         return Move(tuple(claims))
+
+    def _gain(self, e: Edge, vc, new=()) -> int:
+        """Largest graph degree among e's endpoints outside vc and new,
+        -1 when there is none."""
+        u, v = e
+        du = -1 if u in vc or u in new else self.graph.degree(u)
+        dv = -1 if v in vc or v in new else self.graph.degree(v)
+        return du if du > dv else dv
+
+    def _sync(self, state: GameState) -> None:
+        """Push the frontier edges of territory vertices not yet seen."""
+        # territory only grows, so its first len(synced) entries are synced
+        for w in state.territory[len(self.synced):]:
+            self.synced.add(w)
+            for e in state.free_edges_at(w):
+                if e[0] + e[1] - w not in self.synced:  # the other end's sync pushed it
+                    heapq.heappush(self.heap, (-self._gain(e, state.v_c), e))
+
+    def _heap_best(self, state, new, claims, held) -> Optional[Tuple[int, Edge]]:
+        """Top frontier entry away from this move's new vertices and
+        claims; those are keyed by `_best_at` instead."""
+        heap = self.heap
+        vc = state.v_c
+        while heap:
+            key, e = heap[0]
+            if not state.is_free(e):
+                heapq.heappop(heap)
+                continue
+            gain = self._gain(e, vc)
+            if -key != gain:
+                heapq.heapreplace(heap, (-gain, e))
+            elif e[0] in new or e[1] in new or e in claims:
+                held.append(heapq.heappop(heap))
+            else:
+                return heap[0]
+        return None
+
+    def _best_at(self, state, new, claims) -> Optional[Tuple[int, Edge]]:
+        """Best (-gain, edge) among the free edges at this move's new
+        vertices, with gains counted against the grown territory."""
+        vc = state.v_c
+        return min(
+            (
+                (-self._gain(e, vc, new), e)
+                for w in new
+                for e in state.free_edges_at(w)
+                if e not in claims
+            ),
+            default=None,
+        )
 
 
 class MinimaxStrategy:

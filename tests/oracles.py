@@ -416,3 +416,89 @@ def chase_witness(k: int, extra_edges: Iterable[Tuple[int, int]] = ()):
     edges += [(leaf, x) for leaf in t.leaves()]
     edges += list(extra_edges)
     return Graph(nodes + 1, edges), t, x
+
+
+# ---------------------------------------------------------------------------
+# baseline strategies by full-board rescan
+
+
+def naive_random_move(rng, role: str, state) -> Tuple[Tuple[int, int], ...]:
+    """RandomStrategy's move by rescanning every edge: Breaker samples
+    the free list (popping each draw from a copy of it), Connector chooses
+    among the legal free edges one claim at a time. Consumes the same
+    draws from `rng`."""
+    free = [e for e in state.graph.sorted_edges() if state.is_free(e)]
+    bias = state.bias(role)
+    if role == "B":
+        pool = list(free)
+        return tuple(pool.pop(rng.randrange(len(pool))) for _ in range(min(bias, len(free))))
+    claims: List = []
+    vc = set(state.v_c)
+    taken = set()
+    for _ in range(bias):
+        cands = [
+            e
+            for e in free
+            if e not in taken and (not vc or e[0] in vc or e[1] in vc)
+        ]
+        if not cands:
+            break
+        e = rng.choice(cands)
+        taken.add(e)
+        claims.append(e)
+        vc.update(e)
+    return tuple(claims)
+
+
+def naive_greedy_move(role: str, state) -> Tuple[Tuple[int, int], ...]:
+    """GreedyDegreeStrategy's move by rescanning every edge: Breaker takes
+    the free edges with the largest endpoint degree sums, Connector the
+    legal edge whose new endpoint has the largest degree, lowest edge on
+    ties, one claim at a time."""
+    g = state.graph
+    free = [e for e in g.sorted_edges() if state.is_free(e)]
+    bias = state.bias(role)
+    if role == "B":
+        ranked = sorted(free, key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e))
+        return tuple(ranked[:bias])
+    claims: List = []
+    vc = set(state.v_c)
+    taken = set()
+    for _ in range(bias):
+        best = None
+        best_key = None
+        for e in free:
+            if e in taken:
+                continue
+            u, v = e
+            if vc and u not in vc and v not in vc:
+                continue
+            outside = [w for w in e if w not in vc]
+            gain = max((g.degree(w) for w in outside), default=-1)
+            key = (-gain, e)
+            if best_key is None or key < best_key:
+                best, best_key = e, key
+        if best is None:
+            break
+        taken.add(best)
+        claims.append(best)
+        vc.update(best)
+    return tuple(claims)
+
+
+def naive_select_target(state, plan) -> int:
+    """select_target by scanning every vertex: stage I takes the lowest
+    missing vertex of a1, then a2, then the board; stage II the missing
+    vertex with the most Breaker edges, lowest index on ties."""
+    vc = state.v_c
+    n = state.graph.n
+    if plan.stage == "I":
+        for pool in (plan.a1, plan.a2, range(n)):
+            missing = [v for v in pool if v not in vc]
+            if missing:
+                return min(missing)
+        raise ValueError("no target")
+    missing = [v for v in range(n) if v not in vc]
+    if not missing:
+        raise ValueError("no target")
+    return max(missing, key=lambda v: sum(1 for e in state.breaker_edges if v in e))

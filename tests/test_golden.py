@@ -31,9 +31,9 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def game_grid_digest(connector_id: str, breaker_id: str, n: int, e: float) -> str:
-    """One digest over seeds 0-4 on G(n, n^e): each game's JSONL
-    transcript followed by its flags, start vertex 0."""
+def game_parts(connector_id, breaker_id, n, e, m=2, b=2, start_vertex=0):
+    """Each game's JSONL transcript followed by its flags, for seeds 0-4
+    on G(n, n^e)."""
     p = n**e
     parts = []
     for seed in SEEDS:
@@ -43,14 +43,19 @@ def game_grid_digest(connector_id: str, breaker_id: str, n: int, e: float) -> st
             g,
             make_strategy(connector_id, **opts),
             make_strategy(breaker_id),
-            m=2,
-            b=2,
-            start_vertex=0,
+            m=m,
+            b=b,
+            start_vertex=start_vertex,
             seed=seed,
         )
         parts.append(result.transcript_jsonl())
         parts.append(",".join(result.flags) + "\n")
-    return sha("".join(parts))
+    return parts
+
+
+def game_grid_digest(connector_id: str, breaker_id: str, n: int, e: float) -> str:
+    """One digest over seeds 0-4 on G(n, n^e), (2:2) from vertex 0."""
+    return sha("".join(game_parts(connector_id, breaker_id, n, e)))
 
 
 GAME_DIGESTS = {
@@ -197,6 +202,113 @@ def game_cases():
 def test_game_transcripts_pinned(connector_id, breaker_id, n, e):
     key = f"{connector_id}/{breaker_id}/n={n}/e={e}"
     assert game_grid_digest(connector_id, breaker_id, n, e) == GAME_DIGESTS[key]
+
+
+BASELINES = ("random", "greedy-degree")
+# (m, b, start vertex): the empty-territory opening and uneven biases
+VARIANTS = ((2, 2, None), (1, 3, None), (3, 1, None), (1, 3, 0), (3, 1, 0))
+
+VARIANT_DIGESTS = {
+    "random/random/n=20/m=2/b=2/start=None":
+        "d5d6c0b7d3003e9dc8938da93642251ff8a87a9abcbcedd265f83db0ca6d3003",
+    "random/random/n=20/m=1/b=3/start=None":
+        "145c0886c2c2da802c6a987ae1529781d97d3d24b4bc78e1087395a3c8be22ca",
+    "random/random/n=20/m=3/b=1/start=None":
+        "b050e4616763e69a7475d8b691e1674ac036bc4295a5db5589f679c4621a403e",
+    "random/random/n=20/m=1/b=3/start=0":
+        "d18cff4289d07b10d76f256a0c1535ee8a9cca94bba4e0ebf27dba896a9b8413",
+    "random/random/n=20/m=3/b=1/start=0":
+        "ee86851ad44d89882509689fbecf7b9f9db83005c9c6a147d1f789a5ff2a992a",
+    "random/greedy-degree/n=20/m=2/b=2/start=None":
+        "1734e81124d9ed6368d1c60fae983dd70fb42d54099b1c7469a05bbd13f4e365",
+    "random/greedy-degree/n=20/m=1/b=3/start=None":
+        "ce9849676b63aec883382627b44becea82ae8a75fb2298a43d5bd0569fa20cc6",
+    "random/greedy-degree/n=20/m=3/b=1/start=None":
+        "5107b2e7f20f80c129cf64a5c12e93765eedb05eddde6763952a8b67f1753806",
+    "random/greedy-degree/n=20/m=1/b=3/start=0":
+        "7f55ae1650127b1aac2983e95cb6be58d1c386c213fd3bbb42e50b8e5a3cd212",
+    "random/greedy-degree/n=20/m=3/b=1/start=0":
+        "3cf280ce134a71279c8967e799c0bfcc4eeddcec7c9f7a3d16cec100187b2be9",
+    "greedy-degree/random/n=20/m=2/b=2/start=None":
+        "cc8f08e71ad9cf59463856784a9bceba0bf81271964c46fc79b3bf93b3b2f1a3",
+    "greedy-degree/random/n=20/m=1/b=3/start=None":
+        "814372a16e9685f6e99b724733cd84f1b25dcf9fb68c4b6808bd86a3a52d2af7",
+    "greedy-degree/random/n=20/m=3/b=1/start=None":
+        "d701f8b3a27b913b4556f7f746cf0cd0b36f623c8242aea9275f207afd726231",
+    "greedy-degree/random/n=20/m=1/b=3/start=0":
+        "935c408255b057708056cd729eb359c0bf402e80122a8ae14f12b5c34c2df22a",
+    "greedy-degree/random/n=20/m=3/b=1/start=0":
+        "7d59ffaf34aec97bd7fcb1dd4c0a93394735ac1b568435ea7818124f0bb6c69f",
+    "greedy-degree/greedy-degree/n=20/m=2/b=2/start=None":
+        "d731a7eb3c7a5df376f0ff2c13a776be3537af59bbe21c5aa222bb73a0dc9945",
+    "greedy-degree/greedy-degree/n=20/m=1/b=3/start=None":
+        "7ff8bee00b375f9f9215b4b29ebe11da83d64d38bc513efe7d4074c0a185ec34",
+    "greedy-degree/greedy-degree/n=20/m=3/b=1/start=None":
+        "af1da3f62993f14cd42f7ffa29d45ea52be3e0c22d08b8ee131aeb6384372bfa",
+    "greedy-degree/greedy-degree/n=20/m=1/b=3/start=0":
+        "3c728531988add1a74801a651ed7d3b443c5623dd614b3486da5a715b54e9576",
+    "greedy-degree/greedy-degree/n=20/m=3/b=1/start=0":
+        "071ce63d6a0a60d47e3ce79d84e4c30f37538e9152fc9fd9ee56947517076d27",
+    "random/random/n=60/m=2/b=2/start=None":
+        "08fcf72dadc0e02e446e57981d22ec9d53a3019808e860e07483e5d45dcb7910",
+    "random/random/n=60/m=1/b=3/start=None":
+        "3067f5de3444319c7c944048f358d2ae9b32d5a1f5ab5b32c054e1b4f19edf5a",
+    "random/random/n=60/m=3/b=1/start=None":
+        "022a07a1134f2c2c97df2b4939572a9cb59a3da28b0b53d28962943c1262fec7",
+    "random/random/n=60/m=1/b=3/start=0":
+        "82f3870bd5aabf06f0484b4f257ee494f2f8ed945f9061cfc9301c97bb629370",
+    "random/random/n=60/m=3/b=1/start=0":
+        "1724fdb663fe59b11be2ffe9159565271f1aa2fa89b28c921f5a85736ddbaea4",
+    "random/greedy-degree/n=60/m=2/b=2/start=None":
+        "33fb6115254d0af1a27dd7cb452c12a060a481fc355a68c25fad478935a5e9b0",
+    "random/greedy-degree/n=60/m=1/b=3/start=None":
+        "e01f788cde02bafe20895cb4f3f060bd717d44c0c75a8481655fde7786e0ec46",
+    "random/greedy-degree/n=60/m=3/b=1/start=None":
+        "dec7c4ae323e21e156e7a13a0aa3e9693179fad065f482355583169d74cae67e",
+    "random/greedy-degree/n=60/m=1/b=3/start=0":
+        "4ba37e85cc89c59d44cbffc401faf284b601b4a41be315c19f51f7e1d7123513",
+    "random/greedy-degree/n=60/m=3/b=1/start=0":
+        "11d3ef274969f0cb909684f88925e159bda50b7e06fa3250d4a57911cfbdf7e5",
+    "greedy-degree/random/n=60/m=2/b=2/start=None":
+        "dacf76b0c2cb9e91517bbf1ca8de0cd57e66c292f46a0095f2195c044531cc94",
+    "greedy-degree/random/n=60/m=1/b=3/start=None":
+        "a34f75a57c0195ebae49141c812ef0765e2ef254373b8c72df420840fedf3b47",
+    "greedy-degree/random/n=60/m=3/b=1/start=None":
+        "385f815d2580343a999a2be18d510d0cbce4a9403bc8d8140e966b7d011b5d3f",
+    "greedy-degree/random/n=60/m=1/b=3/start=0":
+        "ecc1e5ab773bc85268b721dbe679f1073213f74ca9ff839f12aa89c9b96e93bf",
+    "greedy-degree/random/n=60/m=3/b=1/start=0":
+        "26d994d2642139228689a18cea849a61c0f7f4cc8c360c5592421b5320e850e9",
+    "greedy-degree/greedy-degree/n=60/m=2/b=2/start=None":
+        "e53fed8b52661c12ce6c71932967db69a62856112eda65b5aea1ecec6cf3e515",
+    "greedy-degree/greedy-degree/n=60/m=1/b=3/start=None":
+        "6854f2891623150273d80d6b5ad7de2bfef1dcf561e86ee24f3a0e20c56262c8",
+    "greedy-degree/greedy-degree/n=60/m=3/b=1/start=None":
+        "cce0c9eaff02231c3ac146e5729b77f52c54443ca4268cb8dce5aa981a443707",
+    "greedy-degree/greedy-degree/n=60/m=1/b=3/start=0":
+        "b411fe30767ff04a34c26f754982893d648df124fe82990b05c024c4383be879",
+    "greedy-degree/greedy-degree/n=60/m=3/b=1/start=0":
+        "0faeadbf987cb4dc1256f9bb8de342e8ebe8d0e2b11d0fe52639fe7dea02e7e2",
+}
+
+
+def variant_cases():
+    for n in (20, 60):
+        for c in BASELINES:
+            for b in BASELINES:
+                for m, bb, start in VARIANTS:
+                    yield c, b, n, m, bb, start
+
+
+@pytest.mark.parametrize("connector_id,breaker_id,n,m,b,start", list(variant_cases()))
+def test_baseline_variants_pinned(connector_id, breaker_id, n, m, b, start):
+    """The baseline strategies off the (2:2)-from-vertex-0 path: one
+    digest over the three densities and seeds 0-4."""
+    parts = []
+    for e in EXPONENTS:
+        parts += game_parts(connector_id, breaker_id, n, e, m, b, start)
+    key = f"{connector_id}/{breaker_id}/n={n}/m={m}/b={b}/start={start}"
+    assert sha("".join(parts)) == VARIANT_DIGESTS[key]
 
 
 SWEEP_ARGS = [

@@ -122,6 +122,11 @@ def test_graph_matches_set_reference(case, seed):
         assert g.degree(w) == len(adj[w])
         assert type(g.degree(w)) is int
         assert all(type(x) is int for x in g.neighbors(w))
+        ids = [i for i, e in enumerate(sorted(canon)) if w in e]
+        assert list(g.incident_ids(w)) == ids
+        other = [sum(sorted(canon)[i]) - w for i in g.incident_ids(w)]
+        assert other == sorted(adj[w])
+    assert [g.edge_id(e) for e in sorted(canon)] == list(range(len(canon)))
     for a in range(-2, n + 2):
         for b in range(-2, n + 2):
             if a != b:

@@ -102,3 +102,17 @@ def test_shuffle_and_sample_deterministic():
     assert Rng(12).sample(range(20), 5) == Rng(12).sample(range(20), 5)
     picked = Rng(13).sample(range(20), 20)
     assert sorted(picked) == list(range(20))
+
+
+def test_sample_matches_pool_pop_reference():
+    """Each draw indexes the elements not drawn yet, in their order: the
+    same draws and elements as popping from a shrinking copy."""
+    for seed in range(40):
+        for n in (1, 2, 5, 30):
+            for k in {0, 1, min(3, n), n}:
+                ref = Rng(seed)
+                pool = [10 * x for x in range(n)]
+                want = [pool.pop(ref.randrange(len(pool))) for _ in range(k)]
+                rng = Rng(seed)
+                assert rng.sample([10 * x for x in range(n)], k) == want
+                assert rng.u64() == ref.u64()
