@@ -128,15 +128,6 @@ class SuccessiveBadSets:
             acc |= layer
         return frozenset(acc)
 
-    def predecessor(self, j: int, i: int) -> Optional[Tuple[int, int]]:
-        """The step just before (j, i) in build order; None before the
-        first step."""
-        if i > 1:
-            return (j, i - 1)
-        if j > 1:
-            return (j - 1, self.decomps[j - 2].r_x)
-        return None
-
 
 def build_successive(g: Graph, candidates: Sequence[int]) -> SuccessiveBadSets:
     decomps = []

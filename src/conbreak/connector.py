@@ -18,10 +18,6 @@ vertex z adjacent to A1 plus four disjoint trees hanging off z; once A2 is
 complete a single free edge into the territory suffices. Any missing
 structure is a forfeit: this strategy only promises wins on boards dense
 enough to feed it.
-
-The decomposition machinery (`decompose`, `extract_tree`) builds the same
-kind of trees from a levelled family of vertex cells around x; it backs
-the verifier pipeline.
 """
 
 from __future__ import annotations
@@ -114,11 +110,6 @@ class TreeEmbedding:
         return TreeEmbedding(i, tuple(heap))
 
 
-def validate_embedding(g: Graph, t: TreeEmbedding) -> bool:
-    """True when every parent-child pair of the embedding is an edge."""
-    return all(g.has_edge(u, w) for u, w in t.arcs())
-
-
 def _tree_survives(t: TreeEmbedding, x: int, state: GameState) -> bool:
     """Every tree edge is unclaimed by Breaker or already leads into
     territory, and every leaf has an edge to x that Breaker has not
@@ -133,44 +124,6 @@ def _tree_survives(t: TreeEmbedding, x: int, state: GameState) -> bool:
         if not g.has_edge(leaf, x) or edge(leaf, x) in eb:
             return False
     return True
-
-
-def is_good_tree(t: TreeEmbedding, x: int, state: GameState) -> bool:
-    """A tree is good for reaching x when x is outside it, every tree edge
-    is either unclaimed by Breaker or already leads into territory, and
-    every leaf has an unblocked edge to x."""
-    return (
-        x not in t.vertices()
-        and validate_embedding(state.graph, t)
-        and _tree_survives(t, x, state)
-    )
-
-
-def base_strategy_step(state: GameState, t: TreeEmbedding, x: int) -> Move:
-    """One round of tree descent on a good tree whose root is in territory.
-
-    With two levels, finish: take a leaf already in territory straight to
-    x, or enter a leaf and continue to x in the same move. With more
-    levels, claim the edges from the root to its two children (skipping
-    children already in territory); the caller re-selects branches after
-    Breaker's reply.
-    """
-    if x in state.v_c:
-        raise ParameterError(f"target {x} is already in Connector territory")
-    if t.root not in state.v_c:
-        raise ParameterError("tree root is not in Connector territory")
-    if not is_good_tree(t, x, state):
-        raise ParameterError("tree is not good for this state")
-    if t.k == 2:
-        for leaf in t.leaves():
-            if leaf in state.v_c and state.is_free(edge(leaf, x)):
-                return Move((edge(leaf, x),))
-        for leaf in t.leaves():
-            if state.is_free(edge(t.root, leaf)) and state.is_free(edge(leaf, x)):
-                return Move((edge(t.root, leaf), edge(leaf, x)))
-        raise ParameterError("no playable leaf on a good two-level tree")
-    # heap nodes 2 and 3 are the root's children
-    return Move(tuple(edge(t.root, c) for c in t.heap[1:3] if c not in state.v_c))
 
 
 class _Capped(Exception):
@@ -267,24 +220,28 @@ def _find_tree(
 
 def find_tree_stage1(
     g: Graph,
-    blocked: Iterable[Edge],
-    root: int,
+    blocked: Set[Edge],
+    roots: Iterable[int],
     x: int,
     k: int,
     seed: int = 0,
     cap: int = 10**6,
 ) -> Optional[TreeEmbedding]:
-    """Search for a k-level tree rooted at `root`, avoiding blocked edges
-    entirely, with every leaf adjacent to x through an unblocked edge and
-    x outside the tree. Returns None when none is found or when the
-    expansion cap runs out (logged)."""
-    blk = set(blocked)
+    """The first k-level tree rooted at one of `roots`, tried in order:
+    every arc avoids `blocked` (read in place, not copied), every leaf has
+    an unblocked edge to x, and x stays outside the tree. Each root's
+    search draws from a fresh Rng(seed); all roots share one budget of
+    `cap` expansions. Returns None when no root has a tree or when the cap
+    runs out (logged), even if a later root has one."""
     budget = [cap]
     try:
-        return _find_tree(g, blk, root, x, k, Rng(seed), budget)
+        for r in roots:
+            tree = _find_tree(g, blocked, r, x, k, Rng(seed), budget)
+            if tree is not None:
+                return tree
     except _Capped:
-        log.debug("stage-1 tree search capped at %d expansions (root=%d x=%d)", cap, root, x)
-        return None
+        log.debug("stage-1 tree search capped at %d expansions (x=%d)", cap, x)
+    return None
 
 
 def find_structure_stage2(
@@ -444,33 +401,6 @@ class Decomposition:
             return frozenset((self.x,))
         return self._mset_table[key]
 
-    def mset_map(self) -> Dict[CellKey, FrozenSet[int]]:
-        return dict(self.msets)
-
-    def level_union(self, i: int) -> FrozenSet[int]:
-        """All selected vertices on level i (level 0 is {x})."""
-        if i == 0:
-            return frozenset((self.x,))
-        acc: Set[int] = set()
-        for (ii, _, _), m in self.msets:
-            if ii == i:
-                acc |= m
-        return frozenset(acc)
-
-    def branch_union(self, l: int) -> FrozenSet[int]:
-        """All selected vertices across levels in branch l."""
-        acc: Set[int] = set()
-        for (_, _, ll), m in self.msets:
-            if ll == l:
-                acc |= m
-        return frozenset(acc)
-
-    def branch_of(self, v: int) -> Optional[int]:
-        for (_, _, l), m in self.msets:
-            if v in m:
-                return l
-        return None
-
 
 def decompose(
     g: Graph,
@@ -548,35 +478,6 @@ def decompose(
         h=Graph(g.n, h_edges),
         targets=tuple(size_targets) if size_targets is not None else None,
     )
-
-
-def extract_tree(dec: Decomposition, v: int) -> Optional[TreeEmbedding]:
-    """Greedy tree below a top-level selected vertex v, walking the
-    skeleton: each node takes its lowest-index skeleton neighbor in each
-    child selection. None when some node has no neighbor in a child
-    selection."""
-    l = None
-    for ll in range(1, 5):
-        if v in dec.mset((dec.k, 1, ll)):
-            l = ll
-            break
-    if l is None:
-        raise ParameterError(f"vertex {v} is not in any top-level selection")
-    h = dec.h
-    assign: Dict[Position, int] = {(dec.k, 1): v}
-    level_nodes = [(dec.k, 1)]
-    for i in range(dec.k, 1, -1):
-        next_nodes = []
-        for (ii, jj) in level_nodes:
-            u = assign[(ii, jj)]
-            for cj in (2 * jj - 1, 2 * jj):
-                pool = sorted(h.neighbors(u) & dec.mset((ii - 1, cj, l)))
-                if not pool:
-                    return None
-                assign[(ii - 1, cj)] = pool[0]
-                next_nodes.append((ii - 1, cj))
-        level_nodes = next_nodes
-    return TreeEmbedding.of(dec.k, assign)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +670,7 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
 
     Per round: refresh bookkeeping, grab a free edge straight into the
     target when one exists, otherwise acquire the target's structure and
-    hand its first two branches to a TargetChase, which descends one level
+    hand two of its branches to a TargetChase, which descends one level
     per round. A missing or broken structure, or a blown round budget, is
     an explicit forfeit carrying a reason flag."""
     g = state.graph
@@ -820,27 +721,18 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
 
     if plan.chase is None:
         if plan.case == 1:
-            budget = [plan.expansion_cap]
-            tree = None
-            try:
-                for r in plan.vc_order:
-                    tree = _find_tree(
-                        g,
-                        state.breaker_edges,
-                        r,
-                        x,
-                        plan.k1,
-                        Rng(search_seed),
-                        budget,
-                    )
-                    if tree is not None:
-                        break
-            except _Capped:
-                log.debug("stage-1 acquisition capped (target=%d)", x)
-                tree = None
+            tree = find_tree_stage1(
+                g,
+                state.breaker_edges,
+                plan.vc_order,
+                x,
+                plan.k1,
+                seed=search_seed,
+                cap=plan.expansion_cap,
+            )
             if tree is None:
                 return _forfeit(FORFEIT_NO_STRUCTURE)
-            branches = _root_branches(tree)
+            plan.chase = TargetChase.of(tree, x)
         else:
             if plan.pending_pivot is not None:
                 found, plan.pending_pivot = plan.pending_pivot, None
@@ -871,7 +763,7 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
             branches = _two_good([_Branch(z, t.root, t) for t in trees], x, state)
             if branches is None:
                 return _forfeit(FORFEIT_BROKEN)
-        plan.chase = TargetChase(None, x, branches)
+            plan.chase = TargetChase(x, branches)
     return plan.chase.step(state)
 
 
@@ -880,42 +772,28 @@ class TargetChase:
     """Drives one good tree toward a single target vertex, one proposed
     move per Connector turn, following the recursive branch descent.
 
-    The first call claims the entry edges of the root's two branches (or
-    finishes outright from a depth-2 tree); each later call re-selects two
-    branches the Breaker left intact, descends one level, and finishes by
-    claiming a leaf-to-target edge. Proposals are forfeits (with a reason
-    flag) when fewer than two branches survive a reply, which cannot
-    happen against a Breaker bound by bias 2 while the tree was good.
-
-    `connector_move` starts its chases past the first move, with no tree
-    and the two `branches` whose entry edges it claims next.
+    `branches` are the two branches whose entry edges the next `step`
+    claims (or, at depth 1, the two leaves it finishes through). Each
+    later step re-selects two branches the Breaker left intact, descends
+    one level, and finishes by claiming a leaf-to-target edge. A step is
+    a forfeit (with a reason flag) when fewer than two branches survive a
+    reply, which cannot happen against a Breaker bound by bias 2 while
+    the tree was good.
     """
 
-    tree: Optional[TreeEmbedding]
     x: int
-    branches: Optional[List[_Branch]] = None
+    branches: List[_Branch]
     needs_expand: bool = False
 
-    def __post_init__(self):
-        if self.tree is not None and self.x in self.tree.vertices():
-            raise ParameterError(f"target {self.x} lies inside the tree")
+    @staticmethod
+    def of(tree: TreeEmbedding, x: int) -> "TargetChase":
+        """The chase down a whole tree whose root is in territory."""
+        if x in tree.vertices():
+            raise ParameterError(f"target {x} lies inside the tree")
+        return TargetChase(x, _root_branches(tree))
 
     def copy(self) -> "TargetChase":
-        return replace(self, branches=None if self.branches is None else list(self.branches))
-
-    def done(self, state: GameState) -> bool:
-        return self.x in state.v_c
-
-    def propose(self, state: GameState) -> Move:
-        if self.x in state.v_c:
-            return Move(())
-        if self.branches is None:
-            move = base_strategy_step(state, self.tree, self.x)
-            if self.tree.k > 2:
-                self.branches = _root_branches(self.tree)
-                self.needs_expand = True
-            return move
-        return self.step(state)
+        return replace(self, branches=list(self.branches))
 
     def step(self, state: GameState) -> Move:
         """One round of descent from the held branches: after Breaker's

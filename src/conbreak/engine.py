@@ -367,14 +367,6 @@ class GameState:
         """Number of Breaker edges incident to v. O(1)."""
         return self.breaker_degrees[v]
 
-    def snapshot_key(self):
-        return (
-            frozenset(self.connector_edges),
-            frozenset(self.breaker_edges),
-            self.round,
-            self.to_move,
-        )
-
 
 def _check_move(state: GameState, move: Move) -> None:
     """Raise if `move` is illegal for state.to_move in `state`."""

@@ -202,12 +202,6 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, np.column_stack((rows, cols)))
 
 
-def degree_into(g: Graph, v: int, subset: Iterable[int]) -> int:
-    """Number of neighbors of v inside the given vertex subset."""
-    s = subset if isinstance(subset, (set, frozenset)) else set(subset)
-    return len(g.neighbors(v) & s)
-
-
 def edges_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> FrozenSet[Edge]:
     """All edges of g with one endpoint in a and the other in b."""
     sa = a if isinstance(a, (set, frozenset)) else set(a)

@@ -127,6 +127,3 @@ class Rng:
             bisect.insort(taken, r)
             out.append(xs[r])
         return out
-
-    def spawn(self, tag: int) -> "Rng":
-        return Rng(derive(self._state, tag))

@@ -1,13 +1,13 @@
 """Deterministic checkers for the structural invariant families.
 
-Each checker evaluates one lettered clause family (B, P, D, T, S, Q)
+Each checker evaluates one lettered clause family (B, P, D, S, Q)
 literally against a graph and the relevant structures, returning a
 PropertyReport: one verdict per clause, a concrete re-checkable witness
 for every false verdict, and the numeric parameters used. Checkers are
 pure functions; nothing here mutates game state.
 
 Clauses that encode asymptotic size or degree bounds (B never, but P2,
-P5, D2, D4 and the analysis-set bounds) are marked diagnostic: their
+P5, D2, D4 and the degree windows) are marked diagnostic: their
 thresholds are evaluated exactly at the given (n, eps), yet small boards
 routinely miss them, so `all_passed` ignores them and harness reports
 aggregate their pass frequencies instead.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .breaker import BadSetDecomposition, SuccessiveBadSets, q_violations
 from .connector import Decomposition, TreeEmbedding, alpha_table
@@ -277,16 +277,6 @@ def check_p(g: Graph, succ: SuccessiveBadSets, eps: float) -> PropertyReport:
     return report
 
 
-def compute_ns(g: Graph, accumulated: Iterable[int], s: int) -> FrozenSet[int]:
-    """Vertices outside `accumulated` with at least s neighbors inside."""
-    if s < 0:
-        raise ParameterError(f"neighbor threshold must be >= 0, got {s}")
-    acc = set(accumulated)
-    return frozenset(
-        v for v in range(g.n) if v not in acc and len(g.neighbors(v) & acc) >= s
-    )
-
-
 # ---------------------------------------------------------------------------
 # D family: levelled decomposition
 
@@ -378,65 +368,6 @@ def check_d(
             d6 = Clause(False, {"edge": (u, v)})
             break
     report.clauses["D6"] = d6
-    return report
-
-
-# ---------------------------------------------------------------------------
-# T family: extracted trees against their decomposition
-
-
-def check_t(dec: Decomposition, trees: Mapping[int, TreeEmbedding]) -> PropertyReport:
-    """T1: each tree is rooted at its key vertex. T2: tree vertices stay
-    in the root's branch selections and tree edges in the skeleton.
-    T3: leaves are skeleton-adjacent to the center. T4: children of a
-    level-i vertex sit on level i-1."""
-    h = dec.h
-    level_of: Dict[int, int] = {}
-    for (i, _, _), m in dec.msets:
-        for v in m:
-            level_of[v] = i
-    report = PropertyReport(
-        family="T",
-        params={"n": dec.n, "k": dec.k, "x": dec.x, "trees": len(trees)},
-    )
-    t1 = Clause(True)
-    t2 = Clause(True)
-    t3 = Clause(True)
-    t4 = Clause(True)
-    for v in sorted(trees):
-        tree = trees[v]
-        if t1.passed and tree.root != v:
-            t1 = Clause(False, {"vertex": v, "root": tree.root})
-        branch = dec.branch_of(v)
-        if t2.passed:
-            if branch is None:
-                t2 = Clause(False, {"vertex": v, "reason": "not in any top-level selection"})
-            else:
-                allowed = dec.branch_union(branch)
-                outside = tree.vertices() - allowed
-                if outside:
-                    t2 = Clause(False, {"vertex": min(outside), "tree": v})
-                else:
-                    for u, w in tree.arcs():
-                        if not h.has_edge(u, w):
-                            t2 = Clause(False, {"edge": edge(u, w), "tree": v})
-                            break
-        if t3.passed:
-            for leaf in tree.leaves():
-                if not h.has_edge(leaf, dec.x):
-                    t3 = Clause(False, {"vertex": leaf, "tree": v})
-                    break
-        if t4.passed:
-            for u, w in tree.arcs():
-                lu = level_of.get(u)
-                lw = level_of.get(w)
-                if lu is not None and lu >= 2 and lw != lu - 1:
-                    t4 = Clause(False, {"edge": edge(u, w), "tree": v, "parent_level": lu, "child_level": lw})
-                    break
-    report.clauses["T1"] = t1
-    report.clauses["T2"] = t2
-    report.clauses["T3"] = t3
-    report.clauses["T4"] = t4
     return report
 
 
@@ -549,53 +480,7 @@ def check_q(g: Graph, result: GameResult, dec: BadSetDecomposition) -> PropertyR
 
 
 # ---------------------------------------------------------------------------
-# Analysis sets and their diagnostic bounds
-
-
-def compute_se(
-    dec: Decomposition, trees: Mapping[int, TreeEmbedding], e: Edge
-) -> FrozenSet[int]:
-    """The tree owners an edge removal would hurt: roots whose tree uses
-    e, either as a tree edge or as the center link of one of its
-    leaves."""
-    u, v = e
-    target = edge(u, v)
-    hit = set()
-    for root, tree in trees.items():
-        te = {edge(a, b) for a, b in tree.arcs()}
-        te |= {edge(dec.x, leaf) for leaf in tree.leaves()}
-        if target in te:
-            hit.add(root)
-    return frozenset(hit)
-
-
-def check_se(
-    dec: Decomposition, trees: Mapping[int, TreeEmbedding], eps: float
-) -> PropertyReport:
-    """Diagnostic: every skeleton edge hurts at most n^(2/3 - eps) trees."""
-    n = dec.n
-    bound = n ** (2.0 / 3.0 - eps)
-    clause = Clause(True, diagnostic=True)
-    for e in dec.h.sorted_edges():
-        size = len(compute_se(dec, trees, e))
-        if size > bound:
-            clause = Clause(False, {"edge": e, "size": size, "bound": bound}, diagnostic=True)
-            break
-    report = PropertyReport(
-        family="Se", params={"n": n, "eps": eps, "bound": bound, "trees": len(trees)}
-    )
-    report.clauses["size-bound"] = clause
-    return report
-
-
-def compute_bigq(g: Graph, q: Iterable[int], outside: Iterable[int], eps: float) -> FrozenSet[int]:
-    """Vertices of `outside` with more than n^(1/3 + eps/2) neighbors
-    in q."""
-    qset = set(q)
-    bound = g.n ** (1.0 / 3.0 + eps / 2.0)
-    return frozenset(
-        v for v in set(outside) if len(g.neighbors(v) & qset) > bound
-    )
+# Degree diagnostics: the typical-board bounds
 
 
 def check_degree_upper(g: Graph, eps: float) -> PropertyReport:

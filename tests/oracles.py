@@ -360,18 +360,19 @@ def box_rule_survives_all_maker_play(capacities: Sequence[int], p: int) -> bool:
 def chase_survives_all_breaker_play(
     g: Graph, tree, x: int, root_start: int, b: int = 2
 ) -> bool:
-    """Search every Breaker reply line (claim sets of size 0..b) against
-    the deterministic chase. True when the chase reaches x on every line
+    """Search every Breaker reply line (claim sets of size 0..b over the
+    free edges, each applied through the engine) against the
+    deterministic chase. True when the chase reaches x on every line
     within k-1 Connector moves and never proposes an illegal move."""
     from itertools import combinations
 
-    from conbreak import GameState, validate_and_apply
+    from conbreak import GameState, Move, validate_and_apply
     from conbreak.connector import TargetChase
 
     limit = max(1, tree.k - 1)
 
     def run(chase, state, moves_made: int) -> bool:
-        mv = chase.propose(state)
+        mv = chase.step(state)
         if mv.forfeit:
             return False
         try:
@@ -386,16 +387,12 @@ def chase_survives_all_breaker_play(
         free = state.free_edges()
         for size in range(0, b + 1):
             for claims in combinations(free, size):
-                nxt = state.copy()
-                for e in claims:
-                    nxt.breaker_edges.add(e)
-                nxt.to_move = "C"
-                nxt.round += 1
+                nxt = validate_and_apply(state, Move(claims))
                 if not run(chase.copy(), nxt, moves_made):
                     return False
         return True
 
-    return run(TargetChase(tree, x), GameState(g, m=2, b=b, start_vertex=root_start), 0)
+    return run(TargetChase.of(tree, x), GameState(g, m=2, b=b, start_vertex=root_start), 0)
 
 
 def chase_witness(k: int, extra_edges: Iterable[Tuple[int, int]] = ()):

@@ -175,11 +175,11 @@ def test_criterion_6_tree_descent_reaches_the_target():
                 def reply(state, priority=priority):
                     return [e for e in priority if state.is_free(e)][:2]
 
-            chase = TargetChase(t, x)
+            chase = TargetChase.of(t, x)
             state = GameState(g, m=2, b=2, start_vertex=t.root)
             moves = 0
             while x not in state.v_c:
-                mv = chase.propose(state)
+                mv = chase.step(state)
                 assert not mv.forfeit, (k, case)
                 state = validate_and_apply(state, mv)
                 moves += 1

@@ -90,9 +90,6 @@ def test_successive_builds_exclude_earlier():
     assert suc.union_through(1, 2) == frozenset({1, 2, 3, 4})
     assert suc.union_through(2, 0) == frozenset({1, 2, 3, 4})
     assert suc.union_through(2, 1) == frozenset({1, 2, 3, 4, 6})
-    assert suc.predecessor(1, 1) is None
-    assert suc.predecessor(1, 2) == (1, 1)
-    assert suc.predecessor(2, 1) == (1, 2)
     with pytest.raises(ParameterError):
         suc.union_through(3, 0)
     with pytest.raises(ParameterError):

@@ -13,14 +13,11 @@ from conbreak import (
     TargetChase,
     TreeEmbedding,
     alpha_table,
-    base_strategy_step,
     decompose,
     default_size_targets,
-    extract_tree,
     find_structure_stage2,
     find_tree_stage1,
     gen_gnp,
-    is_good_tree,
     make_cells,
     make_plan,
     select_target,
@@ -31,9 +28,10 @@ from conbreak.connector import (
     FORFEIT_BUDGET,
     FORFEIT_NO_EDGE,
     FORFEIT_NO_STRUCTURE,
+    _root_branches,
+    _two_good,
     connector_move,
     tree_positions,
-    validate_embedding,
 )
 from conbreak.rng import Rng
 
@@ -82,72 +80,63 @@ def test_subtree_reindexes():
     assert leaf.k == 1 and leaf.root == t.vertex_at(1, 3)
 
 
-def test_validate_embedding():
-    g, t, _ = chase_witness(2)
-    assert validate_embedding(g, t)
-    g2 = Graph(4, [(0, 1), (1, 3), (2, 3)])  # (0,2) missing
-    assert not validate_embedding(g2, t)
-
-
 # ---------------------------------------------------------------------------
-# good trees and the base step
+# good trees and the first descent step
+
+
+def good_branches(t: TreeEmbedding, x: int, state: GameState):
+    return _two_good(_root_branches(t), x, state)
 
 
 def test_is_good_tree():
     g, t, x = chase_witness(2)
     s = GameState(g, m=2, b=2, start_vertex=t.root)
-    assert is_good_tree(t, x, s)
+    assert good_branches(t, x, s) == _root_branches(t)
     # breaker on an arc whose child is outside territory: not good
     s2 = GameState(g, m=2, b=2, start_vertex=t.root, breaker_edges=[(0, 2)])
-    assert not is_good_tree(t, x, s2)
-    # same arc is tolerated once the child is already territory
+    assert good_branches(t, x, s2) is None
+    # another branch entering territory does not excuse it
     s3 = GameState(
         g, m=2, b=2, start_vertex=t.root,
         connector_edges=[(0, 1)], breaker_edges=[(0, 2)],
     )
-    assert not is_good_tree(t, x, s3)
+    assert good_branches(t, x, s3) is None
     s4 = GameState(g, m=2, b=2, connector_edges=[(0, 2)], breaker_edges=[(0, 2)])
-    # impossible state in play, but the tolerance rule is purely set-based
-    assert is_good_tree(t, x, s4)
+    # impossible state in play, but an arc into territory is tolerated
+    assert good_branches(t, x, s4) == _root_branches(t)
     # breaker on a leaf-to-target edge: not good
     s5 = GameState(g, m=2, b=2, start_vertex=t.root, breaker_edges=[(1, 3)])
-    assert not is_good_tree(t, x, s5)
-    # target inside the tree: not good
-    assert not is_good_tree(t, 2, s)
+    assert good_branches(t, x, s5) is None
     # leaf without the target edge: not good
     g6 = Graph(4, [(0, 1), (0, 2), (1, 3)])
-    assert not is_good_tree(t, x, GameState(g6, start_vertex=0))
+    assert good_branches(t, x, GameState(g6, start_vertex=0)) is None
+    # one level deeper: breaker on an arc below a branch root breaks it
+    g3, t3, x3 = chase_witness(3)
+    s6 = GameState(g3, m=2, b=2, start_vertex=t3.root, breaker_edges=[(1, 3)])
+    assert good_branches(t3, x3, s6) is None
+    # and so does breaker on a leaf-to-target edge below it
+    s7 = GameState(g3, m=2, b=2, start_vertex=t3.root, breaker_edges=[(3, 7)])
+    assert good_branches(t3, x3, s7) is None
 
 
 def test_base_step_two_levels():
     g, t, x = chase_witness(2)
     s = GameState(g, m=2, b=2, start_vertex=t.root)
-    assert base_strategy_step(s, t, x) == Move(((0, 1), (1, 3)))
+    assert TargetChase.of(t, x).step(s) == Move(((0, 1), (1, 3)))
     # leaf already in territory: finish with the single target edge
-    s2 = GameState(g, m=2, b=2, start_vertex=t.root, connector_edges=[(0, 2)])
-    assert base_strategy_step(s2, t, x) == Move(((2, 3),))
+    s2 = GameState(g, m=2, b=2, start_vertex=t.root, connector_edges=[(0, 1)])
+    assert TargetChase.of(t, x).step(s2) == Move(((1, 3),))
 
 
 def test_base_step_deeper_claims_entry_edges():
     g, t, x = chase_witness(3)
     s = GameState(g, m=2, b=2, start_vertex=t.root)
-    mv = base_strategy_step(s, t, x)
+    mv = TargetChase.of(t, x).step(s)
     assert set(mv.edges) == {(0, 1), (0, 2)}
     # a child already in territory is not claimed again
     s2 = GameState(g, m=2, b=2, start_vertex=t.root, connector_edges=[(0, 1)])
-    mv2 = base_strategy_step(s2, t, x)
+    mv2 = TargetChase.of(t, x).step(s2)
     assert mv2.edges == ((0, 2),)
-
-
-def test_base_step_errors():
-    g, t, x = chase_witness(2)
-    with pytest.raises(ParameterError):
-        base_strategy_step(GameState(g, start_vertex=x), t, x)  # x in territory
-    with pytest.raises(ParameterError):
-        base_strategy_step(GameState(g, start_vertex=1), t, x)  # root outside
-    bad = GameState(g, start_vertex=0, breaker_edges=[(1, 3)])
-    with pytest.raises(ParameterError):
-        base_strategy_step(bad, t, x)  # tree not good
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +146,7 @@ def test_base_step_errors():
 def test_chase_rejects_target_inside_tree():
     _, t, _ = chase_witness(2)
     with pytest.raises(ParameterError):
-        TargetChase(t, t.root)
+        TargetChase.of(t, t.root)
 
 
 def test_chase_survives_every_breaker_line_small():
@@ -181,11 +170,11 @@ def test_chase_beats_random_breakers_k5():
     g, t, x = chase_witness(5)
     for seed in range(60):
         rng = Rng(seed)
-        chase = TargetChase(t, x)
+        chase = TargetChase.of(t, x)
         state = GameState(g, m=2, b=2, start_vertex=t.root)
         moves = 0
         while x not in state.v_c:
-            mv = chase.propose(state)
+            mv = chase.step(state)
             assert not mv.forfeit, seed
             state = validate_and_apply(state, mv)
             moves += 1
@@ -202,11 +191,11 @@ def test_chase_beats_tree_hunting_breaker_k5():
     # adversary that always claims the two lowest free tree arcs
     g, t, x = chase_witness(5)
     arcs = sorted({tuple(sorted(a)) for a in t.arcs()} | {tuple(sorted((l, x))) for l in t.leaves()})
-    chase = TargetChase(t, x)
+    chase = TargetChase.of(t, x)
     state = GameState(g, m=2, b=2, start_vertex=t.root)
     moves = 0
     while x not in state.v_c:
-        mv = chase.propose(state)
+        mv = chase.step(state)
         assert not mv.forfeit
         state = validate_and_apply(state, mv)
         moves += 1
@@ -220,13 +209,13 @@ def test_chase_beats_tree_hunting_breaker_k5():
 
 def test_chase_copy_is_independent():
     g, t, x = chase_witness(3)
-    chase = TargetChase(t, x)
+    chase = TargetChase.of(t, x)
     state = GameState(g, m=2, b=2, start_vertex=t.root)
-    state = validate_and_apply(state, chase.propose(state))
+    state = validate_and_apply(state, chase.step(state))
     dup = chase.copy()
     state2 = state.copy()
-    mv_a = chase.propose(state)
-    mv_b = dup.propose(state2)
+    mv_a = chase.step(state)
+    mv_b = dup.step(state2)
     assert mv_a == mv_b
 
 
@@ -234,43 +223,87 @@ def test_chase_copy_is_independent():
 # stage searches
 
 
+def is_embedded(g: Graph, t: TreeEmbedding) -> bool:
+    return all(g.has_edge(u, w) for u, w in t.arcs())
+
+
 def test_find_tree_stage1_on_witness():
     g, t, x = chase_witness(3)
-    found = find_tree_stage1(g, [], t.root, x, 3, seed=1)
+    found = find_tree_stage1(g, set(), [t.root], x, 3, seed=1)
     assert found is not None
     assert found.root == t.root
-    assert validate_embedding(g, found)
+    assert is_embedded(g, found)
     for leaf in found.leaves():
         assert g.has_edge(leaf, x)
     # blocking one subtree entry forces the search around it or kills it;
     # here the board is exactly the tree, so blocking both entries kills it
-    assert find_tree_stage1(g, [(0, 1), (0, 2)], t.root, x, 3, seed=1) is None
+    assert find_tree_stage1(g, {(0, 1), (0, 2)}, [t.root], x, 3, seed=1) is None
     # a too-deep request outgrows the board
-    assert find_tree_stage1(g, [], t.root, x, 4, seed=1) is None
+    assert find_tree_stage1(g, set(), [t.root], x, 4, seed=1) is None
 
 
 def test_find_tree_stage1_respects_blocked_leaf_edges():
     g, t, x = chase_witness(2)
-    assert find_tree_stage1(g, [(1, 3)], t.root, x, 2, seed=0) is None
+    assert find_tree_stage1(g, {(1, 3)}, [t.root], x, 2, seed=0) is None
     # only one leaf blocked: a 2-level tree needs two leaves, still dead
     g2, t2, x2 = chase_witness(2, extra_edges=[(0, 3)])
-    assert find_tree_stage1(g2, [(1, 3)], t2.root, x2, 2, seed=0) is None
+    assert find_tree_stage1(g2, {(1, 3)}, [t2.root], x2, 2, seed=0) is None
 
 
 def test_find_tree_stage1_dense_random():
     g = gen_gnp(40, 0.5, 9)
     x = 39
     for root in range(3):
-        found = find_tree_stage1(g, [], root, x, 3, seed=root)
+        found = find_tree_stage1(g, set(), [root], x, 3, seed=root)
         if found is None:
             continue
         assert found.root == root
         assert x not in found.vertices()
-        assert validate_embedding(g, found)
+        assert is_embedded(g, found)
         for leaf in found.leaves():
             assert g.has_edge(leaf, x)
         return
     pytest.fail("no stage-1 tree found on a dense board")
+
+
+def test_find_tree_stage1_roots_share_the_cap_and_reseed():
+    # two wide dead roots (no vertex of their fans reaches x) before the
+    # real tree's root: searching one spends expansions and finds no tree
+    k = 3
+    g0, t, x = chase_witness(k)
+    edges = list(g0.sorted_edges())
+    dead = []
+    n = g0.n
+    for _ in range(2):
+        fan = list(range(n + 1, n + 9))
+        edges += [(n, w) for w in fan]
+        edges += [(u, w) for i, u in enumerate(fan) for w in fan[i + 1 :]]
+        dead.append(n)
+        n += 1 + len(fan)
+    g = Graph(n, edges)
+    alone = find_tree_stage1(g, set(), [t.root], x, k, seed=5)
+    assert alone is not None and alone.root == t.root
+    # an ample cap: dead roots cost nothing but expansions, and the live
+    # root's search is reseeded, so it finds the very same tree (with one
+    # Rng shared across roots, seed 5 gives a mirrored tree)
+    assert find_tree_stage1(g, set(), [*dead, t.root], x, k, seed=5) == alone
+
+    def smallest_cap(roots):
+        return next(
+            cap
+            for cap in range(1, 2000)
+            if find_tree_stage1(g, set(), roots, x, k, seed=5, cap=cap) == alone
+        )
+
+    # every root's expansions count against the one cap
+    live = smallest_cap([t.root])
+    one_dead = smallest_cap([dead[0], t.root])
+    assert live < one_dead - 1
+    assert one_dead < smallest_cap([*dead, t.root])
+    # one short, the budget left after the dead root's failed search runs
+    # out, although the later root alone finds its tree within that cap
+    assert find_tree_stage1(g, set(), [t.root], x, k, seed=5, cap=one_dead - 1) == alone
+    assert find_tree_stage1(g, set(), [dead[0], t.root], x, k, seed=5, cap=one_dead - 1) is None
 
 
 def test_find_structure_stage2_witness():
@@ -296,7 +329,7 @@ def test_find_structure_stage2_witness():
     seen = set()
     for t in trees:
         assert t.k == 2
-        assert validate_embedding(g, t)
+        assert is_embedded(g, t)
         assert not (t.vertices() & seen)
         seen |= t.vertices()
     # blocking the a1-z edge removes the only pivot
@@ -392,14 +425,6 @@ def test_decompose_on_complete_graph():
         for j in (1, 2):
             for v in dec.mset((1, j, l)):
                 assert dec.h.has_edge(0, v)
-    assert dec.level_union(0) == frozenset({0})
-    assert dec.level_union(2) == frozenset().union(
-        *(dec.mset((2, 1, l)) for l in range(1, 5))
-    )
-    top = dec.mset((2, 1, 1))
-    assert all(dec.branch_of(v) == 1 for v in top)
-    assert dec.branch_of(0) is None
-    assert top <= dec.branch_union(1)
 
 
 def test_decomposition_lookups_leave_equality_alone():
@@ -412,11 +437,6 @@ def test_decomposition_lookups_leave_equality_alone():
     # the lookup tables built above are not part of the value
     assert dec == twin and hash(dec) == hash(twin) and repr(dec) == repr(twin)
     assert dataclasses.astuple(dec) == dataclasses.astuple(twin)
-    # mset_map hands out a fresh dict, so a caller's edit stays local
-    fresh = dec.mset_map()
-    fresh.clear()
-    assert dec.mset_map() == dict(dec.msets)
-    assert dec.mset((2, 1, 1)) == dict(dec.msets)[(2, 1, 1)]
 
 
 def test_decompose_downsamples_to_target():
@@ -459,20 +479,6 @@ def test_decompose_input_validation():
         decompose(g, 0, bad, 2)  # contains x
     with pytest.raises(ParameterError):
         decompose(g, 0, cells, 2, size_targets=(1.0,))
-
-
-def test_extract_tree_walks_skeleton():
-    g = complete_graph(25)
-    cells = make_cells(25, x=0, k=2, seed=2, cell_size=2)
-    dec = decompose(g, 0, cells, 2)
-    v = min(dec.mset((2, 1, 1)))
-    t = extract_tree(dec, v)
-    assert t is not None
-    assert t.k == 2 and t.root == v
-    for u, w in t.arcs():
-        assert dec.h.has_edge(u, w)
-    with pytest.raises(ParameterError):
-        extract_tree(dec, 0)  # x is on level 0, not a top selection
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +529,22 @@ def test_select_target_stage1():
 
 def test_select_target_stage2_most_breaker_edges():
     g = complete_graph(8)
-    plan = make_plan(g, m=2, p_hint=0.9)
-    plan.stage = "II"
+
+    def stage2_target(state: GameState) -> int:
+        # a plan serves successive positions of one game, so each
+        # unrelated position gets a fresh one
+        plan = make_plan(g, m=2, p_hint=0.9)
+        plan.stage = "II"
+        return select_target(state, plan)
+
     s = GameState(
         g,
         connector_edges=[(0, 1)],
         breaker_edges=[(4, 5), (4, 6), (5, 6), (2, 7), (3, 7)],
     )
-    assert select_target(s, plan) == 4  # ties with 5 and 6 break low
+    assert stage2_target(s) == 4  # ties with 5 and 6 break low
     s2 = GameState(g, connector_edges=[(0, 1)], breaker_edges=[(2, 7), (3, 7)])
-    assert select_target(s2, plan) == 7
+    assert stage2_target(s2) == 7
 
 
 def test_select_target_exhausted_board():

@@ -61,7 +61,6 @@ def test_state_init_and_accessors():
     s2.connector_edges.add((1, 2))
     s2.v_c.add(9)
     assert (1, 2) not in s.connector_edges and 9 not in s.v_c
-    assert s.snapshot_key() == (frozenset({(0, 1)}), frozenset(), 1, CONNECTOR)
 
 
 def test_lowest_free_cursor_and_skip():

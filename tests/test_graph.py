@@ -17,7 +17,7 @@ from conbreak import (
     read_edge_list,
     write_edge_list,
 )
-from conbreak.graph import degree_into, edge, edges_between
+from conbreak.graph import edge, edges_between
 from conbreak.rng import Rng
 
 from oracles import all_labeled_graphs, connected_graph_classes, spanning_pair_oracle
@@ -194,11 +194,8 @@ def test_gnp_mean_edge_count():
     assert abs(total - mean) < 5 * sigma
 
 
-def test_degree_into_and_edges_between():
+def test_edges_between():
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (2, 3), (3, 4)])
-    assert degree_into(g, 0, {1, 2}) == 2
-    assert degree_into(g, 0, {4}) == 0
-    assert degree_into(g, 3, [0, 2, 4]) == 3
     assert edges_between(g, {0}, {1, 2, 3}) == frozenset({(0, 1), (0, 2), (0, 3)})
     assert edges_between(g, {2, 3}, {0, 4}) == frozenset({(0, 2), (0, 3), (3, 4)})
     assert edges_between(g, {1}, {4}) == frozenset()

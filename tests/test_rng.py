@@ -50,16 +50,6 @@ def test_derive_is_mix_of_seed_and_tag():
     assert derive(5, 17) != 5
 
 
-def test_spawn_uses_current_state():
-    a = Rng(3)
-    a.u64()
-    b = Rng(3)
-    b.u64()
-    assert a.spawn(9).u64() == b.spawn(9).u64()
-    b.u64()
-    assert a.spawn(9).u64() != b.spawn(9).u64()
-
-
 @given(st.integers(min_value=0, max_value=MASK64))
 def test_mix64_stays_in_range(z):
     assert 0 <= mix64(z) <= MASK64

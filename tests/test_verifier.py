@@ -25,14 +25,8 @@ from conbreak import (
     check_p,
     check_q,
     check_s,
-    check_se,
-    check_t,
-    compute_bigq,
-    compute_ns,
-    compute_se,
     decompose,
     edge,
-    extract_tree,
     gen_gnp,
     make_cells,
     regime_ok,
@@ -235,16 +229,6 @@ def test_regime_ok_numeric():
     assert not regime_ok(10**6, 0.2)
 
 
-def test_compute_ns_examples():
-    g = fan_graph()
-    assert compute_ns(g, {1, 2, 3}, 0) == frozenset({0, 4})
-    assert compute_ns(g, {1, 2, 3}, 2) == frozenset({0, 4})
-    assert compute_ns(g, {1, 2, 3}, 3) == frozenset({0})
-    assert compute_ns(g, {1, 2, 3}, 5) == frozenset()
-    with pytest.raises(ParameterError):
-        compute_ns(g, {1}, -1)
-
-
 # ---------------------------------------------------------------------------
 # D family
 
@@ -318,85 +302,6 @@ def test_d_diagnostic_misses_do_not_fail_report():
     assert d4.witness["bound"] == pytest.approx(25 ** (3 * 0.05))
     assert rep.all_passed()
     assert rep.failures() == ["D2", "D4"]
-
-
-# ---------------------------------------------------------------------------
-# T family
-
-
-def all_top_trees(dec: Decomposition) -> dict:
-    trees = {}
-    for l in range(1, 5):
-        for v in dec.mset((dec.k, 1, l)):
-            t = extract_tree(dec, v)
-            assert t is not None
-            trees[v] = t
-    return trees
-
-
-def test_t_on_extracted_trees():
-    dec = k25_dec()
-    trees = all_top_trees(dec)
-    rep = check_t(dec, trees)
-    assert set(rep.clauses) == {"T1", "T2", "T3", "T4"}
-    assert rep.all_passed()
-    assert rep.params["trees"] == 8
-    assert check_t(dec, {}).all_passed()
-
-
-def test_t1_root_mismatch():
-    dec = k25_dec()
-    r1, r2 = sorted(dec.mset((2, 1, 1)))
-    rep = check_t(dec, {r1: extract_tree(dec, r2)})
-    assert rep.clauses["T1"].witness == {"vertex": r1, "root": r2}
-    assert rep.failures() == ["T1"]
-
-
-def test_t2_vertex_outside_branch():
-    dec = k25_dec()
-    r1 = min(dec.mset((2, 1, 1)))
-    la = min(dec.mset((1, 1, 2)))
-    lb = min(dec.mset((1, 2, 2)))
-    tree = TreeEmbedding.of(2, {(2, 1): r1, (1, 1): la, (1, 2): lb})
-    rep = check_t(dec, {r1: tree})
-    assert rep.clauses["T2"].witness == {"vertex": min(la, lb), "tree": r1}
-    assert rep.failures() == ["T2"]
-
-
-def test_t2_arc_missing_from_skeleton():
-    dec = k25_dec()
-    r1, r2 = sorted(dec.mset((2, 1, 1)))
-    a1 = min(dec.mset((1, 1, 1)))
-    tree = TreeEmbedding.of(2, {(2, 1): r1, (1, 1): r2, (1, 2): a1})
-    rep = check_t(dec, {r1: tree})
-    assert rep.clauses["T2"].witness == {"edge": edge(r1, r2), "tree": r1}
-
-
-def test_t3_leaf_not_linked_to_center():
-    dec = k25_dec()
-    r1 = min(dec.mset((2, 1, 1)))
-    tree = extract_tree(dec, r1)
-    lf = tree.leaves()[0]
-    h = Graph(dec.n, [e for e in dec.h.sorted_edges() if e != edge(0, lf)])
-    rep = check_t(replace(dec, h=h), {r1: tree})
-    assert rep.clauses["T3"].witness == {"vertex": lf, "tree": r1}
-    assert rep.failures() == ["T3"]
-
-
-def test_t4_child_on_wrong_level():
-    dec = k25_dec()
-    r1, r2 = sorted(dec.mset((2, 1, 1)))
-    a1 = min(dec.mset((1, 1, 1)))
-    h = Graph(dec.n, list(dec.h.sorted_edges()) + [edge(r1, r2)])
-    tree = TreeEmbedding.of(2, {(2, 1): r1, (1, 1): r2, (1, 2): a1})
-    rep = check_t(replace(dec, h=h), {r1: tree})
-    assert rep.clauses["T2"].passed
-    assert rep.clauses["T4"].witness == {
-        "edge": edge(r1, r2),
-        "tree": r1,
-        "parent_level": 2,
-        "child_level": 2,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -596,63 +501,7 @@ def test_q_rejects_out_of_turn_transcript():
 
 
 # ---------------------------------------------------------------------------
-# edge-impact sets and the diagnostic degree windows
-
-
-def toy_tree_dec():
-    h = Graph(9, [(2, 3), (2, 4), (5, 6), (5, 7), (3, 8), (4, 8), (6, 8), (7, 8)])
-    sets = {
-        (1, 1, 1): frozenset({3}),
-        (1, 2, 1): frozenset({4}),
-        (2, 1, 1): frozenset({2}),
-        (1, 1, 2): frozenset({6}),
-        (1, 2, 2): frozenset({7}),
-        (2, 1, 2): frozenset({5}),
-    }
-    pairs = tuple(sorted(sets.items()))
-    dec = Decomposition(x=8, k=2, n=9, cells=pairs, msets=pairs, h=h, targets=None)
-    t1 = TreeEmbedding.of(2, {(2, 1): 2, (1, 1): 3, (1, 2): 4})
-    t2 = TreeEmbedding.of(2, {(2, 1): 5, (1, 1): 6, (1, 2): 7})
-    return dec, t1, t2
-
-
-def test_compute_se_identifies_hurt_roots():
-    dec, t1, t2 = toy_tree_dec()
-    trees = {2: t1, 5: t2}
-    assert compute_se(dec, trees, (2, 3)) == frozenset({2})
-    assert compute_se(dec, trees, (6, 8)) == frozenset({5})
-    assert compute_se(dec, trees, (3, 8)) == frozenset({2})
-    assert compute_se(dec, trees, (8, 3)) == frozenset({2})
-    assert compute_se(dec, trees, (0, 1)) == frozenset()
-
-    # two trees leaning on the same leaves share the center links
-    shared = {2: t1, 5: TreeEmbedding.of(2, {(2, 1): 5, (1, 1): 3, (1, 2): 4})}
-    assert compute_se(dec, shared, (3, 8)) == frozenset({2, 5})
-    assert compute_se(dec, shared, (2, 3)) == frozenset({2})
-
-
-def test_check_se_bound():
-    dec, t1, t2 = toy_tree_dec()
-    rep = check_se(dec, {2: t1, 5: t2}, eps=0.05)
-    assert rep.family == "Se"
-    assert rep.clauses["size-bound"].passed
-    assert rep.clauses["size-bound"].diagnostic
-
-    shared = {2: t1, 5: TreeEmbedding.of(2, {(2, 1): 5, (1, 1): 3, (1, 2): 4})}
-    rep2 = check_se(dec, shared, eps=0.5)
-    w = rep2.clauses["size-bound"].witness
-    assert w["edge"] == (3, 8) and w["size"] == 2
-    assert w["bound"] == pytest.approx(9 ** (1 / 6))
-    # a diagnostic miss never sinks the report
-    assert rep2.all_passed()
-    assert rep2.failures() == ["size-bound"]
-
-
-def test_compute_bigq_threshold():
-    g = fan_graph()
-    assert compute_bigq(g, {1, 2, 3}, {0, 4}, eps=0.1) == frozenset({0, 4})
-    assert compute_bigq(g, {1, 2, 3}, {4}, eps=0.1) == frozenset({4})
-    assert compute_bigq(g, {1, 2, 3}, {0, 4}, eps=1.2) == frozenset()
+# the diagnostic degree windows
 
 
 def test_degree_window_checkers():
