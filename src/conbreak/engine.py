@@ -220,6 +220,9 @@ class GameState:
         self.start_vertex = start_vertex
         self.connector_edges = set(connector_edges)
         self.breaker_edges = set(breaker_edges)
+        both = self.connector_edges & self.breaker_edges
+        if both:
+            raise ParameterError(f"edges claimed by both players: {sorted(both)}")
         self.round = round
         self.to_move = to_move
         self.breaker_degrees = [0] * graph.n

@@ -9,6 +9,14 @@ construction. The Python views (the edge frozenset, the sorted edge
 tuple, each vertex's neighbour frozenset) and the edge ids (an edge's
 position in the sorted edge tuple, by edge and by vertex) are built on
 first use and cached; the degrees are a plain list of ints.
+
+G(n, p) boards come from one uniform per vertex pair, in canonical pair
+order, kept when it is below p (the coupling of Stojakovic-Szabo 2005).
+The boards of one seed are therefore nested in p. `GnpDraws` walks a
+seed's stream once, in blocks of BLOCK draws, keeps the pairs below its
+p_max, and cuts the board for any p <= p_max from them; a trial-major
+sweep shares one GnpDraws across every density of a trial. `gen_gnp`
+is the one board builder and goes through it.
 """
 
 from __future__ import annotations
@@ -181,25 +189,83 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
-def gen_gnp(n: int, p: float, seed: int) -> Graph:
+# Draws per uniforms_at call: a block's temporaries stay in cache.
+BLOCK = 1 << 16
+
+
+class GnpDraws:
+    """The pair draws of one G(n, p) seed, for every p up to p_max.
+
+    Pair (i, j), i < j, is number t = i*n - i*(i+1)/2 + (j - i - 1) in
+    canonical order (0,1), (0,2), ..., (n-2,n-1) and gets the uniform at
+    stream position t + 1. The first `board` call walks the stream in
+    blocks of BLOCK draws and keeps only the pairs whose uniform is below
+    p_max, with their uniforms; `board(p)` is then the kept pairs with
+    uniform below p, the same comparison on the same doubles as a draw
+    made for p alone."""
+
+    __slots__ = ("n", "seed", "p_max", "_pairs", "_u")
+
+    def __init__(self, n: int, seed: int, p_max: float):
+        if not (0.0 <= p_max <= 1.0):
+            raise ParameterError(f"edge probability must lie in [0,1], got {p_max}")
+        check_seed(seed)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ParameterError(f"vertex count must be an integer, got {n!r}")
+        if n < 0:
+            raise ParameterError(f"vertex count must be non-negative, got {n}")
+        self.n = int(n)
+        self.seed = seed
+        self.p_max = p_max
+        self._pairs: Optional[np.ndarray] = None
+        self._u: Optional[np.ndarray] = None
+
+    def _draw(self) -> None:
+        n = self.n
+        total = n * (n - 1) // 2
+        hits, us = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        for lo in range(0, total, BLOCK):
+            u = uniforms_at(self.seed, min(BLOCK, total - lo), lo)
+            keep = np.flatnonzero(u < self.p_max)
+            hits.append(keep + lo)
+            us.append(u[keep])
+        t = np.concatenate(hits)
+        # pair (i, j) is draw number starts[i] + (j - i - 1); the hits are
+        # ascending, so row i's hits start at searchsorted(t, starts[i])
+        i = np.arange(n, dtype=np.int64)
+        starts = i * n - i * (i + 1) // 2
+        rows = np.repeat(i, np.diff(np.searchsorted(t, starts), append=len(t)))
+        cols = t - starts[rows] + rows + 1
+        self._pairs = np.column_stack((rows, cols))
+        self._u = np.concatenate(us)
+
+    def board(self, p: float) -> Graph:
+        """G(n, p) for this seed; p must not exceed p_max."""
+        if not (0.0 <= p <= self.p_max):
+            raise ParameterError(f"edge probability {p} outside [0, {self.p_max}] of these draws")
+        if self._u is None:
+            self._draw()
+        # at p_max every kept pair is below p: skip the copy
+        pairs = self._pairs if p == self.p_max else self._pairs[self._u < p]
+        return Graph(self.n, pairs)
+
+
+def gen_gnp(n: int, p: float, seed: int, draws: Optional[GnpDraws] = None) -> Graph:
     """Seeded Erdos-Renyi graph: one Bernoulli draw per vertex pair.
 
     Pairs are visited in canonical order, (0,1), (0,2), ..., (n-2,n-1),
     i.e. ascending (i, j) with i < j, one uniform draw each, edge kept when
     the draw is strictly below p. Identical seeds give identical graphs.
+    `draws`, when given, must be the GnpDraws of this (n, seed) with
+    p_max >= p; the board is cut from it instead of a fresh draw.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"edge probability must lie in [0,1], got {p}")
-    check_seed(seed)
-    if n < 0:
-        raise ParameterError(f"vertex count must be non-negative, got {n}")
-    hits = np.flatnonzero(uniforms_at(seed, n * (n - 1) // 2) < p)
-    # pair (i, j) is draw number starts[i] + (j - i - 1) in that order
-    i = np.arange(n, dtype=np.int64)
-    starts = i * n - i * (i + 1) // 2
-    rows = np.searchsorted(starts, hits, side="right") - 1
-    cols = hits - starts[rows] + rows + 1
-    return Graph(n, np.column_stack((rows, cols)))
+    if draws is None:
+        draws = GnpDraws(n, seed, p)
+    elif (draws.n, draws.seed) != (n, seed):
+        raise ParameterError(
+            f"draws are for n={draws.n}, seed={draws.seed}, not n={n}, seed={seed}"
+        )
+    return draws.board(p)
 
 
 def edges_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> FrozenSet[Edge]:

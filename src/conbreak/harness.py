@@ -8,6 +8,12 @@ the seed base and the trial index, shared across grid cells so that
 neighbouring cells see coupled graph sequences. Records can be audited
 post-hoc (degree-bound monitor, isolation audit) with toggles; audit
 findings land in per-record flags, never in exceptions.
+
+Sweeps run trial-major: for each n, each trial plays every density of
+that n in turn, all cut from one GnpDraws of the trial's seed, so one
+trial's boards are nested in p and its pair draws are made once, inside
+its first game's board. Records are sorted by (n, p, trial) before they
+are summarised or written, so the outputs do not depend on that order.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .breaker import BadSetDecomposition
 from .engine import BREAKER, GameResult, REASON_FORFEIT, replay_states, run_game
 from .errors import ParameterError
-from .graph import Graph, gen_gnp
+from .graph import GnpDraws, Graph, gen_gnp
 from .rng import check_seed, derive
 from .strategies import IsolationBreakerStrategy, make_strategy
 
@@ -195,10 +201,13 @@ def _connector_options(cfg: TrialConfig, p: float) -> Dict[str, object]:
     return {}
 
 
-def run_one(cfg: TrialConfig, n: int, p: float, trial: int) -> TrialRecord:
-    """Play the single seeded game for one grid cell and trial index."""
+def run_one(
+    cfg: TrialConfig, n: int, p: float, trial: int, draws: Optional[GnpDraws] = None
+) -> TrialRecord:
+    """Play the single seeded game for one grid cell and trial index. The
+    board is cut from `draws`, the trial's GnpDraws, when given."""
     seed = derive(cfg.seed_base, trial)
-    g = gen_gnp(n, p, seed)
+    g = gen_gnp(n, p, seed, draws)
     connector = make_strategy(cfg.connector_id, **_connector_options(cfg, p))
     breaker = make_strategy(cfg.breaker_id)
     result = run_game(
@@ -224,8 +233,12 @@ def run_one(cfg: TrialConfig, n: int, p: float, trial: int) -> TrialRecord:
     )
 
 
-def _run_star(args) -> TrialRecord:
-    return run_one(*args)
+def run_trial(cfg: TrialConfig, n: int, trial: int) -> List[TrialRecord]:
+    """Every density of board size n for one trial, in `ps_for(n)` order,
+    from one lazy GnpDraws: the first game's board makes the draws."""
+    ps = cfg.ps_for(n)
+    draws = GnpDraws(n, derive(cfg.seed_base, trial), max(ps))
+    return [run_one(cfg, n, p, trial, draws) for p in ps]
 
 
 def summarize(records: Sequence[TrialRecord]) -> List[SummaryRow]:
@@ -274,25 +287,23 @@ def write_records_jsonl(path: str, records: Sequence[TrialRecord]) -> None:
 
 
 def run_trials(cfg: TrialConfig) -> Tuple[List[TrialRecord], List[SummaryRow]]:
-    """Run the whole grid; returns (records, summary rows) and writes the
-    configured outputs. Parallel runs produce byte-identical outputs to
-    serial ones: records are sorted by (n, p, trial) regardless of
-    completion order."""
+    """Run the whole grid, trial-major (one `run_trial` per (n, trial),
+    also the unit of a parallel task); returns (records, summary rows)
+    and writes the configured outputs. Parallel runs produce
+    byte-identical outputs to serial ones: records are sorted by
+    (n, p, trial) regardless of run or completion order."""
     with ExitStack() as outputs:
         # opened before any trial runs, so a bad path fails fast
         csv_fh = outputs.enter_context(_open_out(cfg.out_csv)) if cfg.out_csv else None
         rec_fh = outputs.enter_context(_open_out(cfg.out_records)) if cfg.out_records else None
-        tasks = [
-            (cfg, n, p, trial)
-            for n, p in cfg.cells()
-            for trial in range(cfg.trials)
-        ]
+        tasks = [(cfg, n, trial) for n in cfg.ns for trial in range(cfg.trials)]
         if cfg.jobs > 1:
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(cfg.jobs) as pool:
-                records = pool.map(_run_star, tasks, chunksize=1)
+                per_trial = pool.starmap(run_trial, tasks, chunksize=1)
         else:
-            records = [run_one(*t) for t in tasks]
+            per_trial = [run_trial(*t) for t in tasks]
+        records = [r for rs in per_trial for r in rs]
         records.sort(key=lambda r: (r.n, r.p, r.trial))
         rows = summarize(records)
         if csv_fh:

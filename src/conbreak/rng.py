@@ -11,10 +11,13 @@ reimplementation in another language. The core sequence is splitmix64:
     z <- (z XOR (z >> 27)) * 0x94D049BB133111EB mod 2^64
     output <- z XOR (z >> 31)
 
-The i-th output (1-based) is therefore a pure function of the seed:
+The i-th output (1-based) is therefore a pure function of the seed and i:
 mix64(seed + i * 0x9E3779B97F4A7C15).  That counter form is what lets
-`outputs_at` produce the identical stream vectorised.  Uniform doubles take
-the top 53 bits: u = (output >> 11) * 2^-53, giving values in [0, 1).
+`outputs_at` produce the identical stream vectorised, and start anywhere:
+`outputs_at(seed, count, start)` is outputs start+1 .. start+count, so a
+long stream can be walked in blocks whose concatenation is the whole
+vector.  Uniform doubles take the top 53 bits: u = (output >> 11) * 2^-53,
+giving values in [0, 1); `uniforms_at` takes the same offset.
 
 Derived streams use  derive(seed, tag) = mix64(seed XOR mix64(tag)),
 documented here because the experiment harness leans on it for per-role
@@ -57,23 +60,33 @@ def derive(seed: int, tag: int) -> int:
     return mix64((seed ^ mix64(tag & MASK64)) & MASK64)
 
 
-def outputs_at(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of the stream, as a uint64 array.
+def outputs_at(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Outputs start+1 .. start+count of the stream, as a uint64 array.
 
-    Bit-identical to calling Rng(seed).u64() `count` times; used to
-    vectorise bulk draws such as edge generation.
-    """
+    Bit-identical to calling Rng(seed).u64() `start + count` times and
+    keeping the last `count`; used to vectorise bulk draws such as edge
+    generation, a block at a time."""
     check_seed(seed)
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed) + idx * np.uint64(GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    if count < 0 or start < 0:
+        raise ParameterError(f"need count >= 0 and start >= 0, got {count} and {start}")
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    # in place, so a block needs one temporary at a time
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def uniforms_at(seed: int, count: int) -> np.ndarray:
-    """First `count` uniform doubles in [0,1), matching Rng.random()."""
-    return (outputs_at(seed, count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def uniforms_at(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Uniform doubles in [0,1) at stream positions start+1 .. start+count,
+    matching Rng.random()."""
+    u = (outputs_at(seed, count, start) >> np.uint64(11)).astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 class Rng:

@@ -68,11 +68,14 @@ class GreedyDegreeStrategy:
     endpoint degree sums.
 
     Breaker reads one rank order, sorted once per game, through a cursor
-    past the claimed edges. Connector keeps a lazy heap of (-gain, edge)
-    over the frontier, fed from the state's territory order: a gain only
-    falls once the edge's new endpoint joins the territory, so a stale
-    entry is re-keyed when it reaches the top. Her opening from an empty
-    territory, at most once a game, scans the free edges.
+    past the claimed edges. Connector keeps one live heap entry per
+    outside vertex w next to her territory, (-degree(w), e, w) with e the
+    lowest free edge from the territory to w, named by `lowest[w]`. When w
+    joins the territory, dropping `lowest[w]` retires its entry at once,
+    and its edges into the territory, now of gain -1, go to a list of
+    inside edges that is heaped only when no outside vertex is left to
+    reach. Her opening from an empty territory, at most once a game,
+    scans the free edges.
     """
 
     def __init__(self):
@@ -91,8 +94,11 @@ class GreedyDegreeStrategy:
             self.order = [edges[i] for i in rank.tolist()]
             self.cursor = 0
         else:
-            self.heap: List[Tuple[int, Edge]] = []
-            self.synced: Set[int] = set()  # territory whose edges are in the heap
+            self.heap: List[Tuple[int, Edge, int]] = []
+            self.lowest: Dict[int, Edge] = {}
+            self.inside: List[Edge] = []  # a heap of free edges inside territory
+            self.pending: List[Edge] = []  # inside edges not yet in that heap
+            self.synced: Set[int] = set()  # territory whose edges are indexed
 
     def propose(self, state: GameState) -> Move:
         if self.role == BREAKER:
@@ -111,7 +117,7 @@ class GreedyDegreeStrategy:
         vc = state.v_c
         claims: List[Edge] = []
         new: Set[int] = set()  # vertices this move's claims add to vc
-        held: List[Tuple[int, Edge]] = []  # heap entries set aside for this move
+        held: List[tuple] = []  # (heap, entry) set aside for this move
         for _ in range(state.m):
             if not vc and not claims:
                 best = min(((-self._gain(e, vc), e) for e in state.free_edges()), default=None)
@@ -125,8 +131,8 @@ class GreedyDegreeStrategy:
                 break
             claims.append(best[1])
             new.update(w for w in best[1] if w not in vc)
-        for entry in held:
-            heapq.heappush(self.heap, entry)
+        for heap, entry in held:
+            heapq.heappush(heap, entry)
         return Move(tuple(claims))
 
     def _gain(self, e: Edge, vc, new=()) -> int:
@@ -138,31 +144,60 @@ class GreedyDegreeStrategy:
         return du if du > dv else dv
 
     def _sync(self, state: GameState) -> None:
-        """Push the frontier edges of territory vertices not yet seen."""
+        """Index the free edges of territory vertices not yet seen."""
+        synced = self.synced
+        lowest = self.lowest
+        degree = self.graph.degree
         # territory only grows, so its first len(synced) entries are synced
-        for w in state.territory[len(self.synced):]:
-            self.synced.add(w)
+        for w in state.territory[len(synced):]:
+            synced.add(w)
+            lowest.pop(w, None)  # w's entry is dead
             for e in state.free_edges_at(w):
-                if e[0] + e[1] - w not in self.synced:  # the other end's sync pushed it
-                    heapq.heappush(self.heap, (-self._gain(e, state.v_c), e))
+                x = e[0] + e[1] - w
+                if x in synced:
+                    self.pending.append(e)
+                elif x not in lowest or e < lowest[x]:
+                    lowest[x] = e
+                    heapq.heappush(self.heap, (-degree(x), e, x))
 
     def _heap_best(self, state, new, claims, held) -> Optional[Tuple[int, Edge]]:
-        """Top frontier entry away from this move's new vertices and
-        claims; those are keyed by `_best_at` instead."""
+        """Best (-gain, edge) among the free edges from the territory,
+        away from this move's new vertices and claims; those are keyed by
+        `_best_at` instead. An outside vertex's best edge is its lowest
+        free edge into the territory; an inside edge has gain -1."""
         heap = self.heap
+        lowest = self.lowest
         vc = state.v_c
         while heap:
-            key, e = heap[0]
-            if not state.is_free(e):
+            key, e, w = heap[0]
+            if lowest.get(w) != e:
                 heapq.heappop(heap)
-                continue
-            gain = self._gain(e, vc)
-            if -key != gain:
-                heapq.heapreplace(heap, (-gain, e))
-            elif e[0] in new or e[1] in new or e in claims:
-                held.append(heapq.heappop(heap))
+            elif not state.is_free(e):
+                # free_edges_at is in ascending edge order: w's next lowest
+                nxt = next((f for f in state.free_edges_at(w) if f[0] + f[1] - w in vc), None)
+                if nxt is None:
+                    del lowest[w]
+                    heapq.heappop(heap)
+                else:
+                    lowest[w] = nxt
+                    heapq.heapreplace(heap, (key, nxt, w))
+            elif w in new:
+                held.append((heap, heapq.heappop(heap)))
             else:
-                return heap[0]
+                return key, e
+        inside = self.inside
+        if self.pending:
+            inside.extend(self.pending)
+            self.pending.clear()
+            heapq.heapify(inside)
+        while inside:
+            e = inside[0]
+            if not state.is_free(e):
+                heapq.heappop(inside)
+            elif e in claims:
+                held.append((inside, heapq.heappop(inside)))
+            else:
+                return 1, e
         return None
 
     def _best_at(self, state, new, claims) -> Optional[Tuple[int, Edge]]:

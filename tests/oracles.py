@@ -20,6 +20,22 @@ from conbreak.graph import edge
 # graph corpora
 
 
+def naive_gen_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) from one draw of the seed's whole pair vector, thresholded
+    at p: the single-shot generator the blocked GnpDraws replaced."""
+    import numpy as np
+
+    from conbreak.rng import uniforms_at
+
+    hits = np.flatnonzero(uniforms_at(seed, n * (n - 1) // 2) < p)
+    # pair (i, j) is draw number starts[i] + (j - i - 1) in that order
+    i = np.arange(n, dtype=np.int64)
+    starts = i * n - i * (i + 1) // 2
+    rows = np.searchsorted(starts, hits, side="right") - 1
+    cols = hits - starts[rows] + rows + 1
+    return Graph(n, np.column_stack((rows, cols)))
+
+
 def all_labeled_graphs(n: int) -> List[Graph]:
     """Every labeled simple graph on n vertices."""
     pairs = list(combinations(range(n), 2))

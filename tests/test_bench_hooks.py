@@ -59,6 +59,7 @@ def test_hooks_are_looked_up_at_call_time(capsys):
         "harness.run_trials",
         "harness.run_one",
         "graph.gen_gnp",
+        "rng.uniforms_at",
         "engine.run_game",
         "connector.make_plan",
         "connector.connector_move",

@@ -101,8 +101,10 @@ def test_is_good_tree():
         connector_edges=[(0, 1)], breaker_edges=[(0, 2)],
     )
     assert good_branches(t, x, s3) is None
-    s4 = GameState(g, m=2, b=2, connector_edges=[(0, 2)], breaker_edges=[(0, 2)])
-    # impossible state in play, but an arc into territory is tolerated
+    # breaker on an arc whose child joined territory by another edge:
+    # an arc into territory is tolerated
+    g4 = Graph(5, sorted(g.edges) + [(2, 4)])
+    s4 = GameState(g4, m=2, b=2, connector_edges=[(2, 4)], breaker_edges=[(0, 2)])
     assert good_branches(t, x, s4) == _root_branches(t)
     # breaker on a leaf-to-target edge: not good
     s5 = GameState(g, m=2, b=2, start_vertex=t.root, breaker_edges=[(1, 3)])

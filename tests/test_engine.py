@@ -85,6 +85,16 @@ def test_state_parameter_validation():
         GameState(g, to_move="X")
 
 
+def test_state_rejects_an_edge_claimed_by_both():
+    g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    # counting (0, 2) once per player gave free_edge_count() == 2 here
+    with pytest.raises(ParameterError, match="both players"):
+        GameState(g, connector_edges=[(0, 2)], breaker_edges=[(0, 2)])
+    for breaker_edges in ([], [(1, 3)]):
+        s = GameState(g, connector_edges=[(0, 2)], breaker_edges=breaker_edges)
+        assert s.free_edge_count() == len(s.free_edges()) == 3 - len(breaker_edges)
+
+
 def test_connector_move_grows_territory_within_move():
     g = square()
     s = GameState(g, m=2, b=2, start_vertex=0)

@@ -13,14 +13,20 @@ from conbreak import (
     ParameterError,
     contains_hn,
     gen_gnp,
+    graph,
     is_spanning_connected,
     read_edge_list,
     write_edge_list,
 )
-from conbreak.graph import edge, edges_between
-from conbreak.rng import Rng
+from conbreak.graph import GnpDraws, edge, edges_between
+from conbreak.rng import MASK64, Rng
 
-from oracles import all_labeled_graphs, connected_graph_classes, spanning_pair_oracle
+from oracles import (
+    all_labeled_graphs,
+    connected_graph_classes,
+    naive_gen_gnp,
+    spanning_pair_oracle,
+)
 
 
 def test_edge_canonicalizes():
@@ -168,6 +174,68 @@ def test_gnp_parameter_validation():
         gen_gnp(-2, 0.5, 0)
     with pytest.raises(ParameterError):
         gen_gnp(5, 0.5, -1)
+
+
+def test_gnp_draws_reject_mismatched_use():
+    draws = GnpDraws(20, 5, 0.3)
+    with pytest.raises(ParameterError):
+        draws.board(0.31)
+    with pytest.raises(ParameterError):
+        draws.board(-0.1)
+    with pytest.raises(ParameterError):
+        gen_gnp(20, 0.31, 5, draws)
+    with pytest.raises(ParameterError):
+        gen_gnp(21, 0.2, 5, draws)
+    with pytest.raises(ParameterError):
+        gen_gnp(20, 0.2, 6, draws)
+    assert gen_gnp(20, 0.3, 5, draws) == gen_gnp(20, 0.3, 5)
+    with pytest.raises(ParameterError):
+        GnpDraws(20, 5, 1.5)
+    with pytest.raises(ParameterError):
+        GnpDraws(-1, 5, 0.5)
+    with pytest.raises(ParameterError):
+        GnpDraws(20, -5, 0.5)
+    with pytest.raises(ParameterError):
+        GnpDraws(2.5, 5, 0.5)
+
+
+@example(n=0, seed=0, block=graph.BLOCK, p_max=1.0, ps=[0.0])
+@example(n=2, seed=MASK64, block=1, p_max=1.0, ps=[0.0, 2.0**-53, 1.0])
+@example(n=80, seed=0, block=7, p_max=0.5, ps=[0.5, 0.0, 0.25, 0.5])
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(0, 80),
+    seed=st.sampled_from([0, 1, MASK64]) | st.integers(0, MASK64),
+    block=st.sampled_from([1, 2, 7, 64, 1000, graph.BLOCK]),
+    p_max=st.sampled_from([0.0, 2.0**-53, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0),
+    ps=st.lists(st.sampled_from([0.0, 2.0**-53, 0.01, 0.2, 0.5, 1.0]), max_size=5),
+)
+def test_gnp_draws_cut_the_oracle_boards_nested_in_p(n, seed, block, p_max, ps):
+    """Every board cut from one GnpDraws, blocks of any size, equals the
+    single-shot generator's board, and the boards grow with p."""
+    cut = sorted({p for p in ps if p <= p_max} | {0.0, p_max})
+    saved = graph.BLOCK
+    graph.BLOCK = block
+    try:
+        draws = GnpDraws(n, seed, p_max)
+        boards = [draws.board(p) for p in cut]
+    finally:
+        graph.BLOCK = saved
+    for p, g in zip(cut, boards):
+        assert g == naive_gen_gnp(n, p, seed), p
+        assert g == gen_gnp(n, p, seed)
+    for lo, hi in zip(boards, boards[1:]):
+        assert lo.edges <= hi.edges
+
+
+def test_gnp_draws_span_several_blocks():
+    # 600 vertices are 179,700 pairs, three default blocks; rows cross
+    # block boundaries
+    n, seed = 600, 77
+    ps = (0.001, 0.02, 0.1)
+    draws = GnpDraws(n, seed, max(ps))
+    for p in ps:
+        assert draws.board(p) == naive_gen_gnp(n, p, seed)
 
 
 def test_gnp_vector_path_matches_scalar_recipe():

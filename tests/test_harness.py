@@ -172,14 +172,28 @@ def test_outputs_byte_identical(tmp_path):
 
 
 def test_parallel_matches_serial(tmp_path):
-    serial_csv = tmp_path / "serial.csv"
-    par_csv = tmp_path / "par.csv"
-    kwargs = dict(ps=(0.4, 0.7), trials=3)
-    rec_s, rows_s = run_trials(small_cfg(out_csv=str(serial_csv), **kwargs))
-    rec_p, rows_p = run_trials(small_cfg(out_csv=str(par_csv), jobs=2, **kwargs))
-    assert rec_p == rec_s
-    assert rows_p == rows_s
-    assert par_csv.read_bytes() == serial_csv.read_bytes()
+    """Trial-major runs, serial and one task per (n, trial) on two
+    workers, give the records and bytes of a cell-major loop over run_one
+    with a fresh board per game."""
+    grids = [
+        dict(ps=(0.4, 0.7), trials=3),
+        dict(ns=(10, 16), ps=(0.4, 0.7, 0.4, 0.2), trials=3),
+        dict(ns=(12, 20), ps=None, eps_list=(-0.1, 0.2, 0.5), trials=2,
+             connector_id="paper-connector", breaker_id="paper-breaker"),
+    ]
+    for i, kwargs in enumerate(grids):
+        runs = {}
+        for jobs in (1, 2):
+            out = dict(out_csv=str(tmp_path / f"{i}-{jobs}.csv"),
+                       out_records=str(tmp_path / f"{i}-{jobs}.jsonl"))
+            runs[jobs] = run_trials(small_cfg(jobs=jobs, **out, **kwargs))
+        cfg = small_cfg(**kwargs)
+        cell_major = [run_one(cfg, n, p, t) for n, p in cfg.cells() for t in range(cfg.trials)]
+        cell_major.sort(key=lambda r: (r.n, r.p, r.trial))
+        assert runs[1] == runs[2] == (cell_major, summarize(cell_major)), i
+        for ext in ("csv", "jsonl"):
+            serial = (tmp_path / f"{i}-1.{ext}").read_bytes()
+            assert (tmp_path / f"{i}-2.{ext}").read_bytes() == serial, (i, ext)
 
 
 def test_unwritable_output_fails_before_trials(tmp_path):

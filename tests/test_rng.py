@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conbreak import ParameterError, Rng, derive
+from conbreak.graph import BLOCK
 from conbreak.rng import GOLDEN, MASK64, check_seed, mix64, outputs_at, uniforms_at
 
 # splitmix64 reference outputs for seed 0, widely published for the
@@ -41,6 +44,35 @@ def test_uniforms_match_random():
     vec = uniforms_at(99, 200)
     assert scalar == vec.tolist()
     assert all(0.0 <= u < 1.0 for u in scalar)
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_uniforms(seed: int, count: int):
+    rng = Rng(seed)
+    return [rng.random() for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_offset_draws_are_slices_of_the_stream(count):
+    longest = 2 * BLOCK + 3 * BLOCK + 5
+    for seed in (0, MASK64):
+        full = uniforms_at(seed, longest)
+        words = outputs_at(seed, longest)
+        for start in (0, 1, BLOCK - 1, 2 * BLOCK):
+            got = uniforms_at(seed, count, start)
+            assert got.dtype == np.float64 and len(got) == count
+            assert np.array_equal(got, full[start : start + count])
+            assert np.array_equal(outputs_at(seed, count, start), words[start : start + count])
+    stream = scalar_uniforms(31, BLOCK + 3 * BLOCK + 5)
+    for start in (1, BLOCK):
+        assert uniforms_at(31, count, start).tolist() == stream[start : start + count]
+
+
+def test_offset_draws_reject_negative_ranges():
+    with pytest.raises(ParameterError):
+        uniforms_at(31, -1)
+    with pytest.raises(ParameterError):
+        outputs_at(31, 4, -1)
 
 
 def test_derive_is_mix_of_seed_and_tag():
