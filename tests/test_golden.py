@@ -13,6 +13,7 @@ recorded, never to make a refactor pass.
 from __future__ import annotations
 
 import hashlib
+import logging
 
 import pytest
 
@@ -355,3 +356,17 @@ def test_verify_reports_pinned(capsys, family):
     rc = main(["verify"] + VERIFY_ARGS[family])
     out = capsys.readouterr().out
     assert (rc, sha(out)) == VERIFY_DIGESTS[family]
+
+
+# paper-connector vs paper-breaker at n=1000, p=n^-0.5: every game's stage-1
+# search runs out of its 10^6 expansions, so this pins the capped regime,
+# which no game of the grids above reaches
+CAPPED_DIGEST = "e282420ac9da379d21d558ebbed38430c052cb22b9020a5d08fd7b5928c3ed28"
+
+
+def test_capped_search_transcripts_pinned(caplog):
+    caplog.set_level(logging.DEBUG, logger="conbreak.connector")
+    parts = game_parts("paper-connector", "paper-breaker", 1000, -0.5)
+    assert sha("".join(parts)) == CAPPED_DIGEST
+    capped = [r for r in caplog.records if "stage-1 tree search capped" in r.getMessage()]
+    assert len(capped) >= len(SEEDS)
