@@ -19,7 +19,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .breaker import build_bad_set, build_successive
-from .connector import decompose, default_size_targets, make_cells
+from .connector import decompose, make_cells
 from .engine import CONNECTOR, run_game
 from .errors import ConbreakError, FormatError, ParameterError
 from .graph import Graph, gen_gnp, read_edge_list
@@ -190,14 +190,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.x is None or args.k is None:
             raise ParameterError("family d needs --x and --k")
         cells = make_cells(g.n, args.x, args.k, seed=args.seed)
-        targets = None
-        if args.eps is not None:
-            targets = default_size_targets(g.n, args.eps, args.k)
-        dec = decompose(g, args.x, cells, args.k, size_targets=targets, seed=args.seed)
+        dec = decompose(g, args.x, cells, args.k, seed=args.seed)
         if dec is None:
             sys.stdout.write('{"family": "D", "decomposed": false}\n')
             return 1
-        report = check_d(dec, size_targets=targets, eps=args.eps)
+        report = check_d(dec, eps=args.eps)
     else:
         raise ParameterError(f"unknown family {args.family!r}")
     sys.stdout.write(report.to_json(indent=2) + "\n")
@@ -302,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--candidates", type=_int_list, help="candidate vertices in order (family p)"
     )
-    verify.add_argument("--eps", type=float, help="density exponent for size bounds")
+    verify.add_argument(
+        "--eps", type=float, help="density exponent: family p's bounds, family d's D4 degree bound"
+    )
     verify.add_argument("--k", type=int, help="decomposition depth (family d)")
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)

@@ -37,31 +37,14 @@ from .rng import MASK64, Rng
 
 log = logging.getLogger(__name__)
 
-Position = Tuple[int, int]
 CellKey = Tuple[int, int, int]
-
-
-def tree_positions(k: int) -> List[Position]:
-    """All (level, index) positions of the full binary tree with k levels,
-    root (k, 1) first, then level by level downward."""
-    if k < 1:
-        raise ParameterError(f"tree must have at least one level, got k={k}")
-    out = []
-    for i in range(k, 0, -1):
-        for j in range(1, 2 ** (k - i) + 1):
-            out.append((i, j))
-    return out
 
 
 @dataclass(frozen=True)
 class TreeEmbedding:
-    """An injective placement of the full binary tree with k levels.
-
-    Position (i, j) is the j-th node on level i; the root is (k, 1), the
-    children of (i, j) are (i-1, 2j-1) and (i-1, 2j), leaves live on
-    level 1. `heap` lists the vertices in heap order: node h (root h=1)
-    has children 2h and 2h+1, so position (i, j) is node 2^(k-i) + j - 1.
-    """
+    """An injective placement of the full binary tree with k levels, in
+    heap order: node h (root h=1) sits on vertex heap[h-1] and has
+    children 2h and 2h+1; the leaves are the nodes h >= 2^(k-1)."""
 
     k: int
     heap: Tuple[int, ...]
@@ -72,20 +55,9 @@ class TreeEmbedding:
         if len(set(self.heap)) != len(self.heap):
             raise ParameterError("embedding reuses a vertex")
 
-    @staticmethod
-    def of(k: int, mapping: Mapping[Position, int]) -> "TreeEmbedding":
-        want = tree_positions(k)
-        if sorted(mapping) != sorted(want):
-            raise ParameterError(f"embedding does not cover the {k}-level tree")
-        # tree_positions lists the positions in heap order
-        return TreeEmbedding(k, tuple(mapping[pos] for pos in want))
-
     @property
     def root(self) -> int:
         return self.heap[0]
-
-    def vertex_at(self, i: int, j: int) -> int:
-        return self.heap[2 ** (self.k - i) + j - 2]
 
     def vertices(self) -> FrozenSet[int]:
         return frozenset(self.heap)
@@ -99,15 +71,17 @@ class TreeEmbedding:
         inner = range(1, 2 ** (self.k - 1))
         return [(t[h - 1], t[c - 1]) for h in inner for c in (2 * h, 2 * h + 1)]
 
-    def subtree(self, i: int, j: int) -> "TreeEmbedding":
-        """The embedded subtree rooted at position (i, j), re-indexed so
-        its own root is (i, 1)."""
-        h = 2 ** (self.k - i) + j - 1
+    def subtree(self, h: int) -> "TreeEmbedding":
+        """The embedded subtree rooted at node h, re-indexed so its own
+        root is node 1."""
+        if not 1 <= h < 2**self.k:
+            raise ParameterError(f"no node {h} in the {self.k}-level tree")
+        k = self.k - h.bit_length() + 1
         heap = []
-        for d in range(i):
-            first = h * 2**d
+        for d in range(k):
+            first = h << d
             heap.extend(self.heap[first - 1 : first - 1 + 2**d])
-        return TreeEmbedding(i, tuple(heap))
+        return TreeEmbedding(k, tuple(heap))
 
 
 def _tree_survives(t: TreeEmbedding, x: int, state: GameState) -> bool:
@@ -141,7 +115,9 @@ def _find_tree(
     tolerate_into: Optional[Set[int]] = None,
     banned: FrozenSet[int] = frozenset(),
 ) -> Optional[TreeEmbedding]:
-    """Backtracking embedding search below a fixed root.
+    """Backtracking search for a k-level tree (k >= 2) below a fixed
+    root, placing nodes 2 .. 2^k-1 in heap order, each from its parent's
+    shuffled neighbor order.
 
     Arcs must avoid `blocked`, except arcs whose child lies in
     `tolerate_into` when that set is given. Leaves additionally need an
@@ -151,11 +127,6 @@ def _find_tree(
     """
     if root == x or root in banned:
         return None
-    if k == 1:
-        if g.has_edge(root, x) and edge(root, x) not in blocked:
-            return TreeEmbedding.of(1, {(1, 1): root})
-        return None
-
     leaf_pool = {
         v
         for v in g.neighbors(x)
@@ -164,11 +135,12 @@ def _find_tree(
     if len(leaf_pool) < 2 ** (k - 1):
         return None
 
-    positions = tree_positions(k)[1:]
-    assign: Dict[Position, int] = {(k, 1): root}
-    used = {root}
+    first_leaf = 2 ** (k - 1)
+    heap = [root]
+    # picked[h-1]: where node h's vertex sits in its parent's order
+    picked = [0]
+    used = {root, x, *banned}
     order_cache: Dict[int, List[int]] = {}
-    rank_cache: Dict[int, Dict[int, int]] = {}
 
     def ordered_neighbors(u: int) -> List[int]:
         got = order_cache.get(u)
@@ -176,7 +148,6 @@ def _find_tree(
             got = sorted(g.neighbors(u))
             rng.shuffle(got)
             order_cache[u] = got
-            rank_cache[u] = {v: i for i, v in enumerate(got)}
         return got
 
     def arc_ok(u: int, w: int) -> bool:
@@ -184,37 +155,42 @@ def _find_tree(
             return True
         return tolerate_into is not None and w in tolerate_into
 
-    def fill(idx: int) -> bool:
-        if idx == len(positions):
+    def fill(h: int) -> bool:
+        if h == 2 * first_leaf:
             return True
-        i, j = positions[idx]
-        parent = assign[(i + 1, (j + 1) // 2)]
-        sibling_rank = -1
-        if j % 2 == 0:
-            # positions run level by level, so the left sibling is placed
-            sibling_rank = rank_cache[parent][assign[(i, j - 1)]]
-        for c in ordered_neighbors(parent):
+        parent = heap[h // 2 - 1]
+        order = ordered_neighbors(parent)
+        start = 0
+        if h % 2:
+            # a right child comes after its left sibling in the parent's
+            # order; the skipped prefix still costs one expansion a vertex
+            start = picked[h - 2] + 1
+            if budget[0] < start:
+                raise _Capped()
+            budget[0] -= start
+        for at in range(start, len(order)):
             if budget[0] <= 0:
                 raise _Capped()
             budget[0] -= 1
-            if c in used or c == x or c in banned:
+            c = order[at]
+            if c in used:
                 continue
-            if j % 2 == 0 and rank_cache[parent][c] <= sibling_rank:
-                continue
-            if i == 1 and c not in leaf_pool:
+            if h >= first_leaf and c not in leaf_pool:
                 continue
             if not arc_ok(parent, c):
                 continue
-            assign[(i, j)] = c
+            heap.append(c)
+            picked.append(at)
             used.add(c)
-            if fill(idx + 1):
+            if fill(h + 1):
                 return True
-            del assign[(i, j)]
+            heap.pop()
+            picked.pop()
             used.remove(c)
         return False
 
-    if fill(0):
-        return TreeEmbedding.of(k, assign)
+    if fill(2):
+        return TreeEmbedding(k, tuple(heap))
     return None
 
 
@@ -233,6 +209,8 @@ def find_tree_stage1(
     search draws from a fresh Rng(seed); all roots share one budget of
     `cap` expansions. Returns None when no root has a tree or when the cap
     runs out (logged), even if a later root has one."""
+    if k < 2:
+        raise ParameterError(f"tree search needs k >= 2 levels, got {k}")
     budget = [cap]
     try:
         for r in roots:
@@ -259,6 +237,8 @@ def find_structure_stage2(
     neighbors of z. Tree arcs may ride a blocked edge only into `m_set`;
     leaf-to-x edges must be unblocked and x stays outside every tree.
     Returns (z, trees) or None (not found, or expansion cap hit)."""
+    if k2 < 2:
+        raise ParameterError(f"tree search needs k2 >= 2 levels, got {k2}")
     blk = set(blocked)
     mset = set(m_set)
     a1set = set(a1)
@@ -319,15 +299,6 @@ def alpha_table(k: int) -> Tuple[int, ...]:
     return tuple(3 * 2 ** (i - 1) - 2 for i in range(1, k + 1))
 
 
-def default_size_targets(n: int, eps: float, k: int) -> Tuple[float, ...]:
-    """Asymptotic per-level set sizes; far below 1 at desk scale, so real
-    runs override them."""
-    alphas = alpha_table(k)
-    return tuple(
-        n ** (1.0 / 3.0 + a * eps) * math.log(n) ** (-2.0 * a) for a in alphas
-    )
-
-
 def cell_keys(k: int) -> List[CellKey]:
     out = []
     for i in range(1, k + 1):
@@ -343,6 +314,8 @@ def make_cells(
     """Disjoint equal-size vertex cells avoiding x, one per (level, index,
     branch) key; the leftover vertices are simply unused. Cell size
     defaults to n / 2^(k+4) rounded down."""
+    if not 0 <= x < n:
+        raise ParameterError(f"center vertex {x} is not on the {n}-vertex board")
     keys = cell_keys(k)
     if cell_size is None:
         cell_size = n // 2 ** (k + 4)
@@ -419,6 +392,8 @@ def decompose(
     exactly the target, rounded down. Returns None as soon as any
     selection comes up empty. Cells must be disjoint, equal-sized and
     avoid x."""
+    if not 0 <= x < g.n:
+        raise ParameterError(f"center vertex {x} is not on the {g.n}-vertex board")
     keys = cell_keys(k)
     if set(cells.keys()) != set(keys):
         raise ParameterError("cell keys do not match the (level, index, branch) grid")
@@ -516,7 +491,7 @@ class _Branch:
 
 def _root_branches(t: TreeEmbedding) -> List[_Branch]:
     """The two branches below t's root."""
-    subs = (t.subtree(t.k - 1, 1), t.subtree(t.k - 1, 2))
+    subs = (t.subtree(2), t.subtree(3))
     return [_Branch(t.root, sub.root, sub) for sub in subs]
 
 

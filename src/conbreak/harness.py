@@ -276,16 +276,6 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def write_summary_csv(path: str, rows: Sequence[SummaryRow]) -> None:
-    with _open_out(path) as fh:
-        fh.write(summary_csv(rows))
-
-
-def write_records_jsonl(path: str, records: Sequence[TrialRecord]) -> None:
-    with _open_out(path) as fh:
-        fh.write(records_jsonl(records))
-
-
 def run_trials(cfg: TrialConfig) -> Tuple[List[TrialRecord], List[SummaryRow]]:
     """Run the whole grid, trial-major (one `run_trial` per (n, trial),
     also the unit of a parallel task); returns (records, summary rows)

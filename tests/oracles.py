@@ -413,22 +413,107 @@ def chase_survives_all_breaker_play(
 
 def chase_witness(k: int, extra_edges: Iterable[Tuple[int, int]] = ()):
     """A board that is exactly the k-level tree plus every leaf-to-target
-    edge: vertices 0..2^k-2 are the tree (0 the root, heap order), the
-    target x is vertex 2^k-1. Returns (graph, embedding, x)."""
-    from conbreak.connector import TreeEmbedding, tree_positions
+    edge: vertices 0..2^k-2 are the tree, node h on vertex h-1 (0 the
+    root), and the target x is vertex 2^k-1. Returns (graph, embedding, x)."""
+    from conbreak.connector import TreeEmbedding
 
     nodes = 2**k - 1
     x = nodes
-    mapping = {}
-    # heap order: position (i, j) -> index within level, level k at top
-    for (i, j) in tree_positions(k):
-        depth = k - i
-        mapping[(i, j)] = 2**depth - 1 + (j - 1)
-    t = TreeEmbedding.of(k, mapping)
+    t = TreeEmbedding(k, tuple(range(nodes)))
     edges = list(t.arcs())
     edges += [(leaf, x) for leaf in t.leaves()]
     edges += list(extra_edges)
     return Graph(nodes + 1, edges), t, x
+
+
+def naive_find_tree(
+    g: Graph,
+    blocked: Set[Tuple[int, int]],
+    root: int,
+    x: int,
+    k: int,
+    rng,
+    budget: List[int],
+    tolerate_into: Optional[Set[int]] = None,
+    banned: FrozenSet[int] = frozenset(),
+):
+    """The tree search by (level, index) positions, with a per-parent rank
+    table for the right sibling's skip: every candidate the parent's
+    shuffled order offers costs one expansion, skipped or not. Raises the
+    package's _Capped when `budget` runs out, as the package search does."""
+    from conbreak.connector import TreeEmbedding, _Capped
+
+    def tree_positions(k: int) -> List[Tuple[int, int]]:
+        return [(i, j) for i in range(k, 0, -1) for j in range(1, 2 ** (k - i) + 1)]
+
+    if root == x or root in banned:
+        return None
+    if k == 1:
+        if g.has_edge(root, x) and edge(root, x) not in blocked:
+            return TreeEmbedding(1, (root,))
+        return None
+
+    leaf_pool = {
+        v
+        for v in g.neighbors(x)
+        if v != root and v not in banned and edge(v, x) not in blocked
+    }
+    if len(leaf_pool) < 2 ** (k - 1):
+        return None
+
+    positions = tree_positions(k)[1:]
+    assign: Dict[Tuple[int, int], int] = {(k, 1): root}
+    used = {root}
+    order_cache: Dict[int, List[int]] = {}
+    rank_cache: Dict[int, Dict[int, int]] = {}
+
+    def ordered_neighbors(u: int) -> List[int]:
+        got = order_cache.get(u)
+        if got is None:
+            got = sorted(g.neighbors(u))
+            rng.shuffle(got)
+            order_cache[u] = got
+            rank_cache[u] = {v: i for i, v in enumerate(got)}
+        return got
+
+    def arc_ok(u: int, w: int) -> bool:
+        if edge(u, w) not in blocked:
+            return True
+        return tolerate_into is not None and w in tolerate_into
+
+    def fill(idx: int) -> bool:
+        if idx == len(positions):
+            return True
+        i, j = positions[idx]
+        parent = assign[(i + 1, (j + 1) // 2)]
+        sibling_rank = -1
+        if j % 2 == 0:
+            # positions run level by level, so the left sibling is placed
+            sibling_rank = rank_cache[parent][assign[(i, j - 1)]]
+        for c in ordered_neighbors(parent):
+            if budget[0] <= 0:
+                raise _Capped()
+            budget[0] -= 1
+            if c in used or c == x or c in banned:
+                continue
+            if j % 2 == 0 and rank_cache[parent][c] <= sibling_rank:
+                continue
+            if i == 1 and c not in leaf_pool:
+                continue
+            if not arc_ok(parent, c):
+                continue
+            assign[(i, j)] = c
+            used.add(c)
+            if fill(idx + 1):
+                return True
+            del assign[(i, j)]
+            used.remove(c)
+        return False
+
+    if fill(0):
+        # tree_positions lists the positions in heap order
+        return TreeEmbedding(k, tuple(assign[pos] for pos in tree_positions(k)))
+    return None
 
 
 # ---------------------------------------------------------------------------

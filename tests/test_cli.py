@@ -271,6 +271,25 @@ def test_verify_family_d(capsys):
     assert rc3 == 2 and "--x" in err3
 
 
+D_ARGS = ["verify", "--n", "256", "--p", "0.8", "--seed", "1", "--family", "d", "--k", "2"]
+
+
+@pytest.mark.parametrize("x", ["256", "-1"])
+def test_verify_family_d_rejects_an_off_board_center(capsys, x):
+    # an input error, not a board too sparse to decompose
+    rc, out, err = run_main(capsys, D_ARGS + ["--x", x])
+    assert rc == 2 and out == ""
+    assert f"center vertex {x} is not on the 256-vertex board" in err
+
+
+def test_verify_family_d_eps_sets_the_degree_bound(capsys):
+    rc, out, _ = run_main(capsys, D_ARGS + ["--x", "0", "--eps", "0.3"])
+    report = json.loads(out)
+    assert report["family"] == "D" and report["params"]["eps"] == 0.3
+    assert "D4" in report["clauses"] and "D2" not in report["clauses"]
+    assert rc == (0 if report["all_passed"] else 1)
+
+
 def test_solve_subcommand(capsys, triangle_file, tmp_path):
     rc, out, _ = run_main(capsys, ["solve", "--graph", triangle_file])
     assert rc == 0 and out == "C\n"

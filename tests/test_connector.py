@@ -4,6 +4,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conbreak import (
     GameState,
@@ -14,7 +16,6 @@ from conbreak import (
     TreeEmbedding,
     alpha_table,
     decompose,
-    default_size_targets,
     find_structure_stage2,
     find_tree_stage1,
     gen_gnp,
@@ -30,34 +31,27 @@ from conbreak.connector import (
     FORFEIT_NO_STRUCTURE,
     _root_branches,
     _two_good,
+    _Capped,
+    _find_tree,
     connector_move,
-    tree_positions,
 )
 from conbreak.rng import Rng
 
-from oracles import chase_survives_all_breaker_play, chase_witness
+from oracles import chase_survives_all_breaker_play, chase_witness, naive_find_tree
 
 
 # ---------------------------------------------------------------------------
 # embeddings
 
 
-def test_tree_positions():
-    assert tree_positions(1) == [(1, 1)]
-    assert tree_positions(2) == [(2, 1), (1, 1), (1, 2)]
-    assert tree_positions(3) == [(3, 1), (2, 1), (2, 2), (1, 1), (1, 2), (1, 3), (1, 4)]
-    with pytest.raises(ParameterError):
-        tree_positions(0)
-
-
 def small_tree() -> TreeEmbedding:
-    return TreeEmbedding.of(2, {(2, 1): 0, (1, 1): 1, (1, 2): 2})
+    return TreeEmbedding(2, (0, 1, 2))
 
 
 def test_embedding_accessors():
     t = small_tree()
     assert t.root == 0
-    assert t.vertex_at(1, 2) == 2
+    assert t.heap[2] == 2
     assert t.vertices() == frozenset({0, 1, 2})
     assert t.leaves() == [1, 2]
     assert t.arcs() == [(0, 1), (0, 2)]
@@ -65,19 +59,27 @@ def test_embedding_accessors():
 
 def test_embedding_validation():
     with pytest.raises(ParameterError):
-        TreeEmbedding.of(2, {(2, 1): 0, (1, 1): 1})  # missing position
+        TreeEmbedding(2, (0, 1))  # missing node
     with pytest.raises(ParameterError):
-        TreeEmbedding.of(2, {(2, 1): 0, (1, 1): 1, (1, 2): 1})  # reused vertex
+        TreeEmbedding(2, (0, 1, 1))  # reused vertex
+    with pytest.raises(ParameterError):
+        TreeEmbedding(0, ())
 
 
 def test_subtree_reindexes():
     _, t, _ = chase_witness(3)
-    left = t.subtree(2, 1)
+    # node h sits on vertex h-1 in the witness
+    assert t.subtree(1) == t
+    left = t.subtree(2)
     assert left.k == 2
-    assert left.root == t.vertex_at(2, 1)
-    assert set(left.leaves()) == {t.vertex_at(1, 1), t.vertex_at(1, 2)}
-    leaf = t.subtree(1, 3)
-    assert leaf.k == 1 and leaf.root == t.vertex_at(1, 3)
+    assert left.heap == (1, 3, 4)
+    right = t.subtree(3)
+    assert right.heap == (2, 5, 6)
+    leaf = t.subtree(6)
+    assert leaf.k == 1 and leaf.root == 5
+    for bad in (0, 8):
+        with pytest.raises(ParameterError):
+            t.subtree(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +310,81 @@ def test_find_tree_stage1_roots_share_the_cap_and_reseed():
     assert find_tree_stage1(g, set(), [dead[0], t.root], x, k, seed=5, cap=one_dead - 1) is None
 
 
+def search_outcome(search, g, blocked, root, x, k, seed, budget, tolerate_into, banned):
+    """What one search call shows: "capped", or the tree (or None), the
+    budget left and the next draw of its Rng."""
+    rng = Rng(seed)
+    left = [budget]
+    try:
+        tree = search(g, blocked, root, x, k, rng, left, tolerate_into, banned)
+    except _Capped:
+        return "capped"
+    return tree, left[0], rng.u64()
+
+
+# the uncapped need above this counts as this; budgets then stop just past it
+NEED_LIMIT = 3000
+
+
+@st.composite
+def search_cases(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2**k, 2**k + 5))
+    board_seed = draw(st.integers(0, 2**32))
+    g = gen_gnp(n, draw(st.sampled_from([1.0, 0.8, 0.6, 0.4])), board_seed)
+    coin = Rng(board_seed)
+    rate = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    blocked = {e for e in g.sorted_edges() if coin.random() < rate}
+    root = draw(st.integers(0, n - 1))
+    x = (root + draw(st.integers(1, n - 1))) % n
+    tolerate_into = draw(st.none() | st.sets(st.integers(0, n - 1), max_size=n))
+    banned = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=2)) - {root})
+    seed = draw(st.integers(0, 2**64 - 1))
+    args = (g, blocked, root, x, k, seed)
+    need = search_outcome(naive_find_tree, *args, NEED_LIMIT, tolerate_into, banned)
+    need = NEED_LIMIT if need == "capped" else NEED_LIMIT - need[1]
+    # the exact need and its neighbours are where a miscounted charge shows
+    near = st.sampled_from([need - 1, need, need + 1]).map(lambda b: max(b, 1))
+    budget = draw(near | st.integers(1, need + 2))
+    return args + (budget, tolerate_into, banned)
+
+
+def witness_case(k, budget, blocked=(), banned=(), target=None):
+    g, t, x = chase_witness(k)
+    x = x if target is None else target
+    return (g, set(blocked), t.root, x, k, 3, budget, None, frozenset(banned))
+
+
+# root 0 reaches leaves 1 and 2 of x=3, but (0, 2) is blocked; Rng(2)
+# orders the root's neighbors [2, 1], so the failing search spends its
+# last 2 of 4 expansions on node 3's skipped prefix
+DEAD_END = (Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]), {(0, 2)}, 0, 3, 2, 2)
+
+
+@example(case=witness_case(3, 10**4))
+@example(case=witness_case(3, 1))
+@example(case=witness_case(3, 10**4, blocked=[(1, 3)]))
+@example(case=witness_case(2, 10**4, banned=[2]))
+@example(case=witness_case(2, 10**4, target=0))  # the root itself
+@example(case=(*DEAD_END, 3, None, frozenset()))
+@example(case=(*DEAD_END, 4, None, frozenset()))
+@settings(max_examples=250, deadline=None)
+@given(case=search_cases())
+def test_find_tree_matches_the_position_search(case):
+    """The heap-indexed search visits, places and caps exactly like the
+    (level, index) search it replaced: the same tree or None, the same
+    _Capped, and the same budget and Rng state left when it returns."""
+    assert search_outcome(_find_tree, *case) == search_outcome(naive_find_tree, *case)
+
+
+def test_public_searches_need_two_levels():
+    g, t, x = chase_witness(2)
+    with pytest.raises(ParameterError):
+        find_tree_stage1(g, set(), [t.root], x, 1)
+    with pytest.raises(ParameterError):
+        find_structure_stage2(g, [], m_set={0}, a1={0}, x=x, k2=1)
+
+
 def test_find_structure_stage2_witness():
     # pivot z=1 adjacent to a1={0}; four disjoint 2-level trees below z
     n = 30
@@ -378,16 +455,6 @@ def test_alpha_table():
         alpha_table(0)
 
 
-def test_default_size_targets_shape():
-    ts = default_size_targets(1000, 0.1, 3)
-    assert len(ts) == 3
-    assert all(t > 0 for t in ts)
-    a = alpha_table(3)
-    for i, t in enumerate(ts):
-        want = 1000 ** (1 / 3 + a[i] * 0.1) * math.log(1000) ** (-2 * a[i])
-        assert t == pytest.approx(want)
-
-
 def test_make_cells_layout():
     cells = make_cells(200, x=7, k=2, seed=0)
     # k=2: eight level-1 cells and four level-2 cells
@@ -406,6 +473,9 @@ def test_make_cells_layout():
     assert {len(c) for c in explicit.values()} == {4}
     with pytest.raises(ParameterError):
         make_cells(40, x=0, k=2, cell_size=4)  # 48 slots from 39 vertices
+    for off_board in (-1, 200):
+        with pytest.raises(ParameterError):
+            make_cells(200, x=off_board, k=2)
 
 
 def complete_graph(n: int) -> Graph:
@@ -481,6 +551,8 @@ def test_decompose_input_validation():
         decompose(g, 0, bad, 2)  # contains x
     with pytest.raises(ParameterError):
         decompose(g, 0, cells, 2, size_targets=(1.0,))
+    with pytest.raises(ParameterError):
+        decompose(g, 25, cells, 2)  # center off the board
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ from conbreak.harness import (
     degree_bound_flags,
     isolation_flags,
     run_one,
+    records_jsonl,
     summarize,
-    write_records_jsonl,
-    write_summary_csv,
+    summary_csv,
 )
 from conbreak.rng import derive
 
@@ -229,16 +229,16 @@ def test_summarize_keeps_first_seen_cell_order():
     assert line == "100,0.25,4,2,2,1,3.500000"
 
 
-def test_write_helpers(tmp_path):
+def test_write_helpers():
     rows = [SummaryRow(5, 0.5, 2, 1, 1, 0, 2.0)]
-    csv = tmp_path / "s.csv"
-    write_summary_csv(str(csv), rows)
-    assert csv.read_text() == CSV_HEADER + "\n5,0.5,2,1,1,0,2.000000\n"
+    assert summary_csv(rows) == CSV_HEADER + "\n5,0.5,2,1,1,0,2.000000\n"
+    assert summary_csv([]) == CSV_HEADER + "\n"
 
     records = [TrialRecord(5, 0.5, 0, 7, "C", "spanned", 2, ("x",))]
-    out = tmp_path / "r.jsonl"
-    write_records_jsonl(str(out), records)
-    assert json.loads(out.read_text()) == {
+    out = records_jsonl(records)
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert records_jsonl(records + records) == out + out
+    assert json.loads(out) == {
         "n": 5,
         "p": 0.5,
         "trial": 0,

@@ -327,8 +327,8 @@ def pivot_structure():
             (7, 8),
         ],
     )
-    t1 = TreeEmbedding.of(2, {(2, 1): 2, (1, 1): 3, (1, 2): 4})
-    t2 = TreeEmbedding.of(2, {(2, 1): 5, (1, 1): 6, (1, 2): 7})
+    t1 = TreeEmbedding(2, (2, 3, 4))
+    t2 = TreeEmbedding(2, (5, 6, 7))
     return g, t1, t2
 
 
@@ -354,7 +354,7 @@ def test_s_pivot_requires_unblocked_link():
 
 def test_s1_target_inside_tree():
     g, _, t2 = pivot_structure()
-    bad = TreeEmbedding.of(2, {(2, 1): 8, (1, 1): 3, (1, 2): 4})
+    bad = TreeEmbedding(2, (8, 3, 4))
     rep = check_s(g, (), (), {0}, 8, 1, (bad, t2))
     assert rep.clauses["S1"].witness == {"tree": 0, "vertex": 8}
     assert not rep.all_passed()
@@ -375,7 +375,7 @@ def test_s3_blocked_arc_unless_tolerated():
     rep2 = check_s(g, {(2, 3)}, {3}, {0}, 8, 1, (t1, t2))
     assert rep2.clauses["S3"].passed
 
-    phantom = TreeEmbedding.of(2, {(2, 1): 2, (1, 1): 3, (1, 2): 6})
+    phantom = TreeEmbedding(2, (2, 3, 6))
     rep3 = check_s(g, (), (), {0}, 8, 1, (phantom,))
     assert rep3.clauses["S3"].witness == {
         "tree": 0,
@@ -397,7 +397,7 @@ def test_s_disjointness():
     w = rep.clauses["disjoint"].witness
     assert w["tree"] == 1 and w["also_in"] == 0
 
-    with_pivot = TreeEmbedding.of(2, {(2, 1): 2, (1, 1): 1, (1, 2): 4})
+    with_pivot = TreeEmbedding(2, (2, 1, 4))
     rep2 = check_s(g, (), (), {0}, 8, 1, (with_pivot,))
     w2 = rep2.clauses["disjoint"].witness
     assert w2 == {"tree": 0, "vertex": 1, "reason": "tree contains pivot"}
