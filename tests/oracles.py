@@ -440,7 +440,9 @@ def naive_find_tree(
     """The tree search by (level, index) positions, with a per-parent rank
     table for the right sibling's skip: every candidate the parent's
     shuffled order offers costs one expansion, skipped or not. Raises the
-    package's _Capped when `budget` runs out, as the package search does."""
+    package's _Capped when `budget` runs out, as the package search does,
+    with 0 left, except that a cap inside a right child's skipped prefix
+    leaves the budget as that child's scan found it."""
     from conbreak.connector import TreeEmbedding, _Capped
 
     def tree_positions(k: int) -> List[Tuple[int, int]]:
@@ -490,8 +492,11 @@ def naive_find_tree(
         if j % 2 == 0:
             # positions run level by level, so the left sibling is placed
             sibling_rank = rank_cache[parent][assign[(i, j - 1)]]
+        found = budget[0]
         for c in ordered_neighbors(parent):
             if budget[0] <= 0:
+                if rank_cache[parent][c] <= sibling_rank:
+                    budget[0] = found
                 raise _Capped()
             budget[0] -= 1
             if c in used or c == x or c in banned:

@@ -311,14 +311,14 @@ def test_find_tree_stage1_roots_share_the_cap_and_reseed():
 
 
 def search_outcome(search, g, blocked, root, x, k, seed, budget, tolerate_into, banned):
-    """What one search call shows: "capped", or the tree (or None), the
-    budget left and the next draw of its Rng."""
+    """What one search call shows: "capped" and the budget left, or the
+    tree (or None), the budget left and the next draw of its Rng."""
     rng = Rng(seed)
     left = [budget]
     try:
         tree = search(g, blocked, root, x, k, rng, left, tolerate_into, banned)
     except _Capped:
-        return "capped"
+        return "capped", left[0]
     return tree, left[0], rng.u64()
 
 
@@ -342,7 +342,7 @@ def search_cases(draw):
     seed = draw(st.integers(0, 2**64 - 1))
     args = (g, blocked, root, x, k, seed)
     need = search_outcome(naive_find_tree, *args, NEED_LIMIT, tolerate_into, banned)
-    need = NEED_LIMIT if need == "capped" else NEED_LIMIT - need[1]
+    need = NEED_LIMIT if need[0] == "capped" else NEED_LIMIT - need[1]
     # the exact need and its neighbours are where a miscounted charge shows
     near = st.sampled_from([need - 1, need, need + 1]).map(lambda b: max(b, 1))
     budget = draw(near | st.integers(1, need + 2))
@@ -357,10 +357,59 @@ def witness_case(k, budget, blocked=(), banned=(), target=None):
 
 # root 0 reaches leaves 1 and 2 of x=3, but (0, 2) is blocked; Rng(2)
 # orders the root's neighbors [2, 1], so the failing search spends its
-# last 2 of 4 expansions on node 3's skipped prefix
+# last 2 of 4 expansions on node 3's skipped prefix; with 3 the prefix
+# cap fires and leaves the 1 expansion it could not cover
 DEAD_END = (Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]), {(0, 2)}, 0, 3, 2, 2)
 
+# The cases below place the cap where a search that charges skipped
+# candidates in bulk could miscount. "Good" positions are those whose
+# vertex passes every filter that cannot change during the call (not the
+# root, x or banned, in the leaf pool at a leaf level, an arc allowed).
 
+# x=1 sees 2 and 3 only; Rng(2) orders the root's neighbors [3, 5, 6, 4, 2],
+# good at 0 and 4. With 3 expansions node 3's prefix leaves 1, spent on 5:
+# the cap fires on 6, inside the skipped run. The tree needs 6.
+SKIP_RUN = (Graph(7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3)]), set(), 0, 1, 2, 2)
+
+# as SKIP_RUN but the root does not see 3: Rng(2) orders its neighbors
+# [2, 4, 6, 5], good at 0 only. The failing search costs 8: 1 to place 2
+# as node 2, 1 for node 3's prefix, 3 for node 3's scan of the tail past
+# the root's last good position, and 3 for node 2's scan of the same tail.
+# 3 expansions cap in the first tail, 6 in the second, and 8 return None
+# with nothing left.
+TAIL = (Graph(7, [(0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3)]), set(), 0, 1, 2, 2)
+
+# k=3 below root 0 with inner nodes 1 and 2 and x=8: leaves 3, 4 and 7 hang
+# off 1, leaves 3 and 5 off 2, and 6 is a non-leaf neighbor of 2. Rng(16)
+# puts 3 below 1 first, so 2's order [0, 6, 3, 5] (good at 2 and 3) meets 3
+# while it is used; with 9 expansions the cap fires on exactly that
+# position, after 0 and 6 are skipped. The search then backtracks until 3
+# hangs off 2: the tree needs 23.
+USED_GOOD = (
+    Graph(9, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 7), (2, 3), (2, 5), (2, 6)]
+          + [(3, 8), (4, 8), (5, 8), (7, 8)]),
+    set(), 0, 8, 3, 16,
+)
+
+# stage-2 mode, x=1: leaf 7 is banned, the blocked arc (0, 3) is tolerated
+# and (0, 8) is not. Rng(3) orders the root's neighbors [8, 2, 4, 7, 3, 5],
+# good at 1 and 4; with 5 expansions the cap fires on the banned 7, between
+# them. The tree (0, 2, 3) needs 7.
+STAGE2 = (
+    Graph(9, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 7), (0, 8), (1, 2), (1, 3), (1, 7), (1, 8)]),
+    {(0, 3), (0, 8)}, 0, 1, 2, 3,
+)
+
+
+@example(case=(*SKIP_RUN, 3, None, frozenset()))
+@example(case=(*SKIP_RUN, 6, None, frozenset()))
+@example(case=(*TAIL, 3, None, frozenset()))
+@example(case=(*TAIL, 6, None, frozenset()))
+@example(case=(*TAIL, 8, None, frozenset()))
+@example(case=(*USED_GOOD, 9, None, frozenset()))
+@example(case=(*USED_GOOD, 23, None, frozenset()))
+@example(case=(*STAGE2, 5, {3}, frozenset({7})))
+@example(case=(*STAGE2, 7, {3}, frozenset({7})))
 @example(case=witness_case(3, 10**4))
 @example(case=witness_case(3, 1))
 @example(case=witness_case(3, 10**4, blocked=[(1, 3)]))
@@ -373,7 +422,9 @@ DEAD_END = (Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]), {(0, 2)}, 0, 3, 
 def test_find_tree_matches_the_position_search(case):
     """The heap-indexed search visits, places and caps exactly like the
     (level, index) search it replaced: the same tree or None, the same
-    _Capped, and the same budget and Rng state left when it returns."""
+    _Capped, and the same budget and Rng state left when it returns. After
+    _Capped the budget left is 0, or untouched when the cap fired on a
+    right child's skipped prefix."""
     assert search_outcome(_find_tree, *case) == search_outcome(naive_find_tree, *case)
 
 
