@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
@@ -124,6 +125,15 @@ def _find_tree(
     edge to x avoiding `blocked`. Vertices in `banned`, plus x, are not
     used. `budget` is a one-element list of remaining expansions, shared
     across calls; exhausting it raises _Capped.
+
+    Every candidate a scan passes costs one expansion. A scan visits only
+    the positions whose vertex passes the filters fixed for the call (one
+    list per parent and leaf-or-inner level) and charges the candidates it
+    skips in bulk: reaching position `at` from `cur` costs at - cur + 1,
+    and the tail past the last such position costs the rest of the order.
+    A charge the budget cannot cover sets it to 0 and raises _Capped, as
+    one charge per candidate would; a right child's skipped prefix is
+    charged up front and, if uncovered, raises with the budget untouched.
     """
     if root == x or root in banned:
         return None
@@ -139,45 +149,57 @@ def _find_tree(
     heap = [root]
     # picked[h-1]: where node h's vertex sits in its parent's order
     picked = [0]
-    used = {root, x, *banned}
+    never = {root, x, *banned}
+    used = set(never)
     order_cache: Dict[int, List[int]] = {}
-
-    def ordered_neighbors(u: int) -> List[int]:
-        got = order_cache.get(u)
-        if got is None:
-            got = sorted(g.neighbors(u))
-            rng.shuffle(got)
-            order_cache[u] = got
-        return got
+    # (parent, leaf level?) -> the parent's shuffled order and the ascending
+    # positions in it whose vertex passes every filter but `used`
+    scans: Dict[Tuple[int, bool], Tuple[List[int], List[int]]] = {}
 
     def arc_ok(u: int, w: int) -> bool:
         if edge(u, w) not in blocked:
             return True
         return tolerate_into is not None and w in tolerate_into
 
+    def scan(u: int, leaf: bool) -> Tuple[List[int], List[int]]:
+        order = order_cache.get(u)
+        if order is None:
+            order = sorted(g.neighbors(u))
+            rng.shuffle(order)
+            order_cache[u] = order
+        good = [
+            at
+            for at, c in enumerate(order)
+            if c not in never and (not leaf or c in leaf_pool) and arc_ok(u, c)
+        ]
+        scans[(u, leaf)] = order, good
+        return order, good
+
+    def charge(n: int) -> None:
+        if budget[0] < n:
+            budget[0] = 0
+            raise _Capped()
+        budget[0] -= n
+
     def fill(h: int) -> bool:
         if h == 2 * first_leaf:
             return True
-        parent = heap[h // 2 - 1]
-        order = ordered_neighbors(parent)
-        start = 0
+        key = (heap[h // 2 - 1], h >= first_leaf)
+        order, good = scans.get(key) or scan(*key)
+        cur = 0
         if h % 2:
             # a right child comes after its left sibling in the parent's
             # order; the skipped prefix still costs one expansion a vertex
-            start = picked[h - 2] + 1
-            if budget[0] < start:
+            cur = picked[h - 2] + 1
+            if budget[0] < cur:
                 raise _Capped()
-            budget[0] -= start
-        for at in range(start, len(order)):
-            if budget[0] <= 0:
-                raise _Capped()
-            budget[0] -= 1
+            budget[0] -= cur
+        for at in islice(good, bisect_left(good, cur), None):
+            # the candidates from cur through at, skipped or not
+            charge(at - cur + 1)
+            cur = at + 1
             c = order[at]
             if c in used:
-                continue
-            if h >= first_leaf and c not in leaf_pool:
-                continue
-            if not arc_ok(parent, c):
                 continue
             heap.append(c)
             picked.append(at)
@@ -187,6 +209,7 @@ def _find_tree(
             heap.pop()
             picked.pop()
             used.remove(c)
+        charge(len(order) - cur)
         return False
 
     if fill(2):
