@@ -212,9 +212,14 @@ def _find_tree(
         charge(len(order) - cur)
         return False
 
-    if fill(2):
-        return TreeEmbedding(k, tuple(heap))
-    return None
+    try:
+        if fill(2):
+            return TreeEmbedding(k, tuple(heap))
+        return None
+    finally:
+        # fill refers to itself; unbinding it lets the search state go now
+        # rather than at the next full garbage collection
+        del fill
 
 
 def find_tree_stage1(
