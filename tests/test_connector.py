@@ -357,8 +357,8 @@ def witness_case(k, budget, blocked=(), banned=(), target=None):
 
 # root 0 reaches leaves 1 and 2 of x=3, but (0, 2) is blocked; Rng(2)
 # orders the root's neighbors [2, 1], so the failing search spends its
-# last 2 of 4 expansions on node 3's skipped prefix; with 3 the prefix
-# cap fires and leaves the 1 expansion it could not cover
+# last 2 of 4 expansions on node 3's skipped prefix; with 3, the 1 left
+# cannot cover that prefix and the cap leaves it untouched
 DEAD_END = (Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]), {(0, 2)}, 0, 3, 2, 2)
 
 # The cases below place the cap where a search that charges skipped
