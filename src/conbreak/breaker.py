@@ -49,16 +49,8 @@ class BadSetDecomposition:
     def union(self) -> FrozenSet[int]:
         return frozenset().union(*self.layers) if self.layers else frozenset()
 
-    def level_of(self, v: int) -> Optional[int]:
-        """Layer index of v: 0 for x, i for layer i, None for outsiders."""
-        if v == self.x:
-            return 0
-        for i, layer in enumerate(self.layers, start=1):
-            if v in layer:
-                return i
-        return None
-
     def level_map(self) -> Dict[int, int]:
+        """Layer index of every bad vertex, and 0 for x."""
         out = {self.x: 0}
         for i, layer in enumerate(self.layers, start=1):
             for v in layer:
@@ -82,6 +74,9 @@ def build_bad_set(
     excl = frozenset(excluded)
     if x in excl:
         raise ParameterError(f"the center vertex {x} cannot be excluded")
+    off = [v for v in excl if not 0 <= v < g.n]
+    if off:
+        raise ParameterError(f"excluded vertex {min(off)} out of range")
     b1 = frozenset(g.neighbors(x) - excl)
     layers = [b1]
     union = set(b1)
@@ -139,27 +134,33 @@ def build_successive(g: Graph, candidates: Sequence[int]) -> SuccessiveBadSets:
     return SuccessiveBadSets(tuple(candidates), tuple(decomps))
 
 
+# how many vertices find_candidate samples
+CANDIDATES = 7
+
+
 def find_candidate(
     g: Graph,
     m_set: Iterable[int],
-    t: int = 7,
     seed: int = 0,
 ) -> Optional[Tuple[int, BadSetDecomposition]]:
-    """Sample up to t distinct vertices and return the first whose bad-set
-    layering passes the structural checks against the territory `m_set`.
+    """Sample up to CANDIDATES distinct vertices and return the first
+    whose bad-set layering passes the structural checks against the
+    territory `m_set`.
 
     Candidates are drawn uniformly without replacement from the seeded
     stream; bad sets are built in succession, each excluding the earlier
     ones. Returns None when every candidate fails. Graphs with fewer than
-    t + 4 vertices are refused.
+    CANDIDATES + 4 vertices are refused.
     """
     from .verifier import check_b
 
-    if g.n < t + 4:
-        raise CapacityError(f"need at least {t + 4} vertices to sample {t} candidates")
+    if g.n < CANDIDATES + 4:
+        raise CapacityError(
+            f"need at least {CANDIDATES + 4} vertices to sample {CANDIDATES} candidates"
+        )
     m_fixed = frozenset(m_set)
     rng = Rng(seed)
-    candidates = rng.sample(range(g.n), t)
+    candidates = rng.sample(range(g.n), CANDIDATES)
     excluded: set = set()
     for x in candidates:
         if x in excluded:

@@ -19,11 +19,11 @@ import sys
 from typing import List, Optional, Sequence
 
 from .breaker import build_bad_set, build_successive
-from .connector import decompose, make_cells
+from .connector import EXPANSION_CAP, decompose, make_cells
 from .engine import CONNECTOR, run_game
 from .errors import ConbreakError, FormatError, ParameterError
 from .graph import Graph, gen_gnp, read_edge_list
-from .harness import TrialConfig, run_trials, summary_csv, threshold_scan
+from .harness import TrialConfig, connector_options, run_trials, summary_csv, threshold_scan
 from .solver import GOAL_SPANNING, solve_exact
 from .strategies import make_strategy, strategy_ids
 
@@ -121,16 +121,10 @@ def _add_graph_source(sub: argparse.ArgumentParser) -> None:
 
 def cmd_play(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    connector_opts = {}
-    if args.connector == "paper-connector" and args.p is not None:
-        connector_opts["p_hint"] = args.p
-    connector = make_strategy(args.connector, **connector_opts)
+    connector = make_strategy(args.connector, **connector_options(args.connector, args.p))
     breaker = make_strategy(args.breaker)
-    start = args.start
-    if start is not None and not (0 <= start < g.n):
-        raise ParameterError(f"start vertex {start} out of range for n={g.n}")
     result = run_game(
-        g, connector, breaker, m=args.m, b=args.b, start_vertex=start, seed=args.seed
+        g, connector, breaker, m=args.m, b=args.b, start_vertex=args.start, seed=args.seed
     )
     sys.stdout.write(result.transcript_jsonl())
     return 0
@@ -152,7 +146,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out_records=resolve_out(args.records),
         verify_degree_bound=args.verify_degree_bound,
         verify_isolation=args.verify_isolation,
-        k_cap=args.k_cap,
         expansion_cap=args.expansion_cap,
         jobs=args.jobs,
     )
@@ -274,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="audit isolation-strategy games move by move",
     )
-    sweep.add_argument("--k-cap", type=int, default=4, help="tree depth cap")
     sweep.add_argument(
-        "--expansion-cap", type=int, default=10**6, help="search node budget per structure"
+        "--expansion-cap", type=int, default=EXPANSION_CAP, help="search node budget per structure"
     )
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     sweep.add_argument(

@@ -40,6 +40,9 @@ log = logging.getLogger(__name__)
 
 CellKey = Tuple[int, int, int]
 
+# default budget of search expansions per structure
+EXPANSION_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class TreeEmbedding:
@@ -229,7 +232,7 @@ def find_tree_stage1(
     x: int,
     k: int,
     seed: int = 0,
-    cap: int = 10**6,
+    cap: int = EXPANSION_CAP,
 ) -> Optional[TreeEmbedding]:
     """The first k-level tree rooted at one of `roots`, tried in order:
     every arc avoids `blocked` (read in place, not copied), every leaf has
@@ -258,7 +261,7 @@ def find_structure_stage2(
     x: int,
     k2: int,
     seed: int = 0,
-    cap: int = 10**6,
+    cap: int = EXPANSION_CAP,
 ) -> Optional[Tuple[int, List[TreeEmbedding]]]:
     """Search for a pivot z adjacent to A1 through an unblocked edge, plus
     four vertex-disjoint k2-level trees rooted at distinct unblocked
@@ -381,7 +384,6 @@ class Decomposition:
     cells: Tuple[Tuple[CellKey, FrozenSet[int]], ...]
     msets: Tuple[Tuple[CellKey, FrozenSet[int]], ...]
     h: Graph
-    targets: Optional[Tuple[float, ...]]
 
     # lookup tables, built once on first use; a cached_property lives in
     # the instance dict, outside the dataclass fields, == and hash
@@ -408,18 +410,16 @@ def decompose(
     x: int,
     cells: Mapping[CellKey, Iterable[int]],
     k: int,
-    size_targets: Optional[Sequence[float]] = None,
     seed: int = 0,
 ) -> Optional[Decomposition]:
     """Select the levelled sets bottom-up and collect their skeleton.
 
     Level-1 selections are the cell vertices adjacent to x; a level-i
     selection keeps the cell vertices with at least one neighbor in each
-    of its two child selections. When a level's size target is given and
-    the selection reaches it, the selection is down-sampled (seeded) to
-    exactly the target, rounded down. Returns None as soon as any
-    selection comes up empty. Cells must be disjoint, equal-sized and
-    avoid x."""
+    of its two child selections. Returns None as soon as any selection
+    comes up empty. Cells must be disjoint, equal-sized and avoid x.
+    The selection draws nothing at random: `seed` is accepted and
+    ignored, because benchmark and acceptance callers still pass it."""
     if not 0 <= x < g.n:
         raise ParameterError(f"center vertex {x} is not on the {g.n}-vertex board")
     keys = cell_keys(k)
@@ -439,10 +439,6 @@ def decompose(
             raise ParameterError(f"cell {key} has out-of-range vertices")
         seen |= c
 
-    if size_targets is not None and len(size_targets) != k:
-        raise ParameterError(f"need one size target per level, got {len(size_targets)}")
-
-    rng = Rng(seed)
     msets: Dict[CellKey, FrozenSet[int]] = {}
     h_edges: Set[Edge] = set()
 
@@ -456,19 +452,13 @@ def decompose(
             for l in range(1, 5):
                 c1 = mset_at(i - 1, 2 * j - 1, l)
                 c2 = mset_at(i - 1, 2 * j, l)
-                picked = sorted(
+                sel = frozenset(
                     v
                     for v in cellmap[(i, j, l)]
                     if (g.neighbors(v) & c1) and (g.neighbors(v) & c2)
                 )
-                if not picked:
+                if not sel:
                     return None
-                if size_targets is not None and len(picked) >= size_targets[i - 1]:
-                    goal = int(math.floor(size_targets[i - 1]))
-                    if goal == 0:
-                        return None
-                    picked = sorted(rng.sample(picked, goal))
-                sel = frozenset(picked)
                 msets[(i, j, l)] = sel
                 h_edges |= edges_between(g, c1 | c2, sel)
 
@@ -479,7 +469,6 @@ def decompose(
         cells=tuple(sorted(cellmap.items())),
         msets=tuple(sorted(msets.items())),
         h=Graph(g.n, h_edges),
-        targets=tuple(size_targets) if size_targets is not None else None,
     )
 
 
@@ -487,18 +476,20 @@ def decompose(
 # Per-game plan and move driver
 
 
-def tree_depth_for(eps: float, k_cap: int = 4) -> int:
+# the largest depth tree_depth_for picks, whatever the density
+K_CAP = 4
+
+
+def tree_depth_for(eps: float) -> int:
     """Smallest tree depth k >= 2 whose density requirement
-    1 / (9 * 2^(k-2) - 3) is at most eps, capped at k_cap. Non-positive
+    1 / (9 * 2^(k-2) - 3) is at most eps, capped at K_CAP. Non-positive
     eps (graphs at or below the base density) gets the cap."""
-    if k_cap < 2:
-        raise ParameterError(f"depth cap must be at least 2, got {k_cap}")
     if eps <= 0:
-        return k_cap
-    for k in range(2, k_cap + 1):
+        return K_CAP
+    for k in range(2, K_CAP + 1):
         if 1.0 / (9 * 2 ** (k - 2) - 3) <= eps:
             return k
-    return k_cap
+    return K_CAP
 
 
 FORFEIT_NO_STRUCTURE = "connector-no-structure"
@@ -558,7 +549,7 @@ class ConnectorPlan:
     k2: int
     budget: int
     seed: int = 0
-    expansion_cap: int = 10**6
+    expansion_cap: int = EXPANSION_CAP
     stage: str = "I"
     target: Optional[int] = None
     rounds_used: int = 0
@@ -585,8 +576,7 @@ def make_plan(
     g: Graph,
     m: int = 2,
     p_hint: Optional[float] = None,
-    k_cap: int = 4,
-    expansion_cap: int = 10**6,
+    expansion_cap: int = EXPANSION_CAP,
     seed: int = 0,
 ) -> ConnectorPlan:
     """Build a plan for one game on g. The density exponent offset eps is
@@ -604,7 +594,7 @@ def make_plan(
             eps = math.log(p_hint) / math.log(n) + 2.0 / 3.0
         else:
             eps = 0.0
-        k_struct = tree_depth_for(eps, k_cap)
+        k_struct = tree_depth_for(eps)
     else:
         k_struct = 2
     a1_size = max(1, math.ceil(n ** (1.0 / 3.0)))

@@ -366,10 +366,6 @@ class GameState:
             return True
         return len(self.v_c) == self.graph.n
 
-    def breaker_degree(self, v: int) -> int:
-        """Number of Breaker edges incident to v. O(1)."""
-        return self.breaker_degrees[v]
-
 
 def _check_move(state: GameState, move: Move) -> None:
     """Raise if `move` is illegal for state.to_move in `state`."""

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .breaker import BadSetDecomposition
+from .connector import EXPANSION_CAP
 from .engine import BREAKER, GameResult, REASON_FORFEIT, replay_states, run_game
 from .errors import ParameterError
 from .graph import GnpDraws, Graph, gen_gnp
@@ -46,7 +47,7 @@ class TrialConfig:
     Give either `ps` (explicit probabilities) or `eps_list` (density
     exponent offsets, mapped to p = n^(-2/3+eps) per n). Strategy ids
     resolve through the registry; the spanning Connector gets the cell's
-    p as its density hint plus the k_cap/expansion_cap knobs."""
+    p as its density hint plus the expansion_cap knob."""
 
     ns: Tuple[int, ...]
     ps: Optional[Tuple[float, ...]] = None
@@ -62,8 +63,7 @@ class TrialConfig:
     out_records: Optional[str] = None
     verify_degree_bound: bool = False
     verify_isolation: bool = False
-    k_cap: int = 4
-    expansion_cap: int = 10**6
+    expansion_cap: int = EXPANSION_CAP
     jobs: int = 1
 
     def __post_init__(self):
@@ -92,8 +92,6 @@ class TrialConfig:
             raise ParameterError(
                 f"start vertex {self.start_vertex} out of range for n={min(self.ns)}"
             )
-        if self.k_cap < 2:
-            raise ParameterError(f"depth cap must be at least 2, got {self.k_cap}")
         if self.expansion_cap < 1:
             raise ParameterError(f"expansion cap must be at least 1, got {self.expansion_cap}")
         check_seed(self.seed_base)
@@ -191,13 +189,13 @@ def isolation_flags(g: Graph, result: GameResult, dec: BadSetDecomposition) -> L
     return out
 
 
-def _connector_options(cfg: TrialConfig, p: float) -> Dict[str, object]:
-    if cfg.connector_id == "paper-connector":
-        return {
-            "p_hint": p,
-            "k_cap": cfg.k_cap,
-            "expansion_cap": cfg.expansion_cap,
-        }
+def connector_options(
+    connector_id: str, p: Optional[float], expansion_cap: int = EXPANSION_CAP
+) -> Dict[str, object]:
+    """Constructor options for a Connector strategy: the spanning
+    Connector takes the board's density, when known, as its hint."""
+    if connector_id == "paper-connector":
+        return {"p_hint": p, "expansion_cap": expansion_cap}
     return {}
 
 
@@ -208,7 +206,9 @@ def run_one(
     board is cut from `draws`, the trial's GnpDraws, when given."""
     seed = derive(cfg.seed_base, trial)
     g = gen_gnp(n, p, seed, draws)
-    connector = make_strategy(cfg.connector_id, **_connector_options(cfg, p))
+    connector = make_strategy(
+        cfg.connector_id, **connector_options(cfg.connector_id, p, cfg.expansion_cap)
+    )
     breaker = make_strategy(cfg.breaker_id)
     result = run_game(
         g, connector, breaker, m=cfg.m, b=cfg.b, start_vertex=cfg.start_vertex, seed=seed

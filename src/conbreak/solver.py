@@ -26,6 +26,9 @@ Goal = Union[str, Tuple[str, int]]
 GOAL_SPANNING = "spanning"
 GOAL_REACH = "reach"
 
+# largest board, in edges, the exhaustive search takes on
+MAX_EDGES = 16
+
 
 def _parse_goal(goal: Goal, n: int) -> Tuple[str, int]:
     if goal == GOAL_SPANNING:
@@ -130,7 +133,7 @@ def solve_exact(
     first: str = CONNECTOR,
     goal: Goal = GOAL_SPANNING,
     start_vertex: Optional[int] = None,
-    max_edges: int = 16,
+    max_edges: int = MAX_EDGES,
     depth_cap: Optional[int] = None,
 ) -> str:
     """Winner under optimal play: 'C' or 'B'.
@@ -161,13 +164,9 @@ def solve_exact(
     return CONNECTOR if won else BREAKER
 
 
-def best_move(
-    state: GameState,
-    goal: Goal = GOAL_SPANNING,
-    max_edges: int = 16,
-    depth_cap: Optional[int] = None,
-) -> Move:
-    """An optimal move for the player to move in `state`.
+def best_move(state: GameState) -> Move:
+    """An optimal move in the spanning game for the player to move in
+    `state`, on boards of at most MAX_EDGES edges.
 
     Enumerates every legal claim sequence for the current move (all orders,
     deduplicated by claim set), evaluates each follow-up position exactly,
@@ -178,11 +177,10 @@ def best_move(
     previous move is treated as non-empty.
     """
     g = state.graph
-    kind, x = _parse_goal(goal, g.n)
     ne = g.edge_count()
-    if ne > max_edges:
-        raise CapacityError(f"board has {ne} edges, guard allows {max_edges}")
-    search = _Search(g, state.m, state.b, kind, x, depth_cap)
+    if ne > MAX_EDGES:
+        raise CapacityError(f"board has {ne} edges, guard allows {MAX_EDGES}")
+    search = _Search(g, state.m, state.b, GOAL_SPANNING, -1, None)
     index = {e: i for i, e in enumerate(search.edges)}
 
     cmask = 0

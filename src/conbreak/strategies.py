@@ -22,12 +22,12 @@ from typing import Dict, List, Optional, Set, Tuple, Type
 import numpy as np
 
 from .breaker import BadSetDecomposition, breaker_move, find_candidate
-from .connector import ConnectorPlan, connector_move, make_plan
+from .connector import EXPANSION_CAP, ConnectorPlan, connector_move, make_plan
 from .engine import BREAKER, CONNECTOR, GameState, Move
 from .errors import CapacityError, ParameterError
 from .graph import Edge, Graph
 from .rng import Rng, Seed
-from .solver import Goal, GOAL_SPANNING, best_move
+from .solver import MAX_EDGES, best_move
 
 
 class RandomStrategy:
@@ -219,22 +219,22 @@ class MinimaxStrategy:
     """Optimal play through the exact solver. Tiny boards only; larger
     boards are refused with CapacityError at propose time."""
 
-    def __init__(self, goal: Goal = GOAL_SPANNING, max_edges: int = 16):
-        self.goal = goal
-        self.max_edges = max_edges
-
     def start(self, graph: Graph, role: str, seed: Seed) -> None:
-        if graph.edge_count() > self.max_edges:
+        if graph.edge_count() > MAX_EDGES:
             raise CapacityError(
-                f"board has {graph.edge_count()} edges, minimax allows {self.max_edges}"
+                f"board has {graph.edge_count()} edges, minimax allows {MAX_EDGES}"
             )
 
     def propose(self, state: GameState) -> Move:
-        return best_move(state, goal=self.goal, max_edges=self.max_edges)
+        return best_move(state)
 
 
 FLAG_NO_CANDIDATE = "breaker-no-candidate"
 FLAG_TARGET_REACHED = "breaker-target-reached"
+
+# Connector's opening territory is padded with the lowest outside vertices
+# to this size before the candidates are checked against it
+PAD_TO = 3
 
 
 class IsolationBreakerStrategy:
@@ -249,9 +249,7 @@ class IsolationBreakerStrategy:
     the target is ever reached, which the theorem rules out when the
     clauses held) he degrades to lowest-free-edge filler play, flagged."""
 
-    def __init__(self, t: int = 7, pad_to: int = 3):
-        self.t = t
-        self.pad_to = pad_to
+    def __init__(self):
         self.graph: Optional[Graph] = None
         self.seed: Seed = 0
         self.decomposition: Optional[BadSetDecomposition] = None
@@ -269,7 +267,7 @@ class IsolationBreakerStrategy:
     def _padded_m(self, state: GameState) -> List[int]:
         m_set = sorted(state.v_c)
         for v in range(self.graph.n):
-            if len(m_set) >= self.pad_to:
+            if len(m_set) >= PAD_TO:
                 break
             if v not in state.v_c:
                 m_set.append(v)
@@ -279,9 +277,7 @@ class IsolationBreakerStrategy:
         if not self.attempted:
             self.attempted = True
             try:
-                found = find_candidate(
-                    self.graph, self._padded_m(state), t=self.t, seed=self.seed
-                )
+                found = find_candidate(self.graph, self._padded_m(state), seed=self.seed)
             except CapacityError:
                 found = None
             if found is None:
@@ -291,16 +287,13 @@ class IsolationBreakerStrategy:
                 self.cursor = [0]
         flags = tuple(self.pending_flags)
         self.pending_flags = []
+        if self.decomposition is not None and self.decomposition.x in state.v_c:
+            self.decomposition = None
+            flags += (FLAG_TARGET_REACHED,)
         if self.decomposition is not None:
-            if self.decomposition.x in state.v_c:
-                self.decomposition = None
-                flags += (FLAG_TARGET_REACHED,)
-            else:
-                mv = breaker_move(state, self.decomposition, self.cursor)
-                if flags:
-                    mv = Move(mv.edges, flags=mv.flags + flags)
-                return mv
-        mv = Move(tuple(state.lowest_free(state.b, self.cursor)))
+            mv = breaker_move(state, self.decomposition, self.cursor)
+        else:
+            mv = Move(tuple(state.lowest_free(state.b, self.cursor)))
         if flags:
             mv = Move(mv.edges, flags=mv.flags + flags)
         return mv
@@ -309,14 +302,8 @@ class IsolationBreakerStrategy:
 class SpanningConnectorStrategy:
     """Connector's staged tree strategy behind a lazily built plan."""
 
-    def __init__(
-        self,
-        p_hint: Optional[float] = None,
-        k_cap: int = 4,
-        expansion_cap: int = 10**6,
-    ):
+    def __init__(self, p_hint: Optional[float] = None, expansion_cap: int = EXPANSION_CAP):
         self.p_hint = p_hint
-        self.k_cap = k_cap
         self.expansion_cap = expansion_cap
         self.seed: Seed = 0
         self.plan: Optional[ConnectorPlan] = None
@@ -333,7 +320,6 @@ class SpanningConnectorStrategy:
                 state.graph,
                 m=state.m,
                 p_hint=self.p_hint,
-                k_cap=self.k_cap,
                 expansion_cap=self.expansion_cap,
                 seed=self.seed,
             )

@@ -7,7 +7,7 @@ for every false verdict, and the numeric parameters used. Checkers are
 pure functions; nothing here mutates game state.
 
 Clauses that encode asymptotic size or degree bounds (B never, but P2,
-P5, D2, D4 and the degree windows) are marked diagnostic: their
+P5, D4 and the degree windows) are marked diagnostic: their
 thresholds are evaluated exactly at the given (n, eps), yet small boards
 routinely miss them, so `all_passed` ignores them and harness reports
 aggregate their pass frequencies instead.
@@ -105,6 +105,9 @@ def check_b(g: Graph, dec: BadSetDecomposition, m_set: Iterable[int]) -> Propert
     avoids the protected set and its neighborhood."""
     x = dec.x
     mset = set(m_set)
+    off = [v for v in mset if not 0 <= v < g.n]
+    if off:
+        raise ParameterError(f"protected vertex {min(off)} out of range")
     bad = set(dec.union)
     report = PropertyReport(
         family="B",
@@ -281,15 +284,10 @@ def check_p(g: Graph, succ: SuccessiveBadSets, eps: float) -> PropertyReport:
 # D family: levelled decomposition
 
 
-def check_d(
-    dec: Decomposition,
-    size_targets: Optional[Sequence[float]] = None,
-    eps: Optional[float] = None,
-) -> PropertyReport:
-    """D1: selections sit inside their cells. D2 (diagnostic, needs
-    size_targets): selections met the level size target. D3: on levels
-    above the first, every selected vertex keeps a skeleton neighbor in
-    each child selection. D4 (diagnostic, needs eps): skeleton degrees
+def check_d(dec: Decomposition, eps: Optional[float] = None) -> PropertyReport:
+    """D1: selections sit inside their cells. D3: on levels above the
+    first, every selected vertex keeps a skeleton neighbor in each child
+    selection. D4 (diagnostic, needs eps): skeleton degrees
     from child selections upward stay below n^((alpha_i - alpha_{i-1}) *
     eps). D5: first-level selections are skeleton-adjacent to the center.
     D6: every skeleton edge lies between some selection and its children's
@@ -298,15 +296,12 @@ def check_d(
     n = dec.n
     h = dec.h
     alphas = alpha_table(k)
-    if size_targets is not None and len(size_targets) != k:
-        raise ParameterError(f"need one size target per level, got {len(size_targets)}")
     report = PropertyReport(
         family="D",
         params={"n": n, "k": k, "x": dec.x, "alphas": list(alphas), "eps": eps},
     )
 
     d1 = Clause(True)
-    d2 = Clause(True, diagnostic=True)
     d3 = Clause(True)
     d4 = Clause(True, diagnostic=True)
     d5 = Clause(True)
@@ -319,14 +314,6 @@ def check_d(
         spans.append((set(c1) | set(c2), m))
         if d1.passed and not m <= cell:
             d1 = Clause(False, {"key": (i, j, l), "vertex": min(m - cell)})
-        if size_targets is not None and d2.passed:
-            goal = math.floor(size_targets[i - 1])
-            if len(m) < goal:
-                d2 = Clause(
-                    False,
-                    {"key": (i, j, l), "size": len(m), "target": size_targets[i - 1]},
-                    diagnostic=True,
-                )
         if i >= 2:
             if d3.passed:
                 for v in sorted(m):
@@ -351,8 +338,6 @@ def check_d(
                     break
 
     report.clauses["D1"] = d1
-    if size_targets is not None:
-        report.clauses["D2"] = d2
     report.clauses["D3"] = d3
     if eps is not None:
         report.clauses["D4"] = d4

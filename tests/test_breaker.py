@@ -31,10 +31,6 @@ def test_layering_worked_example():
     assert dec.layers == (frozenset({1, 2, 3}), frozenset({4}))
     assert dec.r_x == 2
     assert dec.union == frozenset({1, 2, 3, 4})
-    assert dec.level_of(0) == 0
-    assert dec.level_of(3) == 1
-    assert dec.level_of(4) == 2
-    assert dec.level_of(5 % 5) == 0  # x again, just the alias
     assert dec.level_map() == {0: 0, 1: 1, 2: 1, 3: 1, 4: 2}
 
 
@@ -43,7 +39,7 @@ def test_layering_stops_without_two_witnesses():
     g = Graph(4, [(0, 1), (0, 2), (1, 3)])
     dec = build_bad_set(g, 0)
     assert dec.layers == (frozenset({1, 2}),)
-    assert dec.level_of(3) is None
+    assert dec.level_map().get(3) is None
 
 
 def test_layering_isolated_center():
@@ -62,6 +58,13 @@ def test_layering_with_exclusions():
         build_bad_set(g, 0, excluded={0})
     with pytest.raises(ParameterError):
         build_bad_set(g, 9)
+
+
+@pytest.mark.parametrize("v", [5, 999, -1])
+def test_layering_rejects_off_board_exclusions(v):
+    # an off-board vertex would otherwise be dropped without a word
+    with pytest.raises(ParameterError, match=f"excluded vertex {v} out of range"):
+        build_bad_set(fan_graph(), 0, excluded={1, v})
 
 
 def test_layering_matches_literal_oracle():
@@ -103,7 +106,7 @@ def test_find_candidate_matching_witness():
     # perfect matching: every bad set is exactly the mate, all checks pass
     # unless the pair touches the protected territory
     g = Graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
-    found = find_candidate(g, m_set={0, 1, 2}, t=7, seed=3)
+    found = find_candidate(g, m_set={0, 1, 2}, seed=3)
     assert found is not None
     x, dec = found
     mate = x + 1 if x % 2 == 0 else x - 1
@@ -120,7 +123,7 @@ def test_find_candidate_skips_vertices_buried_by_earlier_builds():
     sample = Rng(0).sample(range(12), 7)
     c0, c1, c2 = sample[0], sample[1], sample[2]
     g = Graph(12, [(min(c0, c1), max(c0, c1))])
-    found = find_candidate(g, m_set={c1}, t=7, seed=0)
+    found = find_candidate(g, m_set={c1}, seed=0)
     assert found is not None
     x, dec = found
     # c0 fails (its bad set is {c1}, inside the territory's closure);
@@ -131,13 +134,13 @@ def test_find_candidate_skips_vertices_buried_by_earlier_builds():
 
 def test_find_candidate_none_on_complete_graph():
     g = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
-    assert find_candidate(g, m_set={0}, t=7, seed=1) is None
+    assert find_candidate(g, m_set={0}, seed=1) is None
 
 
 def test_find_candidate_capacity():
     with pytest.raises(CapacityError):
-        find_candidate(Graph(10), m_set={0}, t=7, seed=0)
-    assert find_candidate(Graph(11), m_set={0}, t=7, seed=0) is not None
+        find_candidate(Graph(10), m_set={0}, seed=0)
+    assert find_candidate(Graph(11), m_set={0}, seed=0) is not None
 
 
 def test_q_violations_examples():
@@ -161,7 +164,7 @@ def test_q_violations_examples():
 def test_q_violations_outsider_territory():
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5)])
     dec = build_bad_set(g, 0)
-    assert dec.level_of(5) is None
+    assert dec.level_map().get(5) is None
     s = GameState(g, m=2, b=2, start_vertex=5)
     # a (layer 1) can be entered from the outsider 5: that is a violation
     assert q_violations(s, dec) == [(1, 5)]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +10,8 @@ import sys
 import pytest
 
 import conbreak
-from conbreak.cli import main, resolve_out
-from conbreak.harness import CSV_HEADER
+from conbreak.cli import build_parser, main, resolve_out
+from conbreak.harness import CSV_HEADER, TrialConfig
 
 
 def write_graph(path, n, edges):
@@ -135,7 +137,7 @@ def test_sweep_eps_mapping(capsys):
 
 @pytest.mark.parametrize(
     "bad",
-    [["--start", "-1"], ["--k-cap", "1"], ["--expansion-cap", "0"], ["--start", "50"]],
+    [["--start", "-1"], ["--expansion-cap", "0"], ["--start", "50"]],
 )
 def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, bad):
     out_csv = tmp_path / "x.csv"
@@ -148,6 +150,53 @@ def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, bad):
     assert rc == 2 and out == "" and err.startswith("conbreak:")
     assert out_csv.read_text() == "keep me\n"
     assert records.read_text() == "keep me too\n"
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_sweep_refuses_the_retired_k_cap(capsys, tmp_path, via_config):
+    # the tree depth cap is a constant now; the flag is gone, not ignored
+    out_csv = tmp_path / "x.csv"
+    records = tmp_path / "x.jsonl"
+    out_csv.write_text("keep me\n")
+    records.write_text("keep me too\n")
+    argv = sweep_argv(["--out", str(out_csv), "--records", str(records)])
+    if via_config:
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("k-cap=3\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--k-cap", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--k-cap" in capsys.readouterr().err
+    assert out_csv.read_text() == "keep me\n"
+    assert records.read_text() == "keep me too\n"
+
+
+# sweep flags whose TrialConfig field has another name, as cmd_sweep passes them
+SWEEP_RENAMES = {
+    "eps": "eps_list",
+    "seed": "seed_base",
+    "connector": "connector_id",
+    "breaker": "breaker_id",
+    "start": "start_vertex",
+    "out": "out_csv",
+    "records": "out_records",
+}
+
+
+def test_sweep_flags_map_one_to_one_onto_trial_config():
+    # a flag that reaches no field, or a field no flag sets, fails here
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [
+        a.dest
+        for a in subs.choices["sweep"]._actions
+        if a.dest not in ("help", "config", "scan")
+    ]
+    mapped = [SWEEP_RENAMES.get(d, d) for d in dests]
+    assert len(set(mapped)) == len(mapped)
+    assert set(mapped) == {f.name for f in dataclasses.fields(TrialConfig)}
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):
@@ -226,6 +275,19 @@ def test_verify_family_b(capsys, fan_file, tmp_path):
 
     rc3, _, err3 = run_main(capsys, ["verify", "--graph", fan_file, "--family", "b"])
     assert rc3 == 2 and "--x" in err3
+
+
+B_ARGS = ["verify", "--n", "64", "--p", "0.2", "--seed", "3", "--family", "b", "--x", "5"]
+
+
+@pytest.mark.parametrize(
+    "extra", [["--m-set", "0,1,999"], ["--m-set=-1"], ["--exclude", "999"], ["--exclude=-1"]]
+)
+def test_verify_family_b_rejects_off_board_vertex_lists(capsys, extra):
+    # an input error, not a crash and not a silently wrapped or dropped vertex
+    rc, out, err = run_main(capsys, B_ARGS + extra)
+    assert rc == 2 and out == ""
+    assert err.startswith("conbreak:") and "out of range" in err
 
 
 def test_verify_family_p(capsys, tmp_path):

@@ -562,18 +562,6 @@ def test_decomposition_lookups_leave_equality_alone():
     assert dataclasses.astuple(dec) == dataclasses.astuple(twin)
 
 
-def test_decompose_downsamples_to_target():
-    g = complete_graph(30)
-    cells = make_cells(30, x=0, k=2, seed=3, cell_size=2)
-    dec = decompose(g, 0, cells, 2, size_targets=(1.9, 1.0), seed=5)
-    assert dec is not None
-    for (i, j, l), m in dec.msets:
-        assert len(m) == 1
-    again = decompose(g, 0, cells, 2, size_targets=(1.9, 1.0), seed=5)
-    assert again.msets == dec.msets
-    assert decompose(g, 0, cells, 2, size_targets=(0.5, 1.0), seed=5) is None
-
-
 def test_decompose_returns_none_when_starved():
     # isolated center: no level-1 selection anywhere
     g = Graph(25)
@@ -601,8 +589,6 @@ def test_decompose_input_validation():
     with pytest.raises(ParameterError):
         decompose(g, 0, bad, 2)  # contains x
     with pytest.raises(ParameterError):
-        decompose(g, 0, cells, 2, size_targets=(1.0,))
-    with pytest.raises(ParameterError):
         decompose(g, 25, cells, 2)  # center off the board
 
 
@@ -616,11 +602,8 @@ def test_tree_depth_for():
     assert tree_depth_for(0.1) == 3
     assert tree_depth_for(0.05) == 4
     assert tree_depth_for(0.01) == 4  # capped
-    assert tree_depth_for(0.01, k_cap=6) == 6
     assert tree_depth_for(0.0) == 4
-    assert tree_depth_for(-0.3, k_cap=3) == 3
-    with pytest.raises(ParameterError):
-        tree_depth_for(0.1, k_cap=1)
+    assert tree_depth_for(-0.3) == 4
 
 
 def test_make_plan_parameters():

@@ -56,7 +56,7 @@ def test_state_init_and_accessors():
     assert s.free_edge_count() == 3
     assert s.free_edges() == [(0, 3), (1, 2), (2, 3)]
     assert s.is_free((1, 2)) and not s.is_free((0, 1))
-    assert s.breaker_degree(0) == 0
+    assert s.breaker_degrees[0] == 0
     s2 = s.copy()
     s2.connector_edges.add((1, 2))
     s2.v_c.add(9)
@@ -265,7 +265,7 @@ def test_replay_reproduces_final_state(n, p, seed, connector, breaker):
     # the engine's derived facts match a naive recount at every replayed state
     for _, _, s in replay_states(res, g):
         counts = [sum(1 for e in s.breaker_edges if v in e) for v in range(n)]
-        assert [s.breaker_degree(v) for v in range(n)] == counts
+        assert s.breaker_degrees == counts
         naive_free = [e for e in g.sorted_edges() if s.is_free(e)]
         assert s.free_edges() == naive_free
         assert s.lowest_free(3) == naive_free[:3]

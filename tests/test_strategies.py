@@ -46,8 +46,6 @@ def test_registry_resolution():
     assert isinstance(make_strategy("minimax"), MinimaxStrategy)
     assert isinstance(make_strategy("paper-breaker"), IsolationBreakerStrategy)
     assert isinstance(make_strategy("paper-connector"), SpanningConnectorStrategy)
-    tuned = make_strategy("paper-breaker", t=5, pad_to=2)
-    assert tuned.t == 5 and tuned.pad_to == 2
     with pytest.raises(ParameterError):
         make_strategy("alpha-beta")
 

@@ -74,6 +74,14 @@ def test_b_worked_example_all_pass():
     assert rep.params["r_x"] == 2 and rep.params["x"] == 0
 
 
+@pytest.mark.parametrize("v", [5, 999, -1])
+def test_b_rejects_off_board_territory(v):
+    # -1 would otherwise wrap to the last vertex, 999 crash with IndexError
+    g = fan_graph()
+    with pytest.raises(ParameterError, match=f"protected vertex {v} out of range"):
+        check_b(g, build_bad_set(g, 0), {1, v})
+
+
 def test_b1_flags_edge_inside_first_layer():
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
     dec = build_bad_set(g, 0)
@@ -239,16 +247,11 @@ def test_d_on_valid_decomposition():
     assert set(rep.clauses) == {"D1", "D3", "D5", "D6"}
     assert rep.all_passed() and rep.failures() == []
 
-    full = check_d(dec, size_targets=(2.0, 2.0), eps=0.3)
-    assert set(full.clauses) == {"D1", "D2", "D3", "D4", "D5", "D6"}
+    full = check_d(dec, eps=0.3)
+    assert set(full.clauses) == {"D1", "D3", "D4", "D5", "D6"}
     assert full.all_passed() and full.failures() == []
     assert full.params["alphas"] == [1, 4]
     assert full.params["eps"] == 0.3
-
-
-def test_d_size_targets_length_guard():
-    with pytest.raises(ParameterError):
-        check_d(k25_dec(), size_targets=(2.0,))
 
 
 def test_d1_catches_selection_outside_cell():
@@ -293,15 +296,13 @@ def test_d6_catches_stray_skeleton_edge():
 
 def test_d_diagnostic_misses_do_not_fail_report():
     dec = k25_dec()
-    rep = check_d(dec, size_targets=(5.0, 5.0), eps=0.05)
-    d2, d4 = rep.clauses["D2"], rep.clauses["D4"]
-    assert not d2.passed and d2.diagnostic
-    assert d2.witness["size"] == 2 and d2.witness["target"] == 5.0
+    rep = check_d(dec, eps=0.05)
+    d4 = rep.clauses["D4"]
     assert not d4.passed and d4.diagnostic
     assert d4.witness["degree"] == 2
     assert d4.witness["bound"] == pytest.approx(25 ** (3 * 0.05))
     assert rep.all_passed()
-    assert rep.failures() == ["D2", "D4"]
+    assert rep.failures() == ["D4"]
 
 
 # ---------------------------------------------------------------------------
