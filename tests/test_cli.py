@@ -154,7 +154,7 @@ def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, bad):
 
 @pytest.mark.parametrize("via_config", [False, True])
 def test_sweep_refuses_the_retired_k_cap(capsys, tmp_path, via_config):
-    # the tree depth cap is a constant now; the flag is gone, not ignored
+    # the tree depth cap is a constant: the flag is refused, not ignored
     out_csv = tmp_path / "x.csv"
     records = tmp_path / "x.jsonl"
     out_csv.write_text("keep me\n")
