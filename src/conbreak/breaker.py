@@ -9,6 +9,9 @@ and enjoys strong structural properties (first layer independent, deeper
 vertices seeing exactly two earlier bad vertices, outsiders seeing at most
 one); `find_candidate` samples a handful of vertices and keeps the first
 whose layering passes those checks against Connector's opening territory.
+Each layer is one numpy count over the board's CSR arrays, and the
+per-move scans read the ascending CSR rows (`Graph.row`) of the vertices
+they visit, so the Breaker builds no Python object per edge of the board.
 
 During play Breaker maintains one invariant: whenever a free edge could
 carry Connector from her territory onto a bad vertex (or onto x itself)
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .engine import BREAKER, GameState, Move
 from .errors import CapacityError, ParameterError
@@ -65,7 +70,8 @@ def build_bad_set(
 
     Layer 1 is N(x) minus `excluded`; layer i >= 2 collects vertices not
     yet bad (and not excluded, not x) with at least two neighbors in the
-    bad set so far. Building halts on the first empty later layer. The
+    bad set so far, counted for every vertex at once over the CSR arrays.
+    Building halts on the first empty later layer. The
     `excluded` set carries earlier candidates' bad sets when candidates are
     processed in succession; leave it empty for standalone use.
     """
@@ -77,26 +83,25 @@ def build_bad_set(
     off = [v for v in excl if not 0 <= v < g.n]
     if off:
         raise ParameterError(f"excluded vertex {min(off)} out of range")
-    b1 = frozenset(g.neighbors(x) - excl)
+    b1 = frozenset(w for w in g.row(x) if w not in excl)
     layers = [b1]
-    union = set(b1)
+    bad = np.zeros(g.n, dtype=bool)
+    bad[list(b1)] = True
+    # the vertices a later layer may take: not x, not excluded, not bad
+    eligible = ~bad
+    eligible[x] = False
+    eligible[np.fromiter(excl, dtype=np.int64, count=len(excl))] = False
+    csum = np.zeros(len(g.nbr) + 1, dtype=np.int64)
     while True:
-        nxt = set()
-        for v in range(g.n):
-            if v == x or v in union or v in excl:
-                continue
-            cnt = 0
-            for w in g.neighbors(v):
-                if w in union:
-                    cnt += 1
-                    if cnt == 2:
-                        break
-            if cnt >= 2:
-                nxt.add(v)
-        if not nxt:
+        # bad neighbours per vertex: the running count of bad entries of
+        # the flat neighbour array, differenced at the row offsets
+        np.cumsum(bad[g.nbr], out=csum[1:])
+        nxt = eligible & (np.diff(csum[g.off]) >= 2)
+        if not nxt.any():
             break
-        layers.append(frozenset(nxt))
-        union |= nxt
+        layers.append(frozenset(np.flatnonzero(nxt).tolist()))
+        bad |= nxt
+        eligible &= ~nxt
     return BadSetDecomposition(x=x, layers=tuple(layers))
 
 
@@ -191,7 +196,7 @@ def q_violations(state: GameState, dec: BadSetDecomposition) -> List[Edge]:
     for v, lv in levels.items():
         if v in vc:
             continue
-        for w in g.neighbors(v):
+        for w in g.row(v):
             if w not in vc:
                 continue
             e = edge(v, w)
@@ -228,7 +233,7 @@ def breaker_move(
     far = state.graph.n + 1
     if len(picked) < b:
         x_edges = []
-        for w in state.graph.neighbors(dec.x):
+        for w in state.graph.row(dec.x):
             e = edge(dec.x, w)
             if e not in chosen and state.is_free(e):
                 lw = levels.get(w)
@@ -242,7 +247,7 @@ def breaker_move(
     if len(picked) < b and dec.layers:
         b1_edges = set()
         for v in dec.layers[0]:
-            for w in state.graph.neighbors(v):
+            for w in state.graph.row(v):
                 e = edge(v, w)
                 if e not in chosen and state.is_free(e):
                     b1_edges.add(e)

@@ -26,7 +26,7 @@ import heapq
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -142,7 +142,7 @@ def _find_tree(
         return None
     leaf_pool = {
         v
-        for v in g.neighbors(x)
+        for v in g.row(x)
         if v != root and v not in banned and edge(v, x) not in blocked
     }
     if len(leaf_pool) < 2 ** (k - 1):
@@ -167,7 +167,7 @@ def _find_tree(
     def scan(u: int, leaf: bool) -> Tuple[List[int], List[int]]:
         order = order_cache.get(u)
         if order is None:
-            order = sorted(g.neighbors(u))
+            order = list(g.row(u))
             rng.shuffle(order)
             order_cache[u] = order
         good = [
@@ -278,7 +278,7 @@ def find_structure_stage2(
 
     z_cands = set()
     for a in a1set:
-        for w in g.neighbors(a):
+        for w in g.row(a):
             if w != x and w not in a1set and edge(a, w) not in blk:
                 z_cands.add(w)
     z_order = sorted(z_cands)
@@ -288,7 +288,7 @@ def find_structure_stage2(
         for z in z_order:
             roots = [
                 r
-                for r in sorted(g.neighbors(z))
+                for r in g.row(z)
                 if r != x and edge(z, r) not in blk
             ]
             rng.shuffle(roots)
@@ -347,18 +347,20 @@ def make_cells(
     defaults to n / 2^(k+4) rounded down."""
     if not 0 <= x < n:
         raise ParameterError(f"center vertex {x} is not on the {n}-vertex board")
-    keys = cell_keys(k)
     if cell_size is None:
         cell_size = n // 2 ** (k + 4)
     if cell_size < 1:
         raise ParameterError(
             f"cell size {cell_size} is not positive; n={n} is too small for k={k}"
         )
-    pool = [v for v in range(n) if v != x]
-    if len(keys) * cell_size > len(pool):
+    # the sizes are checked before cell_keys builds its 4(2^k - 1) keys
+    count = 4 * (2**k - 1)
+    if count * cell_size > n - 1:
         raise ParameterError(
-            f"{len(keys)} cells of size {cell_size} exceed the {len(pool)} available vertices"
+            f"{count} cells of size {cell_size} exceed the {n - 1} available vertices"
         )
+    keys = cell_keys(k)
+    pool = [v for v in range(n) if v != x]
     rng = Rng(seed)
     rng.shuffle(pool)
     cells = {}
@@ -703,9 +705,10 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
 
     # a free edge straight into the target beats any structure; prefer the
     # a2 reservoir side so the endgame case stays on its guaranteed supply
-    for pool in (sorted(g.neighbors(x) & plan.a2), sorted(g.neighbors(x) - plan.a2)):
+    near = vc.intersection(g.row(x))
+    for pool in (sorted(near & plan.a2), sorted(near - plan.a2)):
         for w in pool:
-            if w in vc and state.is_free(edge(w, x)):
+            if state.is_free(edge(w, x)):
                 return Move((edge(w, x),))
 
     if plan.case == 3:
@@ -784,9 +787,6 @@ class TargetChase:
         if x in tree.vertices():
             raise ParameterError(f"target {x} lies inside the tree")
         return TargetChase(x, _root_branches(tree))
-
-    def copy(self) -> "TargetChase":
-        return replace(self, branches=list(self.branches))
 
     def step(self, state: GameState) -> Move:
         """One round of descent from the held branches: after Breaker's

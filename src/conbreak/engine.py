@@ -160,6 +160,10 @@ class Choices:
         return self._edges[self._tree.kth(k)]
 
 
+# edges `GameState.lowest_free` reads from the edge arrays at a time
+_SCAN_CHUNK = 64
+
+
 class GameState:
     """Snapshot of a game in progress.
 
@@ -177,7 +181,10 @@ class GameState:
     `v_c`; `free_edges_at`, `free_choices` and `connector_choices` read
     them. Each is built with numpy on the first query that needs it,
     then kept up to date by every applied move and copied by `copy`; a
-    game that never queries them pays nothing for them.
+    game that never queries them pays nothing for them, and builds none
+    of the board's whole-board Python views either: `is_free` and the
+    move checks bisect one CSR row, and `lowest_free` reads the edge
+    arrays.
     """
 
     __slots__ = (
@@ -260,11 +267,12 @@ class GameState:
         return self.m if role == CONNECTOR else self.b
 
     def is_free(self, e: Edge) -> bool:
-        return (
-            e in self.graph.edges
-            and e not in self.connector_edges
-            and e not in self.breaker_edges
-        )
+        """Whether e, written u < v, is an unclaimed edge of the board.
+        False for a reversed pair, a loop or an off-board vertex."""
+        if e in self.connector_edges or e in self.breaker_edges:
+            return False
+        u, v = e
+        return u < v and self.graph.has_edge(u, v)
 
     def free_edges(self) -> List[Edge]:
         """Free edges in ascending order. O(|E|): a full scan, kept for
@@ -280,26 +288,26 @@ class GameState:
         """Up to k lowest free edges outside `skip`, in ascending order.
 
         An optional one-element `cursor` list holds the index into the
-        sorted edge list where the scan starts, and is left just past the
-        last edge taken, so a per-game caller can resume its scan there."""
-        edges = self.graph.sorted_edges()
+        sorted edge order (the board's `u`/`v` arrays) where the scan
+        starts, and is left just past the last edge taken, so a per-game
+        caller can resume its scan there."""
+        g = self.graph
+        claimed, blocked = self.connector_edges, self.breaker_edges
         out: List[Edge] = []
         i = cursor[0] if cursor is not None else 0
-        while len(out) < k and i < len(edges):
-            e = edges[i]
-            if self.is_free(e) and e not in skip:
-                out.append(e)
-            i += 1
+        m = g.edge_count()
+        # edge i is (u[i], v[i]); read the arrays a chunk at a time so
+        # that no whole-board edge list is built
+        while len(out) < k and i < m:
+            for e in zip(g.u[i : i + _SCAN_CHUNK].tolist(), g.v[i : i + _SCAN_CHUNK].tolist()):
+                i += 1
+                if e not in claimed and e not in blocked and e not in skip:
+                    out.append(e)
+                    if len(out) == k:
+                        break
         if cursor is not None:
             cursor[0] = i
         return out
-
-    def free_edge_count(self) -> int:
-        return (
-            self.graph.edge_count()
-            - len(self.connector_edges)
-            - len(self.breaker_edges)
-        )
 
     def _free_tree(self) -> _Fenwick:
         """The free-edge tree, built from the claimed sets on first use."""
@@ -379,16 +387,15 @@ def _check_move(state: GameState, move: Move) -> None:
     vc = state.v_c
     added: Set[int] = set()  # vertices this move has added so far
     for e in move.edges:
-        e = edge(*e)
+        e = u, v = edge(*e)
         if e in seen:
             raise IllegalMoveError(f"edge {e} claimed twice in one move", edge=e)
         seen.add(e)
-        if e not in state.graph.edges:
+        if not state.graph.has_edge(u, v):
             raise IllegalMoveError(f"edge {e} is not an edge of the board", edge=e)
         if e in state.connector_edges or e in state.breaker_edges:
             raise IllegalMoveError(f"edge {e} is already claimed", edge=e)
         if role == CONNECTOR:
-            u, v = e
             if (
                 (vc or added)
                 and u not in vc and v not in vc

@@ -5,10 +5,17 @@ arrays `u` and `v` with u < v, sorted by (u, v): no loops, no parallel
 edges. Adjacency is a CSR structure (compressed sparse rows) built from
 those arrays: `off[x]:off[x+1]` is the slice of the flat `nbr` array
 holding x's neighbours, in ascending order, so it is symmetric by
-construction. The Python views (the edge frozenset, the sorted edge
-tuple, each vertex's neighbour frozenset) and the edge ids (an edge's
-position in the sorted edge tuple, by edge and by vertex) are built on
-first use and cached; the degrees are a plain list of ints.
+construction. The Python views are built on first use and cached: per
+vertex, the ascending row as a tuple (`row`) and as a frozenset for set
+algebra (`neighbors`); for the whole board, the sorted edge tuple, the
+edge frozenset and the edge ids (an edge's position in the sorted edge
+tuple, by edge and by vertex). The whole-board views hold a Python object
+per edge, which the cyclic garbage collector then keeps traversing, so
+the paper strategies and the engine's move checks never build them; the
+baseline strategies' indexed queries, the solver, `contains_hn` and
+`write_edge_list` do. An edge test (`has_edge`) bisects one row, or looks
+the edge up in the edge-id table once that exists. The degrees are a
+plain list of ints.
 
 G(n, p) boards come from one uniform per vertex pair, in canonical pair
 order, kept when it is below p (the coupling of Stojakovic-Szabo 2005).
@@ -21,6 +28,7 @@ is the one board builder and goes through it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -92,7 +100,8 @@ class Graph:
     Loops, out-of-range and non-integer vertices raise ParameterError."""
 
     __slots__ = (
-        "n", "u", "v", "off", "nbr", "_deg", "_nbrs", "_edges", "_sorted", "_ids", "_inc"
+        "n", "u", "v", "off", "nbr", "_deg", "_rows", "_nbrs", "_edges", "_sorted", "_ids",
+        "_inc",
     )
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
@@ -113,6 +122,7 @@ class Graph:
         for a in (self.u, self.v, self.nbr, self.off):
             a.flags.writeable = False
         self._deg: List[int] = deg.tolist()
+        self._rows: List[Optional[Tuple[int, ...]]] = [None] * n
         self._nbrs: List[Optional[FrozenSet[int]]] = [None] * n
         self._edges: Optional[FrozenSet[Edge]] = None
         self._sorted: Optional[Tuple[Edge, ...]] = None
@@ -129,15 +139,41 @@ class Graph:
         return len(self.u)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether {u, v} is an edge, in either orientation; False for an
+        off-board vertex. A loop raises ParameterError. One lookup in the
+        edge-id table once `edge_id` has built it, else a bisect of u's
+        CSR row, which builds no whole-board view."""
         if u == v:
             raise ParameterError(f"loop edge ({u},{v}) is not allowed")
-        return 0 <= u < self.n and 0 <= v < self.n and v in self.neighbors(u)
+        n = self.n
+        if 0 <= u < n and 0 <= v < n:
+            ids = self._ids
+            if ids is not None:
+                return (u * n + v if u < v else v * n + u) in ids
+            row = self._rows[u] or self.row(u)
+            i = bisect_left(row, v)
+            return i < len(row) and row[i] == v
+        return False
+
+    def row(self, v: int) -> Tuple[int, ...]:
+        """v's neighbours in ascending order: its CSR row, built on first
+        use and cached per vertex."""
+        if not 0 <= v < self.n:
+            raise ParameterError(f"vertex {v} is not on the {self.n}-vertex board")
+        r = self._rows[v]
+        if r is None:
+            lo, hi = self.off[v : v + 2].tolist()
+            r = self._rows[v] = tuple(self.nbr[lo:hi].tolist())
+        return r
 
     def neighbors(self, v: int) -> FrozenSet[int]:
+        """v's neighbours as a frozenset, for set algebra; cached per
+        vertex."""
+        if not 0 <= v < self.n:
+            raise ParameterError(f"vertex {v} is not on the {self.n}-vertex board")
         s = self._nbrs[v]
         if s is None:
-            x = v + self.n if v < 0 else v
-            lo, hi = self.off[x : x + 2].tolist()
+            lo, hi = self.off[v : v + 2].tolist()
             s = self._nbrs[v] = frozenset(self.nbr[lo:hi].tolist())
         return s
 
@@ -279,31 +315,6 @@ def edges_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> FrozenSet[Edg
             if w in other_in and u != w:
                 out.add(edge(u, w))
     return frozenset(out)
-
-
-def is_spanning_connected(g: Graph, edge_subset: Iterable[Edge]) -> bool:
-    """True when the subgraph on the given edges connects all n vertices."""
-    subset = list(edge_subset)
-    for e in subset:
-        if edge(*e) not in g.edges:
-            raise ParameterError(f"edge {e} is not an edge of the graph")
-    if g.n <= 1:
-        return True
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = g.n
-    for u, v in subset:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
 
 
 def contains_hn(g: Graph) -> Optional[Edge]:

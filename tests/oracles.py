@@ -313,6 +313,36 @@ def oracle_bad_layers(
     return layers, len(layers)
 
 
+def naive_build_bad_set(g: Graph, x: int, excluded: Iterable[int] = ()):
+    """The bad-set layering as a loop over every vertex per layer, each
+    counting its neighbours in the bad set so far: the package's
+    `build_bad_set` before it counted with numpy."""
+    from conbreak.breaker import BadSetDecomposition
+
+    excl = frozenset(excluded)
+    b1 = frozenset(g.neighbors(x) - excl)
+    layers = [b1]
+    union = set(b1)
+    while True:
+        nxt = set()
+        for v in range(g.n):
+            if v == x or v in union or v in excl:
+                continue
+            cnt = 0
+            for w in g.neighbors(v):
+                if w in union:
+                    cnt += 1
+                    if cnt == 2:
+                        break
+            if cnt >= 2:
+                nxt.add(v)
+        if not nxt:
+            break
+        layers.append(frozenset(nxt))
+        union |= nxt
+    return BadSetDecomposition(x=x, layers=tuple(layers))
+
+
 # ---------------------------------------------------------------------------
 # exhaustive adversary for the box-game defensive rule
 
@@ -370,6 +400,54 @@ def box_rule_survives_all_maker_play(capacities: Sequence[int], p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# helpers only tests need
+
+
+def is_spanning_connected(g: Graph, edge_subset: Iterable[Tuple[int, int]]) -> bool:
+    """True when the subgraph on the given edges connects all n vertices.
+    Raises ParameterError for a pair that is not an edge of g."""
+    from conbreak import ParameterError
+
+    subset = list(edge_subset)
+    for e in subset:
+        if edge(*e) not in g.edges:
+            raise ParameterError(f"edge {e} is not an edge of the graph")
+    if g.n <= 1:
+        return True
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comps = g.n
+    for u, v in subset:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            comps -= 1
+    return comps == 1
+
+
+def free_edge_count(state) -> int:
+    """Edges of the board neither player has claimed."""
+    return (
+        state.graph.edge_count()
+        - len(state.connector_edges)
+        - len(state.breaker_edges)
+    )
+
+
+def copy_chase(chase):
+    """A copy of a TargetChase whose branch list can change independently."""
+    from dataclasses import replace
+
+    return replace(chase, branches=list(chase.branches))
+
+
+# ---------------------------------------------------------------------------
 # exhaustive adversary for the tree-descent chase
 
 
@@ -404,7 +482,7 @@ def chase_survives_all_breaker_play(
         for size in range(0, b + 1):
             for claims in combinations(free, size):
                 nxt = validate_and_apply(state, Move(claims))
-                if not run(chase.copy(), nxt, moves_made):
+                if not run(copy_chase(chase), nxt, moves_made):
                     return False
         return True
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conbreak import (
     CapacityError,
@@ -17,7 +19,7 @@ from conbreak import (
 from conbreak.engine import BREAKER
 from conbreak.rng import Rng
 
-from oracles import oracle_bad_layers
+from oracles import naive_build_bad_set, oracle_bad_layers
 
 
 def fan_graph() -> Graph:
@@ -80,6 +82,28 @@ def test_layering_matches_literal_oracle():
                 want_layers, _ = oracle_bad_layers(g, x, excl)
                 dec = build_bad_set(g, x, excl)
                 assert [set(l) for l in dec.layers] == want_layers
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+    pick=st.integers(0, 2**32),
+    isolate=st.booleans(),
+)
+@example(n=1, p=0.0, seed=0, pick=0, isolate=False)
+@example(n=2, p=1.0, seed=0, pick=1, isolate=False)
+@example(n=40, p=1.0, seed=3, pick=5, isolate=True)
+def test_layering_matches_the_vertex_loop(n, p, seed, pick, isolate):
+    g = gen_gnp(n, p, seed)
+    rng = Rng(pick)
+    x = rng.randrange(n)
+    if isolate:
+        g = Graph(n, [e for e in g.sorted_edges() if x not in e])
+    excl = {v for v in range(n) if v != x and rng.randrange(4) == 0}
+    assert build_bad_set(g, x, excl) == naive_build_bad_set(g, x, excl)
+    assert build_bad_set(g, x) == naive_build_bad_set(g, x)
 
 
 def test_successive_builds_exclude_earlier():

@@ -333,6 +333,19 @@ def test_verify_family_d(capsys):
     assert rc3 == 2 and "--x" in err3
 
 
+def test_verify_family_d_rejects_a_deep_tree_at_once(capsys, monkeypatch):
+    def no_keys(k):
+        raise AssertionError("cell_keys called before the size checks")
+
+    monkeypatch.setattr(conbreak.connector, "cell_keys", no_keys)
+    rc, _, err = run_main(
+        capsys,
+        ["verify", "--family", "d", "--n", "64", "--p", "0.2", "--seed", "3",
+         "--x", "0", "--k", "30"],
+    )
+    assert rc == 2 and "cell size 0 is not positive" in err
+
+
 D_ARGS = ["verify", "--n", "256", "--p", "0.8", "--seed", "1", "--family", "d", "--k", "2"]
 
 

@@ -35,9 +35,10 @@ from conbreak.connector import (
     _find_tree,
     connector_move,
 )
+from conbreak import connector
 from conbreak.rng import Rng
 
-from oracles import chase_survives_all_breaker_play, chase_witness, naive_find_tree
+from oracles import chase_survives_all_breaker_play, chase_witness, copy_chase, naive_find_tree
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,7 @@ def test_chase_copy_is_independent():
     chase = TargetChase.of(t, x)
     state = GameState(g, m=2, b=2, start_vertex=t.root)
     state = validate_and_apply(state, chase.step(state))
-    dup = chase.copy()
+    dup = copy_chase(chase)
     state2 = state.copy()
     mv_a = chase.step(state)
     mv_b = dup.step(state2)
@@ -504,6 +505,19 @@ def test_alpha_table():
         assert got[i + 1] == 2 * (got[i] + 1)
     with pytest.raises(ParameterError):
         alpha_table(0)
+
+
+def test_make_cells_checks_sizes_before_building_keys(monkeypatch):
+    # k=30 asks for 4(2^30 - 1) cells; building their keys first ran for
+    # minutes, so the keys must not be built at all
+    def no_keys(k):
+        raise AssertionError("cell_keys called before the size checks")
+
+    monkeypatch.setattr(connector, "cell_keys", no_keys)
+    with pytest.raises(ParameterError, match="cell size 0 is not positive"):
+        make_cells(64, x=0, k=30)
+    with pytest.raises(ParameterError, match="4294967292 cells of size 1 exceed the 63"):
+        make_cells(64, x=0, k=30, cell_size=1)
 
 
 def test_make_cells_layout():

@@ -25,6 +25,9 @@ from conbreak import (
     validate_and_apply,
 )
 from conbreak.engine import replay_states
+from conbreak.rng import Rng
+
+from oracles import free_edge_count
 
 
 class Scripted:
@@ -53,7 +56,7 @@ def test_state_init_and_accessors():
     s = GameState(g, m=2, b=1, start_vertex=2, connector_edges=[(0, 1)])
     assert s.v_c == {0, 1, 2}
     assert s.bias(CONNECTOR) == 2 and s.bias(BREAKER) == 1
-    assert s.free_edge_count() == 3
+    assert free_edge_count(s) == 3
     assert s.free_edges() == [(0, 3), (1, 2), (2, 3)]
     assert s.is_free((1, 2)) and not s.is_free((0, 1))
     assert s.breaker_degrees[0] == 0
@@ -92,7 +95,7 @@ def test_state_rejects_an_edge_claimed_by_both():
         GameState(g, connector_edges=[(0, 2)], breaker_edges=[(0, 2)])
     for breaker_edges in ([], [(1, 3)]):
         s = GameState(g, connector_edges=[(0, 2)], breaker_edges=breaker_edges)
-        assert s.free_edge_count() == len(s.free_edges()) == 3 - len(breaker_edges)
+        assert free_edge_count(s) == len(s.free_edges()) == 3 - len(breaker_edges)
 
 
 def test_connector_move_grows_territory_within_move():
@@ -191,7 +194,7 @@ def test_stall_rule_two_empty_moves():
     # both players pass immediately: Connector empty, Breaker empty, over
     assert res.winner == BREAKER
     assert res.reason == REASON_EXHAUSTED
-    assert res.final_state.free_edge_count() == 4
+    assert free_edge_count(res.final_state) == 4
     assert len(res.transcript) == 2
 
 
@@ -300,3 +303,51 @@ def test_transcript_jsonl_shape():
 def test_move_of_normalizes():
     mv = Move.of((3, 1), (0, 2))
     assert mv.edges == ((1, 3), (0, 2))
+
+
+def test_edge_tests_on_reversed_pairs_loops_and_off_board_vertices():
+    s = GameState(square(), start_vertex=0)
+    assert s.is_free((0, 1)) and s.is_free((0, 3))
+    for e in [(1, 0), (3, 0), (0, 0), (2, 2), (-1, 0), (0, -1), (-1, 3), (0, 4), (3, 4), (4, 5)]:
+        assert not s.is_free(e), e
+    with pytest.raises(ParameterError):
+        s.graph.has_edge(1, 1)
+    # a move may name an edge in either orientation
+    after = validate_and_apply(s, Move(((1, 0),)))
+    assert after.connector_edges == {(0, 1)}
+    with pytest.raises(ParameterError):
+        validate_and_apply(s, Move(((0, 0),)))
+    for e in [(0, 4), (4, 0), (-1, 0), (0, -1), (-1, 3)]:
+        with pytest.raises(IllegalMoveError, match="is not an edge of the board") as info:
+            validate_and_apply(s, Move((e,)))
+        assert info.value.edge == (min(e), max(e))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    start=st.integers(0, 450),
+    k=st.integers(0, 6),
+)
+@example(n=30, p=1.0, seed=0, start=60, k=6)
+def test_lowest_free_matches_a_tuple_scan(n, p, seed, start, k):
+    g = gen_gnp(n, p, seed)
+    edges = g.sorted_edges()
+    rng = Rng(seed)
+    claimed = [e for e in edges if rng.randrange(3) == 0]
+    connector, breaker = claimed[::2], claimed[1::2]
+    skip = {e for e in edges if rng.randrange(4) == 0}
+    s = GameState(g, connector_edges=connector, breaker_edges=breaker)
+    want, i = [], start
+    while len(want) < k and i < len(edges):
+        e = edges[i]
+        if e not in connector and e not in breaker and e not in skip:
+            want.append(e)
+        i += 1
+    cursor = [start]
+    assert s.lowest_free(k, cursor, skip) == want
+    assert cursor == [i]
+    free = [e for e in edges if e not in connector and e not in breaker]
+    assert s.lowest_free(k) == free[:k]

@@ -14,7 +14,6 @@ from conbreak import (
     contains_hn,
     gen_gnp,
     graph,
-    is_spanning_connected,
     read_edge_list,
     write_edge_list,
 )
@@ -24,6 +23,7 @@ from conbreak.rng import MASK64, Rng
 from oracles import (
     all_labeled_graphs,
     connected_graph_classes,
+    is_spanning_connected,
     naive_gen_gnp,
     spanning_pair_oracle,
 )
@@ -345,3 +345,40 @@ def test_edge_list_format_errors(tmp_path):
             load(text)
     g = load("n 3\n\n0 1\n 1 2 \n")  # blank lines and padding are fine
     assert g.edges == frozenset({(0, 1), (1, 2)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_rows_are_the_ascending_neighbourhoods(n, p, seed):
+    g = gen_gnp(n, p, seed)
+    for w in range(n):
+        assert g.row(w) == tuple(sorted(g.neighbors(w)))
+        assert all(type(x) is int for x in g.row(w))
+    assert g.row(0) is g.row(0)
+
+
+@pytest.mark.parametrize("v", [-1, 4])
+def test_vertex_views_reject_off_board_vertices(v):
+    # a negative vertex used to wrap round onto vertex n + v
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(ParameterError, match=f"vertex {v} is not on the 4-vertex board"):
+        g.neighbors(v)
+    with pytest.raises(ParameterError, match=f"vertex {v} is not on the 4-vertex board"):
+        g.row(v)
+    assert not g.has_edge(v, 0) and not g.has_edge(0, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 25), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_edge_tests_agree_with_and_without_the_edge_ids(n, p, seed):
+    g = gen_gnp(n, p, seed)
+    pairs = [(a, b) for a in range(-2, n + 2) for b in range(-2, n + 2) if a != b]
+    by_rows = [g.has_edge(a, b) for a, b in pairs]
+    assert g._ids is None
+    if g.edge_count():
+        g.edge_id(g.sorted_edges()[0])
+        assert g._ids is not None
+    assert [g.has_edge(a, b) for a, b in pairs] == by_rows
+    assert by_rows == [(min(a, b), max(a, b)) in g.edges for a, b in pairs]
+    with pytest.raises(ParameterError):
+        g.has_edge(1, 1)

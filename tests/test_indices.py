@@ -21,7 +21,7 @@ from conbreak.graph import gen_gnp
 from conbreak.rng import derive
 from conbreak.strategies import make_strategy
 
-from oracles import naive_greedy_move, naive_random_move, naive_select_target
+from oracles import free_edge_count, naive_greedy_move, naive_random_move, naive_select_target
 
 
 def index_view(state: GameState):
@@ -93,7 +93,7 @@ def test_indexed_baselines_match_naive_rescan(n, p, seed, start, m, b, cid, bid,
     pick = random.Random(seed)
     empty_rounds = 0
     for moves in range(4 * g.edge_count() + 4):
-        if state.free_edge_count() == 0 or state.connector_has_spanned() or empty_rounds == 2:
+        if free_edge_count(state) == 0 or state.connector_has_spanned() or empty_rounds == 2:
             break
         role = state.to_move
         player = players[role]

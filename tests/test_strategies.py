@@ -6,7 +6,9 @@ from conbreak import (
     CapacityError,
     GameState,
     Graph,
+    Move,
     ParameterError,
+    edge,
     gen_gnp,
     make_strategy,
     run_game,
@@ -179,3 +181,51 @@ def test_spanning_connector_builds_plan_lazily():
     assert conn.plan is not None
     conn.start(g, CONNECTOR, 12)
     assert conn.plan is None
+
+
+class _RowWalker:
+    """A Connector that claims the lowest free edges out of her territory,
+    reading only the board's CSR rows."""
+
+    def start(self, graph: Graph, role: str, seed) -> None:
+        pass
+
+    def propose(self, state: GameState) -> Move:
+        claims = []
+        for v in sorted(state.v_c):
+            for w in state.graph.row(v):
+                e = edge(v, w)
+                if state.is_free(e) and e not in claims:
+                    claims.append(e)
+                    if len(claims) == state.m:
+                        return Move(tuple(claims))
+        return Move(tuple(claims))
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("exponent", [-0.5, -0.35])
+def test_paper_games_build_no_whole_board_view(exponent, seed):
+    # the edge frozenset and the sorted edge tuple hold a Python object per
+    # edge; the paper strategies and the engine's checks must not build them
+    n = 300
+    p = n**exponent
+    g = gen_gnp(n, p, seed)
+    res = run_game(
+        g,
+        make_strategy("paper-connector", p_hint=p),
+        make_strategy("paper-breaker"),
+        start_vertex=0,
+        seed=seed,
+    )
+    assert res.rounds > 0
+    assert g._edges is None and g._sorted is None
+
+
+def test_isolating_breaker_builds_no_whole_board_view():
+    n = 300
+    g = gen_gnp(n, n**-0.8, 5)
+    breaker = make_strategy("paper-breaker")
+    res = run_game(g, _RowWalker(), breaker, start_vertex=0, seed=5)
+    assert breaker.candidate is not None and FLAG_NO_CANDIDATE not in res.flags
+    assert res.rounds > 10
+    assert g._edges is None and g._sorted is None
