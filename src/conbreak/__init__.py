@@ -7,8 +7,9 @@ wins by assembling a spanning connected subgraph, the Breaker by
 exhausting the board first. This package provides the referee, an
 exact solver for small boards, an isolation strategy for the Breaker,
 a spanning-tree strategy for the Connector, the box game it leans on,
-structural verifiers for all of their invariants, and a Monte Carlo
-experiment harness with a CLI.
+structural verifiers for the Breaker's bad set, the Connector's
+decomposition and the isolation defense, and a Monte Carlo experiment
+harness with a CLI.
 """
 
 from .boxgame import (
@@ -16,16 +17,13 @@ from .boxgame import (
     BoxState,
     boxbreaker_move_s,
     corollary_bound_holds,
-    greedy_maker,
     random_maker,
     run_box_game,
 )
 from .breaker import (
     BadSetDecomposition,
-    SuccessiveBadSets,
     breaker_move,
     build_bad_set,
-    build_successive,
     find_candidate,
     q_violations,
 )
@@ -54,7 +52,6 @@ from .engine import (
     REASON_FORFEIT,
     REASON_SPANNED,
     Strategy,
-    replay,
     run_game,
     validate_and_apply,
 )
@@ -74,7 +71,6 @@ from .graph import (
     edge,
     gen_gnp,
     read_edge_list,
-    write_edge_list,
 )
 from .harness import (
     SummaryRow,
@@ -99,10 +95,7 @@ from .verifier import (
     PropertyReport,
     check_b,
     check_d,
-    check_p,
     check_q,
-    check_s,
-    regime_ok,
 )
 
 __version__ = "0.1.0"
@@ -140,7 +133,6 @@ __all__ = [
     "Rng",
     "SpanningConnectorStrategy",
     "Strategy",
-    "SuccessiveBadSets",
     "SummaryRow",
     "TargetChase",
     "TreeEmbedding",
@@ -151,12 +143,9 @@ __all__ = [
     "boxbreaker_move_s",
     "breaker_move",
     "build_bad_set",
-    "build_successive",
     "check_b",
     "check_d",
-    "check_p",
     "check_q",
-    "check_s",
     "connector_move",
     "contains_hn",
     "corollary_bound_holds",
@@ -167,7 +156,6 @@ __all__ = [
     "find_structure_stage2",
     "find_tree_stage1",
     "gen_gnp",
-    "greedy_maker",
     "make_cells",
     "make_plan",
     "make_strategy",
@@ -176,8 +164,6 @@ __all__ = [
     "q_violations",
     "random_maker",
     "read_edge_list",
-    "regime_ok",
-    "replay",
     "run_box_game",
     "run_game",
     "run_trials",
@@ -188,5 +174,4 @@ __all__ = [
     "tree_depth_for",
     "uniforms_at",
     "validate_and_apply",
-    "write_edge_list",
 ]

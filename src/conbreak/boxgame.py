@@ -84,32 +84,6 @@ def boxbreaker_move_s(state: BoxState) -> int:
 MakerStrategy = Callable[[BoxState, Rng], List[int]]
 
 
-def greedy_maker(state: BoxState, rng: Rng) -> List[int]:
-    """Load the most-loaded box BoxBreaker has not defended yet; fall back
-    to any free box. Claims the full allowance."""
-    claims: List[int] = []
-    extra = [0] * len(state.boxes)
-    for _ in range(state.p):
-        best = None
-        best_load = -1
-        for i, box in enumerate(state.boxes):
-            if box.free() - extra[i] <= 0 or box.breaker > 0:
-                continue
-            load = box.maker + extra[i]
-            if load > best_load:
-                best, best_load = i, load
-        if best is None:
-            for i, box in enumerate(state.boxes):
-                if box.free() - extra[i] > 0:
-                    best = i
-                    break
-        if best is None:
-            break
-        extra[best] += 1
-        claims.append(best)
-    return claims
-
-
 def random_maker(state: BoxState, rng: Rng) -> List[int]:
     """Uniform random free element for each of the p claims."""
     claims: List[int] = []

@@ -24,11 +24,11 @@ isolated until the board is exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .engine import BREAKER, GameState, Move
+from .engine import GameState, Move
 from .errors import CapacityError, ParameterError
 from .graph import Edge, Graph, edge
 from .rng import Rng
@@ -71,9 +71,9 @@ def build_bad_set(
     Layer 1 is N(x) minus `excluded`; layer i >= 2 collects vertices not
     yet bad (and not excluded, not x) with at least two neighbors in the
     bad set so far, counted for every vertex at once over the CSR arrays.
-    Building halts on the first empty later layer. The
-    `excluded` set carries earlier candidates' bad sets when candidates are
-    processed in succession; leave it empty for standalone use.
+    Building halts on the first empty later layer. The `excluded` set
+    carries earlier candidates' bad sets when `find_candidate` processes
+    candidates in succession; leave it empty for standalone use.
     """
     if not (0 <= x < g.n):
         raise ParameterError(f"vertex {x} out of range")
@@ -103,40 +103,6 @@ def build_bad_set(
         bad |= nxt
         eligible &= ~nxt
     return BadSetDecomposition(x=x, layers=tuple(layers))
-
-
-@dataclass(frozen=True)
-class SuccessiveBadSets:
-    """Bad sets for a sequence of candidate vertices, built in order with
-    each build excluding all earlier bad sets."""
-
-    candidates: Tuple[int, ...]
-    decomps: Tuple[BadSetDecomposition, ...]
-
-    def union_through(self, j: int, i: int) -> FrozenSet[int]:
-        """All bad vertices of candidates 1..j-1 plus layers 1..i of
-        candidate j (1-based indices)."""
-        if not (1 <= j <= len(self.decomps)):
-            raise ParameterError(f"candidate index {j} out of range")
-        dec = self.decomps[j - 1]
-        if not (0 <= i <= dec.r_x):
-            raise ParameterError(f"layer index {i} out of range for candidate {j}")
-        acc = set()
-        for d in self.decomps[: j - 1]:
-            acc |= d.union
-        for layer in dec.layers[:i]:
-            acc |= layer
-        return frozenset(acc)
-
-
-def build_successive(g: Graph, candidates: Sequence[int]) -> SuccessiveBadSets:
-    decomps = []
-    excluded: set = set()
-    for x in candidates:
-        dec = build_bad_set(g, x, excluded)
-        decomps.append(dec)
-        excluded |= dec.union
-    return SuccessiveBadSets(tuple(candidates), tuple(decomps))
 
 
 # how many vertices find_candidate samples

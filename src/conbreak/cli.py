@@ -18,7 +18,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .breaker import build_bad_set, build_successive
+from .breaker import build_bad_set
 from .connector import EXPANSION_CAP, decompose, make_cells
 from .engine import CONNECTOR, run_game
 from .errors import ConbreakError, FormatError, ParameterError
@@ -162,9 +162,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    from .verifier import check_b, check_d, check_p
+# verify flags that one family reads; the other family refuses them
+_FAMILY_FLAGS = {"b": ("m_set", "exclude"), "d": ("k", "eps")}
 
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    from .verifier import check_b, check_d
+
+    for family, dests in _FAMILY_FLAGS.items():
+        given = [d for d in dests if getattr(args, d) is not None]
+        if given and family != args.family:
+            flag = "--" + given[0].replace("_", "-")
+            raise ParameterError(f"{flag} is read by family {family} only, not {args.family}")
     g = _load_graph(args)
     if args.family == "b":
         if args.x is None:
@@ -172,14 +181,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         dec = build_bad_set(g, args.x, excluded=tuple(args.exclude or ()))
         m_set = frozenset(args.m_set or ())
         report = check_b(g, dec, m_set)
-    elif args.family == "p":
-        if not args.candidates:
-            raise ParameterError("family p needs --candidates")
-        if args.eps is None:
-            raise ParameterError("family p needs --eps")
-        succ = build_successive(g, tuple(args.candidates))
-        report = check_p(g, succ, args.eps)
-    elif args.family == "d":
+    else:
         if args.x is None or args.k is None:
             raise ParameterError("family d needs --x and --k")
         cells = make_cells(g.n, args.x, args.k, seed=args.seed)
@@ -188,8 +190,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             sys.stdout.write('{"family": "D", "decomposed": false}\n')
             return 1
         report = check_d(dec, eps=args.eps)
-    else:
-        raise ParameterError(f"unknown family {args.family!r}")
     sys.stdout.write(report.to_json(indent=2) + "\n")
     return 0 if report.all_passed() else 1
 
@@ -211,7 +211,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         first=args.first,
         goal=goal,
         start_vertex=args.start,
-        depth_cap=args.depth_cap,
     )
     sys.stdout.write(winner + "\n")
     return 0
@@ -283,16 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(verify)
     verify.add_argument("--config", help="key=value defaults file")
     verify.add_argument(
-        "--family", required=True, choices=["b", "p", "d"], help="property family to check"
+        "--family", required=True, choices=["b", "d"], help="property family to check"
     )
     verify.add_argument("--x", type=int, help="defended vertex (families b, d)")
     verify.add_argument("--m-set", type=_int_list, help="claimed vertices to avoid (family b)")
-    verify.add_argument("--exclude", type=_int_list, help="vertices excluded from the layering")
     verify.add_argument(
-        "--candidates", type=_int_list, help="candidate vertices in order (family p)"
+        "--exclude", type=_int_list, help="vertices excluded from the layering (family b)"
     )
     verify.add_argument(
-        "--eps", type=float, help="density exponent: family p's bounds, family d's D4 degree bound"
+        "--eps", type=float, help="density exponent for D4's degree bound (family d)"
     )
     verify.add_argument("--k", type=int, help="decomposition depth (family d)")
     verify.add_argument("--seed", type=int, default=0)
@@ -307,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--goal", default="spanning", help="'spanning' or 'reach:<vertex>'")
     solve.add_argument("--start", type=int, default=None)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--depth-cap", type=int, default=None)
     solve.set_defaults(func=cmd_solve)
 
     return parser

@@ -476,7 +476,7 @@ class GameResult:
     """Outcome plus a replayable transcript.
 
     `transcript` holds one (round, role, edges) entry per move in play
-    order. Replaying the moves from the initial state (`replay`)
+    order. Replaying the moves from the initial state (`replay_states`)
     reproduces `final_state`. `rounds` is the round number of the
     last recorded move, 0 when the game ended before any move.
     """
@@ -613,12 +613,3 @@ def replay_states(
         _check_move(state, move)
         _apply_in_place(state, move)
         yield rnd, role, state
-
-
-def replay(result: GameResult, graph: Graph) -> GameState:
-    """Re-derive the final state of a recorded game. Used to check
-    transcript integrity."""
-    state = GameState(graph, m=result.m, b=result.b, start_vertex=result.start_vertex)
-    for _, _, state in replay_states(result, graph):
-        pass
-    return state

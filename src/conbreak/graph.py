@@ -7,15 +7,14 @@ those arrays: `off[x]:off[x+1]` is the slice of the flat `nbr` array
 holding x's neighbours, in ascending order, so it is symmetric by
 construction. The Python views are built on first use and cached: per
 vertex, the ascending row as a tuple (`row`) and as a frozenset for set
-algebra (`neighbors`); for the whole board, the sorted edge tuple, the
-edge frozenset and the edge ids (an edge's position in the sorted edge
-tuple, by edge and by vertex). The whole-board views hold a Python object
-per edge, which the cyclic garbage collector then keeps traversing, so
-the paper strategies and the engine's move checks never build them; the
-baseline strategies' indexed queries, the solver, `contains_hn` and
-`write_edge_list` do. An edge test (`has_edge`) bisects one row, or looks
-the edge up in the edge-id table once that exists. The degrees are a
-plain list of ints.
+algebra (`neighbors`); for the whole board, the sorted edge tuple and the
+edge ids (an edge's position in the sorted edge tuple, by edge and by
+vertex). The whole-board views hold a Python object per edge, which the
+cyclic garbage collector then keeps traversing, so the paper strategies
+and the engine's move checks never build them; the baseline strategies'
+indexed queries, the solver and `contains_hn` do. An edge test
+(`has_edge`) bisects one row, or looks the edge up in the edge-id table
+once that exists. The degrees are a plain list of ints.
 
 G(n, p) boards come from one uniform per vertex pair, in canonical pair
 order, kept when it is below p (the coupling of Stojakovic-Szabo 2005).
@@ -100,8 +99,7 @@ class Graph:
     Loops, out-of-range and non-integer vertices raise ParameterError."""
 
     __slots__ = (
-        "n", "u", "v", "off", "nbr", "_deg", "_rows", "_nbrs", "_edges", "_sorted", "_ids",
-        "_inc",
+        "n", "u", "v", "off", "nbr", "_deg", "_rows", "_nbrs", "_sorted", "_ids", "_inc",
     )
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
@@ -124,16 +122,9 @@ class Graph:
         self._deg: List[int] = deg.tolist()
         self._rows: List[Optional[Tuple[int, ...]]] = [None] * n
         self._nbrs: List[Optional[FrozenSet[int]]] = [None] * n
-        self._edges: Optional[FrozenSet[Edge]] = None
         self._sorted: Optional[Tuple[Edge, ...]] = None
         self._ids: Optional[Dict[int, int]] = None
         self._inc: Optional[List[Tuple[int, ...]]] = None
-
-    @property
-    def edges(self) -> FrozenSet[Edge]:
-        if self._edges is None:
-            self._edges = frozenset(self.sorted_edges())
-        return self._edges
 
     def edge_count(self) -> int:
         return len(self.u)
@@ -334,17 +325,9 @@ def contains_hn(g: Graph) -> Optional[Edge]:
     return None
 
 
-def write_edge_list(g: Graph, path: str) -> None:
-    """Write the documented edge-list format: header `n <count>`, then one
-    `u v` line per edge with u < v, ascending."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n {g.n}\n")
-        for u, v in g.sorted_edges():
-            fh.write(f"{u} {v}\n")
-
-
 def read_edge_list(path: str) -> Graph:
-    """Read the edge-list format written by write_edge_list.
+    """Read an edge-list file: header `n <count>`, then one `u v` line
+    per edge with u < v.
 
     Rejects malformed headers, out-of-range vertices, loops, duplicate
     edges and pairs not given as u < v.

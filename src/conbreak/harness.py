@@ -81,6 +81,10 @@ class TrialConfig:
                     raise ParameterError(f"p must be in [0, 1], got {p}")
         elif not self.eps_list:
             raise ParameterError("eps_list must be non-empty")
+        else:
+            for eps in self.eps_list:
+                if not math.isfinite(eps):
+                    raise ParameterError(f"eps must be finite, got {eps}")
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
         if self.m < 1 or self.b < 1:
@@ -95,6 +99,12 @@ class TrialConfig:
         if self.expansion_cap < 1:
             raise ParameterError(f"expansion cap must be at least 1, got {self.expansion_cap}")
         check_seed(self.seed_base)
+        # a repeated cell would count the same seeded games twice in one row
+        seen = set()
+        for n, p in self.cells():
+            if (n, p) in seen:
+                raise ParameterError(f"the grid holds the cell n={n}, p={p!r} twice")
+            seen.add((n, p))
         # fail fast on unknown strategy ids
         make_strategy(self.connector_id)
         make_strategy(self.breaker_id)
@@ -102,9 +112,8 @@ class TrialConfig:
     def ps_for(self, n: int) -> Tuple[float, ...]:
         if self.ps is not None:
             return self.ps
-        return tuple(
-            min(1.0, n ** (-2.0 / 3.0 + eps)) for eps in self.eps_list
-        )
+        # a non-negative exponent gives p = 1, without overflowing
+        return tuple(n ** min(0.0, -2.0 / 3.0 + eps) for eps in self.eps_list)
 
     def cells(self) -> List[Tuple[int, float]]:
         return [(n, p) for n in self.ns for p in self.ps_for(n)]

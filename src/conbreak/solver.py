@@ -44,13 +44,12 @@ def _parse_goal(goal: Goal, n: int) -> Tuple[str, int]:
 class _Search:
     """Memoized game-tree search on one board with fixed biases and goal."""
 
-    def __init__(self, g: Graph, m: int, b: int, kind: str, x: int, depth_cap: Optional[int]):
+    def __init__(self, g: Graph, m: int, b: int, kind: str, x: int):
         self.n = g.n
         self.m = m
         self.b = b
         self.kind = kind
         self.x = x
-        self.depth_cap = depth_cap
         self.edges = g.sorted_edges()
         self.inc = [(1 << u) | (1 << v) for u, v in self.edges]
         self.all_e = (1 << len(self.edges)) - 1
@@ -64,10 +63,8 @@ class _Search:
             return vc == self.full_v
         return bool((vc >> self.x) & 1)
 
-    def val(self, cmask, bmask, vc, mover, left, prev_empty, depth) -> bool:
+    def val(self, cmask, bmask, vc, mover, left, prev_empty) -> bool:
         """True when Connector wins from here with best play."""
-        if self.depth_cap is not None and depth > self.depth_cap:
-            raise CapacityError(f"search exceeded depth cap {self.depth_cap}")
         key = (cmask, bmask, mover, left, prev_empty)
         hit = self.memo.get(key)
         if hit is not None:
@@ -90,9 +87,9 @@ class _Search:
                     result = True
                     break
                 if left > 1:
-                    r = self.val(cmask | bit, bmask, nvc, CONNECTOR, left - 1, prev_empty, depth + 1)
+                    r = self.val(cmask | bit, bmask, nvc, CONNECTOR, left - 1, prev_empty)
                 else:
-                    r = self.val(cmask | bit, bmask, nvc, BREAKER, self.b, False, depth + 1)
+                    r = self.val(cmask | bit, bmask, nvc, BREAKER, self.b, False)
                 if r:
                     result = True
                     break
@@ -101,7 +98,7 @@ class _Search:
                 if not any_claimed and prev_empty:
                     result = False  # stalled game, Connector never spans
                 else:
-                    result = self.val(cmask, bmask, vc, BREAKER, self.b, not any_claimed, depth + 1)
+                    result = self.val(cmask, bmask, vc, BREAKER, self.b, not any_claimed)
         else:
             result = True
             f = free
@@ -109,9 +106,9 @@ class _Search:
                 bit = f & -f
                 f ^= bit
                 if left > 1:
-                    r = self.val(cmask, bmask | bit, vc, BREAKER, left - 1, prev_empty, depth + 1)
+                    r = self.val(cmask, bmask | bit, vc, BREAKER, left - 1, prev_empty)
                 else:
-                    r = self.val(cmask, bmask | bit, vc, CONNECTOR, self.m, False, depth + 1)
+                    r = self.val(cmask, bmask | bit, vc, CONNECTOR, self.m, False)
                 if not r:
                     result = False
                     break
@@ -119,7 +116,7 @@ class _Search:
                 if not any_claimed and prev_empty:
                     result = False
                 else:
-                    r = self.val(cmask, bmask, vc, CONNECTOR, self.m, not any_claimed, depth + 1)
+                    r = self.val(cmask, bmask, vc, CONNECTOR, self.m, not any_claimed)
                     if not r:
                         result = False
         self.memo[key] = result
@@ -133,16 +130,13 @@ def solve_exact(
     first: str = CONNECTOR,
     goal: Goal = GOAL_SPANNING,
     start_vertex: Optional[int] = None,
-    max_edges: int = MAX_EDGES,
-    depth_cap: Optional[int] = None,
 ) -> str:
     """Winner under optimal play: 'C' or 'B'.
 
     `first` names the player who moves first. With `start_vertex` set,
     Connector territory starts at that vertex and every claim must touch
     territory; without it her first edge is unconstrained. Boards with more
-    than `max_edges` edges are refused (CapacityError), as is a recursion
-    deeper than `depth_cap` plies when one is given.
+    than MAX_EDGES edges are refused (CapacityError).
     """
     if m < 1 or b < 1:
         raise ParameterError(f"bias must be at least 1, got m={m} b={b}")
@@ -152,15 +146,15 @@ def solve_exact(
         raise ParameterError(f"start vertex {start_vertex} out of range")
     kind, x = _parse_goal(goal, g.n)
     ne = g.edge_count()
-    if ne > max_edges:
-        raise CapacityError(f"board has {ne} edges, guard allows {max_edges}")
+    if ne > MAX_EDGES:
+        raise CapacityError(f"board has {ne} edges, guard allows {MAX_EDGES}")
 
-    search = _Search(g, m, b, kind, x, depth_cap)
+    search = _Search(g, m, b, kind, x)
     start_vc = 0 if start_vertex is None else (1 << start_vertex)
     if search.goal_met(start_vc):
         return CONNECTOR
     start_left = m if first == CONNECTOR else b
-    won = search.val(0, 0, start_vc, first, start_left, False, 0)
+    won = search.val(0, 0, start_vc, first, start_left, False)
     return CONNECTOR if won else BREAKER
 
 
@@ -180,7 +174,7 @@ def best_move(state: GameState) -> Move:
     ne = g.edge_count()
     if ne > MAX_EDGES:
         raise CapacityError(f"board has {ne} edges, guard allows {MAX_EDGES}")
-    search = _Search(g, state.m, state.b, GOAL_SPANNING, -1, None)
+    search = _Search(g, state.m, state.b, GOAL_SPANNING, -1)
     index = {e: i for i, e in enumerate(search.edges)}
 
     cmask = 0
@@ -230,11 +224,11 @@ def best_move(state: GameState) -> Move:
         if is_connector:
             if search.goal_met(vcur):
                 return Move(claims)
-            won = search.val(cm, bm, vcur, BREAKER, state.b, not claims, 0)
+            won = search.val(cm, bm, vcur, BREAKER, state.b, not claims)
             if won:
                 return Move(claims)
         else:
-            won = search.val(cm, bm, vcur, CONNECTOR, state.m, not claims, 0)
+            won = search.val(cm, bm, vcur, CONNECTOR, state.m, not claims)
             if not won:
                 return Move(claims)
     return Move(candidates[0][0])

@@ -63,7 +63,7 @@ def canonical_form(g: Graph) -> FrozenSet[Tuple[int, int]]:
     """Lexicographically least edge set over all vertex relabelings."""
     best = None
     for perm in permutations(range(g.n)):
-        relabeled = frozenset(edge(perm[u], perm[v]) for u, v in g.edges)
+        relabeled = frozenset(edge(perm[u], perm[v]) for u, v in g.sorted_edges())
         key = tuple(sorted(relabeled))
         if best is None or key < best[0]:
             best = (key, relabeled)
@@ -127,7 +127,7 @@ def connected_graph_classes(n: int) -> Tuple[Graph, ...]:
             continue
         seen.add(canon)
         reps.append(Graph(n, [pairs[i] for i in range(len(pairs)) if (canon >> i) & 1]))
-    reps.sort(key=lambda g: (g.edge_count(), tuple(sorted(g.edges))))
+    reps.sort(key=lambda g: (g.edge_count(), g.sorted_edges()))
     return tuple(reps)
 
 
@@ -144,7 +144,7 @@ def connected_graph_classes_slow(n: int) -> List[Graph]:
             continue
         seen.add(canon)
         reps.append(Graph(n, canon))
-    reps.sort(key=lambda g: (g.edge_count(), tuple(sorted(g.edges))))
+    reps.sort(key=lambda g: (g.edge_count(), g.sorted_edges()))
     return reps
 
 
@@ -206,7 +206,7 @@ def oracle_game_value(
     Breaker's favor, as does a fully claimed board without a spanning
     Connector subgraph.
     """
-    all_edges = tuple(sorted(g.edges))
+    all_edges = g.sorted_edges()
 
     def vc_of(cedges: FrozenSet) -> Set[int]:
         vs = set() if start_vertex is None else {start_vertex}
@@ -399,6 +399,32 @@ def box_rule_survives_all_maker_play(capacities: Sequence[int], p: int) -> bool:
     return survives([Box(c) for c in capacities])
 
 
+def greedy_maker(state, rng) -> List[int]:
+    """A BoxMaker adversary: load the most-loaded box BoxBreaker has not
+    defended yet; fall back to any free box. Claims the full allowance."""
+    claims: List[int] = []
+    extra = [0] * len(state.boxes)
+    for _ in range(state.p):
+        best = None
+        best_load = -1
+        for i, box in enumerate(state.boxes):
+            if box.free() - extra[i] <= 0 or box.breaker > 0:
+                continue
+            load = box.maker + extra[i]
+            if load > best_load:
+                best, best_load = i, load
+        if best is None:
+            for i, box in enumerate(state.boxes):
+                if box.free() - extra[i] > 0:
+                    best = i
+                    break
+        if best is None:
+            break
+        extra[best] += 1
+        claims.append(best)
+    return claims
+
+
 # ---------------------------------------------------------------------------
 # helpers only tests need
 
@@ -409,8 +435,9 @@ def is_spanning_connected(g: Graph, edge_subset: Iterable[Tuple[int, int]]) -> b
     from conbreak import ParameterError
 
     subset = list(edge_subset)
+    edges = frozenset(g.sorted_edges())
     for e in subset:
-        if edge(*e) not in g.edges:
+        if edge(*e) not in edges:
             raise ParameterError(f"edge {e} is not an edge of the graph")
     if g.n <= 1:
         return True

@@ -10,13 +10,12 @@ from conbreak import (
     ParameterError,
     boxbreaker_move_s,
     corollary_bound_holds,
-    greedy_maker,
     random_maker,
     run_box_game,
 )
 from conbreak.boxgame import Box, BoxState, BREAKER, MAKER
 
-from oracles import box_rule_survives_all_maker_play
+from oracles import box_rule_survives_all_maker_play, greedy_maker
 
 
 def test_state_validation():

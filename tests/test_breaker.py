@@ -11,7 +11,6 @@ from conbreak import (
     ParameterError,
     breaker_move,
     build_bad_set,
-    build_successive,
     find_candidate,
     gen_gnp,
     q_violations,
@@ -107,23 +106,18 @@ def test_layering_matches_the_vertex_loop(n, p, seed, pick, isolate):
 
 
 def test_successive_builds_exclude_earlier():
-    # fan graph plus a tail 4-5-6 hanging off the deep layer
+    # fan graph plus a tail 4-5-6 hanging off the deep layer; candidates
+    # in succession, as find_candidate takes them
     g = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (4, 5), (5, 6)])
-    suc = build_successive(g, [0, 5])
-    assert suc.decomps[0].union == frozenset({1, 2, 3, 4})
+    first = build_bad_set(g, 0)
+    assert first.union == frozenset({1, 2, 3, 4})
     # 5's neighborhood is {4, 6} but 4 is already bad and excluded
-    assert suc.decomps[1].layers == (frozenset({6}),)
-    assert suc.union_through(1, 1) == frozenset({1, 2, 3})
-    assert suc.union_through(1, 2) == frozenset({1, 2, 3, 4})
-    assert suc.union_through(2, 0) == frozenset({1, 2, 3, 4})
-    assert suc.union_through(2, 1) == frozenset({1, 2, 3, 4, 6})
-    with pytest.raises(ParameterError):
-        suc.union_through(3, 0)
-    with pytest.raises(ParameterError):
-        suc.union_through(1, 5)
+    second = build_bad_set(g, 5, excluded=first.union)
+    assert second.layers == (frozenset({6}),)
+    assert second.union | first.union == frozenset({1, 2, 3, 4, 6})
     # a candidate inside an earlier bad set is a caller error here
     with pytest.raises(ParameterError):
-        build_successive(g, [0, 4])
+        build_bad_set(g, 4, excluded=first.union)
 
 
 def test_find_candidate_matching_witness():

@@ -174,6 +174,34 @@ def test_sweep_refuses_the_retired_k_cap(capsys, tmp_path, via_config):
     assert records.read_text() == "keep me too\n"
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--ns", "20", "--eps", "nan"],
+        ["--ns", "20", "--eps=-inf"],
+        ["--ns", "20", "--eps", "inf"],
+        ["--ns", "20", "--ps", "0.5,0.5"],
+        ["--ns", "20,20", "--ps", "0.5"],
+        # both exponents put p above 1 at n=20, so both cells are p=1.0
+        ["--ns", "20", "--eps", "0.7,0.9"],
+    ],
+    ids=["eps-nan", "eps-minus-inf", "eps-inf", "ps-repeated", "ns-repeated", "p-clamped-twice"],
+)
+def test_sweep_refuses_a_bad_grid(capsys, tmp_path, grid):
+    # no density is made up from a non-finite exponent, and no cell plays
+    # the same seeded games twice
+    out_csv = tmp_path / "x.csv"
+    records = tmp_path / "x.jsonl"
+    out_csv.write_text("keep me\n")
+    records.write_text("keep me too\n")
+    argv = ["sweep", *grid, "--trials", "2", "--connector", "random", "--breaker", "random",
+            "--out", str(out_csv), "--records", str(records)]
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2 and out == "" and err.startswith("conbreak:")
+    assert out_csv.read_text() == "keep me\n"
+    assert records.read_text() == "keep me too\n"
+
+
 # sweep flags whose TrialConfig field has another name, as cmd_sweep passes them
 SWEEP_RENAMES = {
     "eps": "eps_list",
@@ -290,26 +318,31 @@ def test_verify_family_b_rejects_off_board_vertex_lists(capsys, extra):
     assert err.startswith("conbreak:") and "out of range" in err
 
 
-def test_verify_family_p(capsys, tmp_path):
-    path = write_graph(
-        tmp_path / "ft.edges",
-        7,
-        [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (4, 5), (5, 6)],
-    )
-    rc, out, _ = run_main(
-        capsys,
-        ["verify", "--graph", path, "--family", "p", "--candidates", "0,5", "--eps", "0.45"],
-    )
-    assert rc == 1
-    report = json.loads(out)
-    assert report["family"] == "P"
-    assert report["clauses"]["P1"]["passed"] is False
-
-    rc2, _, err2 = run_main(capsys, ["verify", "--graph", path, "--family", "p", "--eps", "0.4"])
-    assert rc2 == 2 and "--candidates" in err2
-    rc3, _, err3 = run_main(capsys, ["verify", "--graph", path, "--family", "p",
-                                     "--candidates", "0"])
-    assert rc3 == 2 and "--eps" in err3
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize(
+    "command, retired",
+    [
+        (["verify", "--x", "0"], ("--family", "p")),
+        (["solve"], ("--depth-cap", "1")),
+    ],
+    ids=["verify-family-p", "solve-depth-cap"],
+)
+def test_retired_verify_and_solve_flags_are_refused(
+    capsys, tmp_path, fan_file, command, retired, via_config
+):
+    # verify has no family p and solve no depth cap: refused, not ignored
+    argv = command + ["--graph", fan_file]
+    if via_config:
+        cfg = tmp_path / "retired.cfg"
+        cfg.write_text(f"{retired[0][2:]}={retired[1]}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += list(retired)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and retired[0] in captured.err
 
 
 def test_verify_family_d(capsys):
@@ -365,6 +398,24 @@ def test_verify_family_d_eps_sets_the_degree_bound(capsys):
     assert rc == (0 if report["all_passed"] else 1)
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (B_ARGS + ["--eps", "0.3", "--k", "3"], "--k"),
+        (B_ARGS + ["--eps", "0.3"], "--eps"),
+        (B_ARGS + ["--k", "3"], "--k"),
+        (D_ARGS + ["--x", "0", "--m-set", "1,2"], "--m-set"),
+        (D_ARGS + ["--x", "0", "--exclude", "3"], "--exclude"),
+    ],
+    ids=["b-eps-and-k", "b-eps", "b-k", "d-m-set", "d-exclude"],
+)
+def test_verify_refuses_flags_its_family_does_not_read(capsys, argv, flag):
+    # a flag the family ignores is a mistake in the call, not a default
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("conbreak:") and flag in err
+
+
 def test_solve_subcommand(capsys, triangle_file, tmp_path):
     rc, out, _ = run_main(capsys, ["solve", "--graph", triangle_file])
     assert rc == 0 and out == "C\n"
@@ -382,8 +433,6 @@ def test_solve_subcommand(capsys, triangle_file, tmp_path):
     assert rc4 == 2 and "goal" in err4
     rc5, _, err5 = run_main(capsys, ["solve", "--graph", triangle_file, "--goal", "reach:xyz"])
     assert rc5 == 2 and "integer" in err5
-    rc6, _, err6 = run_main(capsys, ["solve", "--graph", triangle_file, "--depth-cap", "1"])
-    assert rc6 == 2 and "conbreak:" in err6
 
 
 def test_module_entry_point():

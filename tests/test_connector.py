@@ -106,7 +106,7 @@ def test_is_good_tree():
     assert good_branches(t, x, s3) is None
     # breaker on an arc whose child joined territory by another edge:
     # an arc into territory is tolerated
-    g4 = Graph(5, sorted(g.edges) + [(2, 4)])
+    g4 = Graph(5, list(g.sorted_edges()) + [(2, 4)])
     s4 = GameState(g4, m=2, b=2, connector_edges=[(2, 4)], breaker_edges=[(0, 2)])
     assert good_branches(t, x, s4) == _root_branches(t)
     # breaker on a leaf-to-target edge: not good

@@ -20,7 +20,6 @@ from conbreak import (
     REASON_SPANNED,
     gen_gnp,
     make_strategy,
-    replay,
     run_game,
     validate_and_apply,
 )
@@ -265,14 +264,15 @@ def test_replay_reproduces_final_state(n, p, seed, connector, breaker):
         start_vertex=0,
         seed=seed,
     )
-    # the engine's derived facts match a naive recount at every replayed state
-    for _, _, s in replay_states(res, g):
-        counts = [sum(1 for e in s.breaker_edges if v in e) for v in range(n)]
-        assert s.breaker_degrees == counts
-        naive_free = [e for e in g.sorted_edges() if s.is_free(e)]
-        assert s.free_edges() == naive_free
-        assert s.lowest_free(3) == naive_free[:3]
-    state = replay(res, g)
+    # the engine's derived facts match a naive recount at every replayed
+    # state, and the last one (the start, when no move was made) is final
+    state = GameState(g, m=2, b=2, start_vertex=0)
+    for _, _, state in replay_states(res, g):
+        counts = [sum(1 for e in state.breaker_edges if v in e) for v in range(n)]
+        assert state.breaker_degrees == counts
+        naive_free = [e for e in g.sorted_edges() if state.is_free(e)]
+        assert state.free_edges() == naive_free
+        assert state.lowest_free(3) == naive_free[:3]
     assert state.connector_edges == res.final_state.connector_edges
     assert state.breaker_edges == res.final_state.breaker_edges
     assert state.breaker_degrees == res.final_state.breaker_degrees

@@ -338,8 +338,6 @@ def test_sweep_outputs_pinned(capsys, tmp_path):
 VERIFY_ARGS = {
     "b": ["--n", "64", "--p", "0.2", "--seed", "3", "--family", "b", "--x", "5",
           "--m-set", "0,1,2"],
-    "p": ["--n", "200", "--p", "0.01", "--seed", "3", "--family", "p",
-          "--candidates", "0,100,150", "--eps", "0.3"],
     "d": ["--n", "256", "--p", "0.8", "--seed", "1", "--family", "d", "--x", "0",
           "--k", "2"],
 }
@@ -347,7 +345,6 @@ VERIFY_ARGS = {
 VERIFY_DIGESTS = {
     "b": (1, "82e83300ee94ea7ec538a97fcf21ba3eac6cfc25805c0d41a9172c900fe98e54"),
     "d": (0, "0f619f534e2c54e59dc13aab3a4dbad66c6eff04f3962fdaf882605230eda522"),
-    "p": (0, "a5b9c3f1f45fa305fcbcdbdc0aaff94d932ab7331700b1f7ae97c5edb7429bda"),
 }
 
 

@@ -82,6 +82,21 @@ def test_config_validation():
         TrialConfig(ns=(5,), ps=(0.5,), breaker_id="nonsense")
     with pytest.raises(ParameterError):
         TrialConfig(ns=(5,), ps=(0.5,), start_vertex=-1)
+    # a density from a non-finite exponent would be made up: nan and +inf
+    # both read as p = 1, -inf as p = 0
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="eps must be finite"):
+            TrialConfig(ns=(20,), eps_list=(0.1, eps))
+    # a repeated cell would count the same seeded games twice in one row
+    for grid in (
+        dict(ns=(20,), ps=(0.5, 0.5)),
+        dict(ns=(20, 20), ps=(0.5,)),
+        dict(ns=(20, 30), eps_list=(0.7, 0.9)),  # both clamp to p = 1 at n = 20
+    ):
+        with pytest.raises(ParameterError, match="twice"):
+            TrialConfig(**grid)
+    # exponents far above 2/3 clamp to p = 1 without overflowing
+    assert TrialConfig(ns=(1000,), eps_list=(1000.0,)).ps_for(1000) == (1.0,)
 
 
 def test_eps_list_maps_to_probabilities():
@@ -175,7 +190,7 @@ def test_parallel_matches_serial(tmp_path):
     with a fresh board per game."""
     grids = [
         dict(ps=(0.4, 0.7), trials=3),
-        dict(ns=(10, 16), ps=(0.4, 0.7, 0.4, 0.2), trials=3),
+        dict(ns=(10, 16), ps=(0.4, 0.7, 0.2), trials=3),
         dict(ns=(12, 20), ps=None, eps_list=(-0.1, 0.2, 0.5), trials=2,
              connector_id="paper-connector", breaker_id="paper-breaker"),
     ]

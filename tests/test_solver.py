@@ -54,7 +54,7 @@ def test_matches_oracle_exhaustive_small():
                 for first in (CONNECTOR, BREAKER):
                     got = solve_exact(g, m, b, first=first)
                     want = oracle_game_value(g, m, b, first=first)
-                    assert got == want, (n, sorted(g.edges), m, b, first)
+                    assert got == want, (n, g.sorted_edges(), m, b, first)
 
 
 def test_matches_oracle_n4_both_goals():
@@ -64,7 +64,7 @@ def test_matches_oracle_n4_both_goals():
             assert solve_exact(g, m, b) == oracle_game_value(g, m, b)
             got = solve_exact(g, m, b, goal=reach, start_vertex=0)
             want = oracle_game_value(g, m, b, goal=reach, start_vertex=0)
-            assert got == want, (sorted(g.edges), m, b)
+            assert got == want, (g.sorted_edges(), m, b)
 
 
 def test_matches_oracle_n5_classes():
@@ -74,7 +74,7 @@ def test_matches_oracle_n5_classes():
             assert solve_exact(g, m, b) == oracle_game_value(g, m, b)
             got = solve_exact(g, m, b, goal=reach, start_vertex=0)
             want = oracle_game_value(g, m, b, goal=reach, start_vertex=0)
-            assert got == want, (sorted(g.edges), m, b)
+            assert got == want, (g.sorted_edges(), m, b)
 
 
 def test_start_vertex_spanning_matches_oracle():
@@ -82,7 +82,7 @@ def test_start_vertex_spanning_matches_oracle():
         for m, b in ((1, 1), (2, 2)):
             got = solve_exact(g, m, b, start_vertex=0)
             want = oracle_game_value(g, m, b, start_vertex=0)
-            assert got == want, (sorted(g.edges), m, b)
+            assert got == want, (g.sorted_edges(), m, b)
 
 
 def test_bias_monotonicity():
@@ -117,10 +117,12 @@ def test_parameter_validation():
 def test_capacity_guards():
     big = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
     with pytest.raises(CapacityError):
-        solve_exact(big, 1, 1)  # 21 edges > default 16
-    assert solve_exact(big, 1, 1, max_edges=21) in (CONNECTOR, BREAKER)
+        solve_exact(big, 1, 1)  # 21 edges > 16
     with pytest.raises(CapacityError):
-        solve_exact(triangle(), 1, 1, depth_cap=1)
+        best_move(GameState(big))
+    # 16 edges pass the guard; reaching vertex 1 takes one claim
+    at_bound = Graph(7, big.sorted_edges()[:16])
+    assert solve_exact(at_bound, 1, 1, goal=("reach", 1), start_vertex=0) == CONNECTOR
 
 
 def test_best_move_on_met_goal_is_empty():
@@ -141,7 +143,7 @@ def test_best_move_preserves_win():
         for m, b in ((1, 1), (1, 2), (2, 2)):
             want = solve_exact(g, m, b)
             res = run_game(g, MinimaxStrategy(), MinimaxStrategy(), m=m, b=b)
-            assert res.winner == want, (sorted(g.edges), m, b)
+            assert res.winner == want, (g.sorted_edges(), m, b)
 
 
 def test_best_move_refuses_big_board():

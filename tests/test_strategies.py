@@ -218,7 +218,7 @@ def test_paper_games_build_no_whole_board_view(exponent, seed):
         seed=seed,
     )
     assert res.rounds > 0
-    assert g._edges is None and g._sorted is None
+    assert g._sorted is None
 
 
 def test_isolating_breaker_builds_no_whole_board_view():
@@ -228,4 +228,4 @@ def test_isolating_breaker_builds_no_whole_board_view():
     res = run_game(g, _RowWalker(), breaker, start_vertex=0, seed=5)
     assert breaker.candidate is not None and FLAG_NO_CANDIDATE not in res.flags
     assert res.rounds > 10
-    assert g._edges is None and g._sorted is None
+    assert g._sorted is None

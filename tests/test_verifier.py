@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -16,33 +15,21 @@ from conbreak import (
     Graph,
     Move,
     ParameterError,
-    SuccessiveBadSets,
-    TreeEmbedding,
     build_bad_set,
-    build_successive,
     check_b,
     check_d,
-    check_p,
     check_q,
-    check_s,
     decompose,
     edge,
     gen_gnp,
     make_cells,
-    regime_ok,
     validate_and_apply,
 )
 from conbreak.engine import BREAKER, CONNECTOR, REASON_EXHAUSTED
-from conbreak.verifier import check_degree_into, check_degree_upper
 
 
 def fan_graph() -> Graph:
     return Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)])
-
-
-def fan_tail_graph() -> Graph:
-    # the fan plus a two-edge tail hanging off vertex 4
-    return Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (4, 5), (5, 6)])
 
 
 def complete_graph(n: int) -> Graph:
@@ -170,74 +157,6 @@ def test_b_matches_literal_transcription():
 
 
 # ---------------------------------------------------------------------------
-# P family
-
-
-def test_p_worked_example():
-    g = fan_tail_graph()
-    succ = build_successive(g, [0, 5])
-    rep = check_p(g, succ, eps=0.45)
-    assert rep.params["t"] == 2
-    assert rep.params["depth_cap"] == 3
-    assert rep.params["regime_ok"] is False
-
-    # candidate 5 is adjacent to bad vertex 4, so the spacing clause trips
-    assert rep.clauses["P1"].witness == {"candidate": 2, "vertex": 5}
-    assert rep.clauses["P3"].passed
-    assert rep.clauses["P4"].passed
-    assert rep.clauses["P6"].passed
-    p2 = rep.clauses["P2"]
-    assert not p2.passed and p2.diagnostic
-    assert p2.witness["candidate"] == 1 and p2.witness["layer"] == 1
-    assert p2.witness["size"] == 3
-    assert p2.witness["bound"] == pytest.approx(7 ** ((1 - 0.45) / 3))
-    assert rep.clauses["P5"].passed and rep.clauses["P5"].diagnostic
-    assert not rep.all_passed()
-    assert rep.failures() == ["P1", "P2"]
-
-
-def test_p_depth_cap_clause():
-    g = fan_tail_graph()
-    succ = build_successive(g, [0])
-    rep = check_p(g, succ, eps=1.0)
-    assert rep.clauses["P6"].witness == {"candidate": 1, "r": 2, "cap": 1}
-    assert rep.clauses["P1"].passed and rep.clauses["P4"].passed
-    assert rep.clauses["P5"].diagnostic
-    assert not rep.all_passed()
-
-
-def test_p4_flags_layer_overlap():
-    g = fan_tail_graph()
-    base = build_successive(g, [0])
-    tampered = SuccessiveBadSets(
-        candidates=(0, 5),
-        decomps=(base.decomps[0], BadSetDecomposition(x=5, layers=(frozenset({4, 6}),))),
-    )
-    rep = check_p(g, tampered, eps=0.45)
-    assert rep.clauses["P4"].witness == {"candidate": 2, "layer": 1, "vertex": 4}
-    assert rep.clauses["P3"].passed
-
-
-def test_p_rejects_nonpositive_eps():
-    g = fan_graph()
-    succ = build_successive(g, [0])
-    with pytest.raises(ParameterError):
-        check_p(g, succ, eps=0.0)
-    with pytest.raises(ParameterError):
-        check_p(g, succ, eps=-0.2)
-
-
-def test_regime_ok_numeric():
-    assert not regime_ok(2, 100.0)
-    thr = 7.0 * math.log(math.log(50)) / math.log(50)
-    assert regime_ok(50, thr)
-    assert not regime_ok(50, thr - 1e-9)
-    # the threshold shrinks for astronomically large boards
-    assert regime_ok(10**100, 0.2)
-    assert not regime_ok(10**6, 0.2)
-
-
-# ---------------------------------------------------------------------------
 # D family
 
 
@@ -303,105 +222,6 @@ def test_d_diagnostic_misses_do_not_fail_report():
     assert d4.witness["bound"] == pytest.approx(25 ** (3 * 0.05))
     assert rep.all_passed()
     assert rep.failures() == ["D4"]
-
-
-# ---------------------------------------------------------------------------
-# S family
-
-
-def pivot_structure():
-    # a=0 reaches pivot z=1; two depth-2 trees (roots 2 and 5) hang off z
-    # and their leaves all reach the target x=8
-    g = Graph(
-        9,
-        [
-            (0, 1),
-            (1, 2),
-            (1, 5),
-            (2, 3),
-            (2, 4),
-            (5, 6),
-            (5, 7),
-            (3, 8),
-            (4, 8),
-            (6, 8),
-            (7, 8),
-        ],
-    )
-    t1 = TreeEmbedding(2, (2, 3, 4))
-    t2 = TreeEmbedding(2, (5, 6, 7))
-    return g, t1, t2
-
-
-def test_s_valid_structure_passes():
-    g, t1, t2 = pivot_structure()
-    rep = check_s(g, (), (), {0}, 8, 1, (t1, t2))
-    assert set(rep.clauses) == {"pivot", "S1", "S2", "S3", "S4", "disjoint"}
-    assert rep.all_passed()
-    assert rep.params["count"] == 2
-
-
-def test_s_pivot_requires_unblocked_link():
-    g, t1, t2 = pivot_structure()
-    rep = check_s(g, {(0, 1)}, (), {0}, 8, 1, (t1, t2))
-    assert rep.clauses["pivot"].witness == {
-        "vertex": 1,
-        "reason": "no unblocked edge from a1",
-    }
-    # the pivot itself never counts as its own support
-    rep2 = check_s(g, (), (), {1}, 8, 1, (t1, t2))
-    assert not rep2.clauses["pivot"].passed
-
-
-def test_s1_target_inside_tree():
-    g, _, t2 = pivot_structure()
-    bad = TreeEmbedding(2, (8, 3, 4))
-    rep = check_s(g, (), (), {0}, 8, 1, (bad, t2))
-    assert rep.clauses["S1"].witness == {"tree": 0, "vertex": 8}
-    assert not rep.all_passed()
-
-
-def test_s2_blocked_root_edge():
-    g, t1, t2 = pivot_structure()
-    rep = check_s(g, {(1, 2)}, (), {0}, 8, 1, (t1, t2))
-    assert rep.clauses["S2"].witness == {"tree": 0, "root": 2}
-    assert rep.clauses["pivot"].passed and rep.clauses["S3"].passed
-
-
-def test_s3_blocked_arc_unless_tolerated():
-    g, t1, t2 = pivot_structure()
-    rep = check_s(g, {(2, 3)}, (), {0}, 8, 1, (t1, t2))
-    assert rep.clauses["S3"].witness == {"tree": 0, "edge": (2, 3)}
-    # the same blocked arc is fine when it lands in the tolerated set
-    rep2 = check_s(g, {(2, 3)}, {3}, {0}, 8, 1, (t1, t2))
-    assert rep2.clauses["S3"].passed
-
-    phantom = TreeEmbedding(2, (2, 3, 6))
-    rep3 = check_s(g, (), (), {0}, 8, 1, (phantom,))
-    assert rep3.clauses["S3"].witness == {
-        "tree": 0,
-        "edge": (2, 6),
-        "reason": "not a graph edge",
-    }
-
-
-def test_s4_blocked_leaf_edge():
-    g, t1, t2 = pivot_structure()
-    rep = check_s(g, {(3, 8)}, (), {0}, 8, 1, (t1, t2))
-    assert rep.clauses["S4"].witness == {"tree": 0, "vertex": 3}
-    assert rep.clauses["S3"].passed
-
-
-def test_s_disjointness():
-    g, t1, t2 = pivot_structure()
-    rep = check_s(g, (), (), {0}, 8, 1, (t1, t1))
-    w = rep.clauses["disjoint"].witness
-    assert w["tree"] == 1 and w["also_in"] == 0
-
-    with_pivot = TreeEmbedding(2, (2, 1, 4))
-    rep2 = check_s(g, (), (), {0}, 8, 1, (with_pivot,))
-    w2 = rep2.clauses["disjoint"].witness
-    assert w2 == {"tree": 0, "vertex": 1, "reason": "tree contains pivot"}
 
 
 # ---------------------------------------------------------------------------
@@ -499,29 +319,6 @@ def test_q_rejects_out_of_turn_transcript():
     )
     with pytest.raises(ParameterError):
         check_q(g, result, dec)
-
-
-# ---------------------------------------------------------------------------
-# the diagnostic degree windows
-
-
-def test_degree_window_checkers():
-    star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    rep = check_degree_upper(star, eps=0.05)
-    c = rep.clauses["max-degree"]
-    assert not c.passed and c.diagnostic
-    assert c.witness["vertex"] == 0 and c.witness["degree"] == 4
-    assert rep.all_passed()  # diagnostic only
-
-    path = Graph(3, [(0, 1), (1, 2)])
-    assert check_degree_upper(path, eps=0.05).clauses["max-degree"].passed
-
-    k5 = complete_graph(5)
-    assert check_degree_into(k5, {0, 1}, eps=0.5).clauses["min-degree"].passed
-    rep2 = check_degree_into(k5, {0, 1}, eps=2.0)
-    c2 = rep2.clauses["min-degree"]
-    assert c2.witness == {"vertex": 2, "degree": 2, "bound": 5.0}
-    assert rep2.all_passed()
 
 
 # ---------------------------------------------------------------------------
