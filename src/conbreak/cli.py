@@ -14,6 +14,7 @@ that variable is set.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -184,6 +185,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.x is None or args.k is None:
             raise ParameterError("family d needs --x and --k")
+        if args.eps is not None and not math.isfinite(args.eps):
+            raise ParameterError(f"--eps must be finite, got {args.eps}")
         cells = make_cells(g.n, args.x, args.k, seed=args.seed)
         dec = decompose(g, args.x, cells, args.k, seed=args.seed)
         if dec is None:

@@ -398,6 +398,15 @@ def test_verify_family_d_eps_sets_the_degree_bound(capsys):
     assert rc == (0 if report["all_passed"] else 1)
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_verify_family_d_refuses_a_non_finite_eps(capsys, eps):
+    # nan would pass D4 against a nan bound and print a NaN the JSON
+    # standard does not have
+    rc, out, err = run_main(capsys, D_ARGS + ["--x", "0", f"--eps={eps}"])
+    assert rc == 2 and out == ""
+    assert err.startswith("conbreak:") and "--eps must be finite" in err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
