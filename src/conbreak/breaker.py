@@ -91,12 +91,8 @@ def build_bad_set(
     eligible = ~bad
     eligible[x] = False
     eligible[np.fromiter(excl, dtype=np.int64, count=len(excl))] = False
-    csum = np.zeros(len(g.nbr) + 1, dtype=np.int64)
     while True:
-        # bad neighbours per vertex: the running count of bad entries of
-        # the flat neighbour array, differenced at the row offsets
-        np.cumsum(bad[g.nbr], out=csum[1:])
-        nxt = eligible & (np.diff(csum[g.off]) >= 2)
+        nxt = eligible & (g.counts_in(bad) >= 2)
         if not nxt.any():
             break
         layers.append(frozenset(np.flatnonzero(nxt).tolist()))

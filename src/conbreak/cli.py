@@ -20,7 +20,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .breaker import build_bad_set
-from .connector import EXPANSION_CAP, decompose, make_cells
+from .connector import decompose, make_cells
 from .engine import CONNECTOR, run_game
 from .errors import ConbreakError, FormatError, ParameterError
 from .graph import Graph, gen_gnp, read_edge_list
@@ -64,26 +64,30 @@ def load_config(path: str) -> List[str]:
 
     Keys are long option names without the leading dashes; boolean values
     become --key / --no-key. Blank lines and # comments are skipped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: config file is not UTF-8 text") from None
     args: List[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().lstrip("-")
-            value = value.strip()
-            if not key:
-                raise FormatError(f"{path}:{lineno}: empty key")
-            low = value.lower()
-            if low in _TRUE_WORDS:
-                args.append(f"--{key}")
-            elif low in _FALSE_WORDS:
-                args.append(f"--no-{key}")
-            else:
-                args.extend([f"--{key}", value])
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().lstrip("-")
+        value = value.strip()
+        if not key:
+            raise FormatError(f"{path}:{lineno}: empty key")
+        low = value.lower()
+        if low in _TRUE_WORDS:
+            args.append(f"--{key}")
+        elif low in _FALSE_WORDS:
+            args.append(f"--no-{key}")
+        else:
+            args.extend([f"--{key}", value])
     return args
 
 
@@ -147,7 +151,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out_records=resolve_out(args.records),
         verify_degree_bound=args.verify_degree_bound,
         verify_isolation=args.verify_isolation,
-        expansion_cap=args.expansion_cap,
         jobs=args.jobs,
     )
     _, rows = run_trials(cfg)
@@ -268,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=False,
         help="audit isolation-strategy games move by move",
-    )
-    sweep.add_argument(
-        "--expansion-cap", type=int, default=EXPANSION_CAP, help="search node budget per structure"
     )
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     sweep.add_argument(

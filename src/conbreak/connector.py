@@ -40,7 +40,7 @@ log = logging.getLogger(__name__)
 
 CellKey = Tuple[int, int, int]
 
-# default budget of search expansions per structure
+# budget of search expansions per structure
 EXPANSION_CAP = 10**6
 
 
@@ -339,25 +339,18 @@ def cell_keys(k: int) -> List[CellKey]:
     return out
 
 
-def make_cells(
-    n: int, x: int, k: int, seed: int = 0, cell_size: Optional[int] = None
-) -> Dict[CellKey, FrozenSet[int]]:
+def make_cells(n: int, x: int, k: int, seed: int = 0) -> Dict[CellKey, FrozenSet[int]]:
     """Disjoint equal-size vertex cells avoiding x, one per (level, index,
-    branch) key; the leftover vertices are simply unused. Cell size
-    defaults to n / 2^(k+4) rounded down."""
+    branch) key; the leftover vertices are simply unused. Cells hold
+    n / 2^(k+4) vertices, rounded down, so the 4(2^k - 1) of them never
+    use more than n/4 vertices."""
     if not 0 <= x < n:
         raise ParameterError(f"center vertex {x} is not on the {n}-vertex board")
-    if cell_size is None:
-        cell_size = n // 2 ** (k + 4)
+    cell_size = n // 2 ** (k + 4)
+    # checked before cell_keys builds its 4(2^k - 1) keys
     if cell_size < 1:
         raise ParameterError(
             f"cell size {cell_size} is not positive; n={n} is too small for k={k}"
-        )
-    # the sizes are checked before cell_keys builds its 4(2^k - 1) keys
-    count = 4 * (2**k - 1)
-    if count * cell_size > n - 1:
-        raise ParameterError(
-            f"{count} cells of size {cell_size} exceed the {n - 1} available vertices"
         )
     keys = cell_keys(k)
     pool = [v for v in range(n) if v != x]
@@ -457,7 +450,7 @@ def decompose(
                 sel = frozenset(
                     v
                     for v in cellmap[(i, j, l)]
-                    if (g.neighbors(v) & c1) and (g.neighbors(v) & c2)
+                    if not c1.isdisjoint(g.row(v)) and not c2.isdisjoint(g.row(v))
                 )
                 if not sel:
                     return None
@@ -533,8 +526,9 @@ def _two_good(cands: Iterable[_Branch], x: int, state: GameState) -> Optional[Li
 class ConnectorPlan:
     """Mutable per-game strategy state for `connector_move`.
 
-    a1/a2 are the two reservoir vertex sets; k1/k2 the tree depths for the
-    two structure cases; budget the per-target round allowance. stage
+    a1/a2 are the two reservoir vertex sets; k the structure depth, from
+    which follow the tree depths k1/k2 of the two structure cases and the
+    per-target round allowance `budget`. stage
     alternates between "I" (reservoir fill) and "II" (Breaker-pressure
     relief) each time a target lands in territory. `chase` descends the
     current target's structure once it is acquired. `vc_order` lists the
@@ -547,18 +541,15 @@ class ConnectorPlan:
 
     a1: FrozenSet[int]
     a2: FrozenSet[int]
-    k1: int
-    k2: int
-    budget: int
+    k: int
     seed: int = 0
-    expansion_cap: int = EXPANSION_CAP
     stage: str = "I"
     target: Optional[int] = None
     rounds_used: int = 0
     chase: Optional[TargetChase] = None
     pending_pivot: Optional[Tuple[int, List[TreeEmbedding]]] = None
     case: int = 0
-    vc_order: List[int] = None  # type: ignore[assignment]
+    vc_order: List[int] = field(default_factory=list)
     targets_done: int = 0
     pools: Optional[Tuple[Sequence[int], ...]] = field(default=None, repr=False, compare=False)
     cursors: List[int] = field(default_factory=lambda: [0, 0, 0], repr=False, compare=False)
@@ -567,18 +558,23 @@ class ConnectorPlan:
     )
     log_read: int = field(default=0, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.k1 < 2 or self.k2 < 2:
-            raise ParameterError("tree depths must be at least 2")
-        if self.vc_order is None:
-            self.vc_order = []
+    @property
+    def k1(self) -> int:
+        return self.k + 1
+
+    @property
+    def k2(self) -> int:
+        return self.k
+
+    @property
+    def budget(self) -> int:
+        return self.k + 3
 
 
 def make_plan(
     g: Graph,
     m: int = 2,
     p_hint: Optional[float] = None,
-    expansion_cap: int = EXPANSION_CAP,
     seed: int = 0,
 ) -> ConnectorPlan:
     """Build a plan for one game on g. The density exponent offset eps is
@@ -604,15 +600,7 @@ def make_plan(
     a2_size = min(math.ceil(n ** (2.0 / 3.0)), n - a1_size)
     a1 = frozenset(range(a1_size))
     a2 = frozenset(range(a1_size, a1_size + max(a2_size, 0)))
-    return ConnectorPlan(
-        a1=a1,
-        a2=a2,
-        k1=k_struct + 1,
-        k2=k_struct,
-        budget=k_struct + 3,
-        seed=seed,
-        expansion_cap=expansion_cap,
-    )
+    return ConnectorPlan(a1=a1, a2=a2, k=k_struct, seed=seed)
 
 
 def select_target(state: GameState, plan: ConnectorPlan) -> int:
@@ -718,13 +706,7 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
     if plan.chase is None:
         if plan.case == 1:
             tree = find_tree_stage1(
-                g,
-                state.breaker_edges,
-                plan.vc_order,
-                x,
-                plan.k1,
-                seed=search_seed,
-                cap=plan.expansion_cap,
+                g, state.breaker_edges, plan.vc_order, x, plan.k1, seed=search_seed
             )
             if tree is None:
                 return _forfeit(FORFEIT_NO_STRUCTURE)
@@ -736,14 +718,7 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
                     return _forfeit(FORFEIT_BROKEN)
             else:
                 found = find_structure_stage2(
-                    g,
-                    state.breaker_edges,
-                    vc,
-                    plan.a1,
-                    x,
-                    plan.k2,
-                    seed=search_seed,
-                    cap=plan.expansion_cap,
+                    g, state.breaker_edges, vc, plan.a1, x, plan.k2, seed=search_seed
                 )
                 if found is None:
                     return _forfeit(FORFEIT_NO_STRUCTURE)

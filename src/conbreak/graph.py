@@ -5,16 +5,19 @@ arrays `u` and `v` with u < v, sorted by (u, v): no loops, no parallel
 edges. Adjacency is a CSR structure (compressed sparse rows) built from
 those arrays: `off[x]:off[x+1]` is the slice of the flat `nbr` array
 holding x's neighbours, in ascending order, so it is symmetric by
-construction. The Python views are built on first use and cached: per
-vertex, the ascending row as a tuple (`row`) and as a frozenset for set
-algebra (`neighbors`); for the whole board, the sorted edge tuple and the
-edge ids (an edge's position in the sorted edge tuple, by edge and by
-vertex). The whole-board views hold a Python object per edge, which the
-cyclic garbage collector then keeps traversing, so the paper strategies
-and the engine's move checks never build them; the baseline strategies'
-indexed queries, the solver and `contains_hn` do. An edge test
+construction. Every adjacency question is answered from the CSR: per
+vertex, the ascending row as a tuple (`row`, built on first use and
+cached; "has a neighbour in c" is `not c.isdisjoint(g.row(v))`); for all
+vertices at once, the neighbour count inside a boolean vertex mask
+(`counts_in`, one numpy pass); the degrees, a plain list of ints. The
+whole-board views, the sorted edge tuple and the edge ids (an edge's
+position in that tuple, by edge and by vertex), are cached on first use
+too. They hold a Python object per edge, which the cyclic garbage
+collector then keeps traversing, so the paper strategies, the engine's
+move checks, `check_b` and `contains_hn` never build them; the baseline
+strategies' indexed queries and the solver do. An edge test
 (`has_edge`) bisects one row, or looks the edge up in the edge-id table
-once that exists. The degrees are a plain list of ints.
+once that exists.
 
 G(n, p) boards come from one uniform per vertex pair, in canonical pair
 order, kept when it is below p (the coupling of Stojakovic-Szabo 2005).
@@ -99,7 +102,7 @@ class Graph:
     Loops, out-of-range and non-integer vertices raise ParameterError."""
 
     __slots__ = (
-        "n", "u", "v", "off", "nbr", "_deg", "_rows", "_nbrs", "_sorted", "_ids", "_inc",
+        "n", "u", "v", "off", "nbr", "_deg", "_rows", "_sorted", "_ids", "_inc",
     )
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
@@ -121,7 +124,6 @@ class Graph:
             a.flags.writeable = False
         self._deg: List[int] = deg.tolist()
         self._rows: List[Optional[Tuple[int, ...]]] = [None] * n
-        self._nbrs: List[Optional[FrozenSet[int]]] = [None] * n
         self._sorted: Optional[Tuple[Edge, ...]] = None
         self._ids: Optional[Dict[int, int]] = None
         self._inc: Optional[List[Tuple[int, ...]]] = None
@@ -157,16 +159,13 @@ class Graph:
             r = self._rows[v] = tuple(self.nbr[lo:hi].tolist())
         return r
 
-    def neighbors(self, v: int) -> FrozenSet[int]:
-        """v's neighbours as a frozenset, for set algebra; cached per
-        vertex."""
-        if not 0 <= v < self.n:
-            raise ParameterError(f"vertex {v} is not on the {self.n}-vertex board")
-        s = self._nbrs[v]
-        if s is None:
-            lo, hi = self.off[v : v + 2].tolist()
-            s = self._nbrs[v] = frozenset(self.nbr[lo:hi].tolist())
-        return s
+    def counts_in(self, mask: np.ndarray) -> np.ndarray:
+        """Per vertex, how many of its neighbours lie in `mask`, a boolean
+        array over the vertices: the running count of masked entries of
+        the flat neighbour array, differenced at the row offsets."""
+        csum = np.zeros(len(self.nbr) + 1, dtype=np.int64)
+        np.cumsum(mask[self.nbr], out=csum[1:])
+        return np.diff(csum[self.off])
 
     def degree(self, v: int) -> int:
         return self._deg[v]
@@ -210,7 +209,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.sorted_edges()))
+        return hash((self.n, self.u.tobytes(), self.v.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
@@ -302,8 +301,8 @@ def edges_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> FrozenSet[Edg
     out = set()
     small, other_in = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
     for u in small:
-        for w in g.neighbors(u):
-            if w in other_in and u != w:
+        for w in g.row(u):
+            if w in other_in:
                 out.add(edge(u, w))
     return frozenset(out)
 
@@ -314,52 +313,49 @@ def contains_hn(g: Graph) -> Optional[Edge]:
 
     Equivalently the graph contains, as a spanning subgraph, the complete
     bipartite graph on {u, v} versus the rest plus the edge uv. Returns the
-    lexicographically first such pair, or None.
+    lexicographically first such pair, or None. Both endpoints of a
+    spanning pair have degree n-1, and any two such vertices form one, so
+    the first pair is the first two vertices of degree n-1.
     """
     if g.n < 3:
         raise ParameterError(f"spanning-pair search needs n >= 3, got n={g.n}")
-    for u, v in g.sorted_edges():
-        common = g.neighbors(u) & g.neighbors(v)
-        if len(common - {u, v}) == g.n - 2:
-            return (u, v)
-    return None
+    full = np.flatnonzero(np.diff(g.off) == g.n - 1)[:2].tolist()
+    return (full[0], full[1]) if len(full) == 2 else None
 
 
 def read_edge_list(path: str) -> Graph:
     """Read an edge-list file: header `n <count>`, then one `u v` line
-    per edge with u < v.
+    per edge with u < v, every number in plain decimal digits.
 
-    Rejects malformed headers, out-of-range vertices, loops, duplicate
-    edges and pairs not given as u < v.
+    Rejects non-ASCII bytes, malformed headers and numbers, out-of-range
+    vertices, loops, duplicate edges and pairs not given as u < v.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: edge-list file holds a non-ASCII byte") from None
     if not lines:
         raise FormatError(f"{path}: empty edge-list file")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "n":
         raise FormatError(f"{path}: header must be 'n <count>', got {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise FormatError(f"{path}: vertex count {head[1]!r} is not an integer")
-    if n < 0:
-        raise FormatError(f"{path}: negative vertex count {n}")
+    # isdigit, unlike int(), refuses signs and '_' separators; the text is ASCII
+    if not head[1].isdigit():
+        raise FormatError(f"{path}: vertex count {head[1]!r} is not a decimal count")
+    n = int(head[1])
     seen = set()
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or not (parts[0].isdigit() and parts[1].isdigit()):
             raise FormatError(f"{path}: bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"{path}: bad edge line {ln!r}")
+        u, v = int(parts[0]), int(parts[1])
         if u == v:
             raise FormatError(f"{path}: loop edge {ln!r}")
         if not (u < v):
             raise FormatError(f"{path}: edge {ln!r} must be written 'u v' with u < v")
-        if not (0 <= u and v < n):
+        if not v < n:
             raise FormatError(f"{path}: edge {ln!r} out of range for n={n}")
         if (u, v) in seen:
             raise FormatError(f"{path}: duplicate edge {ln!r}")

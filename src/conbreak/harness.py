@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .breaker import BadSetDecomposition
-from .connector import EXPANSION_CAP
 from .engine import BREAKER, GameResult, REASON_FORFEIT, replay_states, run_game
 from .errors import ParameterError
 from .graph import GnpDraws, Graph, gen_gnp
@@ -47,7 +46,7 @@ class TrialConfig:
     Give either `ps` (explicit probabilities) or `eps_list` (density
     exponent offsets, mapped to p = n^(-2/3+eps) per n). Strategy ids
     resolve through the registry; the spanning Connector gets the cell's
-    p as its density hint plus the expansion_cap knob."""
+    p as its density hint."""
 
     ns: Tuple[int, ...]
     ps: Optional[Tuple[float, ...]] = None
@@ -63,7 +62,6 @@ class TrialConfig:
     out_records: Optional[str] = None
     verify_degree_bound: bool = False
     verify_isolation: bool = False
-    expansion_cap: int = EXPANSION_CAP
     jobs: int = 1
 
     def __post_init__(self):
@@ -96,8 +94,6 @@ class TrialConfig:
             raise ParameterError(
                 f"start vertex {self.start_vertex} out of range for n={min(self.ns)}"
             )
-        if self.expansion_cap < 1:
-            raise ParameterError(f"expansion cap must be at least 1, got {self.expansion_cap}")
         check_seed(self.seed_base)
         # a repeated cell would count the same seeded games twice in one row
         seen = set()
@@ -198,13 +194,11 @@ def isolation_flags(g: Graph, result: GameResult, dec: BadSetDecomposition) -> L
     return out
 
 
-def connector_options(
-    connector_id: str, p: Optional[float], expansion_cap: int = EXPANSION_CAP
-) -> Dict[str, object]:
+def connector_options(connector_id: str, p: Optional[float]) -> Dict[str, object]:
     """Constructor options for a Connector strategy: the spanning
     Connector takes the board's density, when known, as its hint."""
     if connector_id == "paper-connector":
-        return {"p_hint": p, "expansion_cap": expansion_cap}
+        return {"p_hint": p}
     return {}
 
 
@@ -215,9 +209,7 @@ def run_one(
     board is cut from `draws`, the trial's GnpDraws, when given."""
     seed = derive(cfg.seed_base, trial)
     g = gen_gnp(n, p, seed, draws)
-    connector = make_strategy(
-        cfg.connector_id, **connector_options(cfg.connector_id, p, cfg.expansion_cap)
-    )
+    connector = make_strategy(cfg.connector_id, **connector_options(cfg.connector_id, p))
     breaker = make_strategy(cfg.breaker_id)
     result = run_game(
         g, connector, breaker, m=cfg.m, b=cfg.b, start_vertex=cfg.start_vertex, seed=seed
@@ -298,7 +290,8 @@ def run_trials(cfg: TrialConfig) -> Tuple[List[TrialRecord], List[SummaryRow]]:
         tasks = [(cfg, n, trial) for n in cfg.ns for trial in range(cfg.trials)]
         if cfg.jobs > 1:
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(cfg.jobs) as pool:
+            # no more workers than tasks: a spare worker is a fork for nothing
+            with ctx.Pool(min(cfg.jobs, len(tasks))) as pool:
                 per_trial = pool.starmap(run_trial, tasks, chunksize=1)
         else:
             per_trial = [run_trial(*t) for t in tasks]

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple, Type
 import numpy as np
 
 from .breaker import BadSetDecomposition, breaker_move, find_candidate
-from .connector import EXPANSION_CAP, ConnectorPlan, connector_move, make_plan
+from .connector import ConnectorPlan, connector_move, make_plan
 from .engine import BREAKER, CONNECTOR, GameState, Move
 from .errors import CapacityError, ParameterError
 from .graph import Edge, Graph
@@ -302,9 +302,8 @@ class IsolationBreakerStrategy:
 class SpanningConnectorStrategy:
     """Connector's staged tree strategy behind a lazily built plan."""
 
-    def __init__(self, p_hint: Optional[float] = None, expansion_cap: int = EXPANSION_CAP):
+    def __init__(self, p_hint: Optional[float] = None):
         self.p_hint = p_hint
-        self.expansion_cap = expansion_cap
         self.seed: Seed = 0
         self.plan: Optional[ConnectorPlan] = None
 
@@ -316,13 +315,7 @@ class SpanningConnectorStrategy:
 
     def propose(self, state: GameState) -> Move:
         if self.plan is None:
-            self.plan = make_plan(
-                state.graph,
-                m=state.m,
-                p_hint=self.p_hint,
-                expansion_cap=self.expansion_cap,
-                seed=self.seed,
-            )
+            self.plan = make_plan(state.graph, m=state.m, p_hint=self.p_hint, seed=self.seed)
         return connector_move(state, self.plan)
 
 

@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from .breaker import BadSetDecomposition, q_violations
 from .connector import Decomposition, alpha_table
 from .engine import BREAKER, GameResult, replay_states
@@ -87,10 +89,16 @@ class PropertyReport:
 
 def _first_internal_edge(g: Graph, vertices: Set[int]) -> Optional[Edge]:
     for u in sorted(vertices):
-        for v in sorted(g.neighbors(u) & vertices):
-            if u < v:
+        for v in g.row(u):
+            if u < v and v in vertices:
                 return (u, v)
     return None
+
+
+def _mask(g: Graph, vertices: Iterable[int]) -> np.ndarray:
+    out = np.zeros(g.n, dtype=bool)
+    out[list(vertices)] = True
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +113,18 @@ def check_b(g: Graph, dec: BadSetDecomposition, m_set: Iterable[int]) -> Propert
     avoids the protected set and its neighborhood."""
     x = dec.x
     mset = set(m_set)
-    off = [v for v in mset if not 0 <= v < g.n]
-    if off:
-        raise ParameterError(f"protected vertex {min(off)} out of range")
     bad = set(dec.union)
+    for what, vertices in (("protected", mset), ("bad", bad)):
+        off = [v for v in vertices if not 0 <= v < g.n]
+        if off:
+            raise ParameterError(f"{what} vertex {min(off)} out of range")
     report = PropertyReport(
         family="B",
         params={"n": g.n, "x": x, "m": sorted(mset), "r_x": dec.r_x},
     )
 
     first = set(dec.layers[0])
-    nx = set(g.neighbors(x))
+    nx = set(g.row(x))
     if first != nx:
         v = min(first.symmetric_difference(nx))
         report.clauses["B1"] = Clause(False, {"vertex": v, "reason": "first layer != neighborhood"})
@@ -127,32 +136,30 @@ def check_b(g: Graph, dec: BadSetDecomposition, m_set: Iterable[int]) -> Propert
             report.clauses["B1"] = Clause(True)
 
     b2 = Clause(True)
-    union: Set[int] = set()
-    for idx, layer in enumerate(dec.layers):
-        i = idx + 1
-        union |= layer
-        if i < 2 or not b2.passed:
-            continue
-        for v in sorted(layer):
-            d = len(g.neighbors(v) & union)
-            if d != 2:
-                b2 = Clause(False, {"vertex": v, "layer": i, "degree": d})
-                break
+    union = _mask(g, first)
+    for i, layer in enumerate(dec.layers[1:], start=2):
+        members = sorted(layer)
+        union[members] = True
+        deg = g.counts_in(union)
+        wrong = [v for v in members if deg[v] != 2]
+        if wrong:
+            b2 = Clause(False, {"vertex": wrong[0], "layer": i, "degree": int(deg[wrong[0]])})
+            break
     report.clauses["B2"] = b2
 
     b3 = Clause(True)
-    for v in range(g.n):
-        if v == x or v in bad:
-            continue
-        d = len(g.neighbors(v) & bad)
-        if d > 1:
-            b3 = Clause(False, {"vertex": v, "degree": d})
-            break
+    bad_mask = _mask(g, bad)
+    deg = g.counts_in(bad_mask)
+    outside = ~bad_mask
+    outside[x] = False
+    hits = np.flatnonzero(outside & (deg > 1))
+    if len(hits):
+        b3 = Clause(False, {"vertex": int(hits[0]), "degree": int(deg[hits[0]])})
     report.clauses["B3"] = b3
 
     closed = set(mset)
     for u in mset:
-        closed |= g.neighbors(u)
+        closed.update(g.row(u))
     overlap = bad & closed
     if overlap:
         report.clauses["B4"] = Clause(False, {"vertex": min(overlap)})
@@ -198,13 +205,14 @@ def check_d(dec: Decomposition, eps: Optional[float] = None) -> PropertyReport:
         if i >= 2:
             if d3.passed:
                 for v in sorted(m):
-                    if not (h.neighbors(v) & c1) or not (h.neighbors(v) & c2):
+                    row = h.row(v)
+                    if c1.isdisjoint(row) or c2.isdisjoint(row):
                         d3 = Clause(False, {"key": (i, j, l), "vertex": v})
                         break
             if eps is not None and d4.passed:
                 bound = n ** ((alphas[i - 1] - alphas[i - 2]) * eps)
                 for v in sorted(set(c1) | set(c2)):
-                    d = len(h.neighbors(v) & m)
+                    d = sum(w in m for w in h.row(v))
                     if d > bound:
                         d4 = Clause(
                             False,

@@ -52,7 +52,7 @@ def is_connected(g: Graph) -> bool:
     stack = [0]
     while stack:
         v = stack.pop()
-        for w in g.neighbors(v):
+        for w in set(g.row(v)):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -165,6 +165,17 @@ def spanning_pair_oracle(g: Graph) -> bool:
             if ok:
                 return True
     return False
+
+
+def common_neighbour_hn(g: Graph) -> Optional[Tuple[int, int]]:
+    """The package's `contains_hn` before it tested degrees: the first
+    edge in sorted order whose endpoints' common neighbourhood holds
+    every other vertex."""
+    for u, v in g.sorted_edges():
+        common = set(g.row(u)) & set(g.row(v))
+        if len(common - {u, v}) == g.n - 2:
+            return (u, v)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +306,7 @@ def oracle_bad_layers(
     """Recompute the bad-set layers by restating the membership rule as a
     set comprehension each iteration."""
     excl = set(excluded)
-    layers = [set(g.neighbors(x)) - excl]
+    layers = [set(g.row(x)) - excl]
     union = set(layers[0])
     while True:
         nxt = {
@@ -304,7 +315,7 @@ def oracle_bad_layers(
             if v not in union
             and v != x
             and v not in excl
-            and len(g.neighbors(v) & union) >= 2
+            and len(set(g.row(v)) & union) >= 2
         }
         if not nxt:
             break
@@ -320,7 +331,7 @@ def naive_build_bad_set(g: Graph, x: int, excluded: Iterable[int] = ()):
     from conbreak.breaker import BadSetDecomposition
 
     excl = frozenset(excluded)
-    b1 = frozenset(g.neighbors(x) - excl)
+    b1 = frozenset(set(g.row(x)) - excl)
     layers = [b1]
     union = set(b1)
     while True:
@@ -329,7 +340,7 @@ def naive_build_bad_set(g: Graph, x: int, excluded: Iterable[int] = ()):
             if v == x or v in union or v in excl:
                 continue
             cnt = 0
-            for w in g.neighbors(v):
+            for w in set(g.row(v)):
                 if w in union:
                     cnt += 1
                     if cnt == 2:
@@ -474,6 +485,23 @@ def copy_chase(chase):
     return replace(chase, branches=list(chase.branches))
 
 
+def hand_cells(
+    n: int, x: int, k: int, size: int, seed: int = 0
+) -> Dict[Tuple[int, int, int], FrozenSet[int]]:
+    """Decomposition cells of a hand-picked size, for boards too small
+    for `make_cells`'s derived size n // 2^(k+4): the vertices other than
+    x, shuffled by Rng(seed), cut into consecutive runs of `size` in
+    `cell_keys(k)` order, as `make_cells` lays out its own cells."""
+    from conbreak.connector import cell_keys
+    from conbreak.rng import Rng
+
+    keys = cell_keys(k)
+    assert len(keys) * size <= n - 1, "the cells do not fit on the board"
+    pool = [v for v in range(n) if v != x]
+    Rng(seed).shuffle(pool)
+    return {key: frozenset(pool[i * size : (i + 1) * size]) for i, key in enumerate(keys)}
+
+
 # ---------------------------------------------------------------------------
 # exhaustive adversary for the tree-descent chase
 
@@ -562,7 +590,7 @@ def naive_find_tree(
 
     leaf_pool = {
         v
-        for v in g.neighbors(x)
+        for v in set(g.row(x))
         if v != root and v not in banned and edge(v, x) not in blocked
     }
     if len(leaf_pool) < 2 ** (k - 1):
@@ -577,7 +605,7 @@ def naive_find_tree(
     def ordered_neighbors(u: int) -> List[int]:
         got = order_cache.get(u)
         if got is None:
-            got = sorted(g.neighbors(u))
+            got = sorted(set(g.row(u)))
             rng.shuffle(got)
             order_cache[u] = got
             rank_cache[u] = {v: i for i, v in enumerate(got)}

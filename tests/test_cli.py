@@ -137,7 +137,7 @@ def test_sweep_eps_mapping(capsys):
 
 @pytest.mark.parametrize(
     "bad",
-    [["--start", "-1"], ["--trials", "0"], ["--expansion-cap", "0"], ["--start", "50"]],
+    [["--start", "-1"], ["--trials", "0"], ["--start", "50"]],
 )
 def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, bad):
     out_csv = tmp_path / "x.csv"
@@ -153,8 +153,10 @@ def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, bad):
 
 
 @pytest.mark.parametrize("via_config", [False, True])
-def test_sweep_refuses_the_retired_k_cap(capsys, tmp_path, via_config):
-    # the tree depth cap is a constant: the flag is refused, not ignored
+@pytest.mark.parametrize("flag", ["k-cap", "expansion-cap"])
+def test_sweep_refuses_the_retired_k_cap(capsys, tmp_path, flag, via_config):
+    # the tree depth cap and the search budget are constants: their flags
+    # are refused, not ignored
     out_csv = tmp_path / "x.csv"
     records = tmp_path / "x.jsonl"
     out_csv.write_text("keep me\n")
@@ -162,14 +164,14 @@ def test_sweep_refuses_the_retired_k_cap(capsys, tmp_path, via_config):
     argv = sweep_argv(["--out", str(out_csv), "--records", str(records)])
     if via_config:
         cfg = tmp_path / "k.cfg"
-        cfg.write_text("k-cap=3\n")
+        cfg.write_text(f"{flag}=3\n")
         argv += ["--config", str(cfg)]
     else:
-        argv += ["--k-cap", "3"]
+        argv += [f"--{flag}", "3"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "--k-cap" in capsys.readouterr().err
+    assert f"--{flag}" in capsys.readouterr().err
     assert out_csv.read_text() == "keep me\n"
     assert records.read_text() == "keep me too\n"
 
@@ -267,6 +269,29 @@ def test_config_file_errors(capsys, tmp_path):
     rc2, _, err2 = run_main(capsys, ["sweep", "--config", str(tmp_path / "absent.cfg"),
                                      "--ns", "5", "--ps", "0.5"])
     assert rc2 == 2 and "conbreak:" in err2
+    # a config that is not UTF-8 is a format error, and no output is touched
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"trials=\xff\n")
+    out_csv = tmp_path / "x.csv"
+    out_csv.write_text("keep me\n")
+    rc3, out3, err3 = run_main(
+        capsys, sweep_argv(["--config", str(latin1), "--out", str(out_csv)])
+    )
+    assert rc3 == 2 and out3 == ""
+    assert err3 == f"conbreak: {latin1}: config file is not UTF-8 text\n"
+    assert out_csv.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("command", ["play", "verify", "solve"])
+def test_non_ascii_edge_list_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "latin1.edges"
+    path.write_bytes(b"n 3\n0 1\n1 2 \xe9\n")
+    argv = [command, "--graph", str(path)]
+    if command == "verify":
+        argv += ["--family", "b", "--x", "0"]
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err == f"conbreak: {path}: edge-list file holds a non-ASCII byte\n"
 
 
 def test_outdir_env_resolves_relative_paths(capsys, tmp_path, monkeypatch):

@@ -38,7 +38,13 @@ from conbreak.connector import (
 from conbreak import connector
 from conbreak.rng import Rng
 
-from oracles import chase_survives_all_breaker_play, chase_witness, copy_chase, naive_find_tree
+from oracles import (
+    chase_survives_all_breaker_play,
+    chase_witness,
+    copy_chase,
+    hand_cells,
+    naive_find_tree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +522,6 @@ def test_make_cells_checks_sizes_before_building_keys(monkeypatch):
     monkeypatch.setattr(connector, "cell_keys", no_keys)
     with pytest.raises(ParameterError, match="cell size 0 is not positive"):
         make_cells(64, x=0, k=30)
-    with pytest.raises(ParameterError, match="4294967292 cells of size 1 exceed the 63"):
-        make_cells(64, x=0, k=30, cell_size=1)
 
 
 def test_make_cells_layout():
@@ -532,15 +536,23 @@ def test_make_cells_layout():
         seen |= c
     assert make_cells(200, x=7, k=2, seed=0) == cells
     assert make_cells(200, x=7, k=2, seed=1) != cells
+    # the hand-sized cells of the small-board tests share this layout
+    assert hand_cells(200, 7, 2, 200 // 2**6, seed=0) == cells
     with pytest.raises(ParameterError):
-        make_cells(50, x=0, k=2)  # default size collapses to zero
-    explicit = make_cells(50, x=0, k=2, cell_size=4)
-    assert {len(c) for c in explicit.values()} == {4}
-    with pytest.raises(ParameterError):
-        make_cells(40, x=0, k=2, cell_size=4)  # 48 slots from 39 vertices
+        make_cells(50, x=0, k=2)  # the derived size collapses to zero
     for off_board in (-1, 200):
         with pytest.raises(ParameterError):
             make_cells(200, x=off_board, k=2)
+
+
+def test_make_cells_never_outgrow_the_board():
+    # 4(2^k - 1) cells of n // 2^(k+4) vertices use at most n/4 of them
+    for n in (16, 17, 100, 999, 4099):
+        for k in range(9):
+            if n // 2 ** (k + 4) < 1:
+                continue
+            cells = make_cells(n, x=n - 1, k=k, seed=k)
+            assert sum(len(c) for c in cells.values()) <= n / 4
 
 
 def complete_graph(n: int) -> Graph:
@@ -549,7 +561,7 @@ def complete_graph(n: int) -> Graph:
 
 def test_decompose_on_complete_graph():
     g = complete_graph(25)
-    cells = make_cells(25, x=0, k=2, seed=2, cell_size=2)
+    cells = hand_cells(25, 0, 2, 2, seed=2)
     dec = decompose(g, 0, cells, 2)
     assert dec is not None
     assert dec.x == 0 and dec.k == 2 and dec.n == 25
@@ -566,7 +578,7 @@ def test_decompose_on_complete_graph():
 
 def test_decomposition_lookups_leave_equality_alone():
     g = complete_graph(25)
-    cells = make_cells(25, x=0, k=2, seed=2, cell_size=2)
+    cells = hand_cells(25, 0, 2, 2, seed=2)
     dec = decompose(g, 0, cells, 2)
     twin = decompose(g, 0, cells, 2)
     for key, cell in dec.cells:
@@ -579,13 +591,13 @@ def test_decomposition_lookups_leave_equality_alone():
 def test_decompose_returns_none_when_starved():
     # isolated center: no level-1 selection anywhere
     g = Graph(25)
-    cells = make_cells(25, x=0, k=2, seed=2, cell_size=2)
+    cells = hand_cells(25, 0, 2, 2, seed=2)
     assert decompose(g, 0, cells, 2) is None
 
 
 def test_decompose_input_validation():
     g = complete_graph(25)
-    cells = dict(make_cells(25, x=0, k=2, seed=2, cell_size=2))
+    cells = hand_cells(25, 0, 2, 2, seed=2)
     bad = dict(cells)
     bad.pop((1, 1, 1))
     with pytest.raises(ParameterError):

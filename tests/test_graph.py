@@ -11,6 +11,8 @@ from conbreak import (
     FormatError,
     Graph,
     ParameterError,
+    build_bad_set,
+    check_b,
     contains_hn,
     gen_gnp,
     graph,
@@ -21,6 +23,7 @@ from conbreak.rng import MASK64, Rng
 
 from oracles import (
     all_labeled_graphs,
+    common_neighbour_hn,
     connected_graph_classes,
     is_spanning_connected,
     naive_gen_gnp,
@@ -42,7 +45,7 @@ def test_graph_basic_accessors():
     assert g.edge_count() == 2
     assert g.sorted_edges() == ((0, 1), (1, 2))
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
-    assert g.neighbors(1) == frozenset({0, 2})
+    assert set(g.row(1)) == frozenset({0, 2})
     assert g.degree(1) == 2 and g.degree(3) == 0
 
 
@@ -122,10 +125,10 @@ def test_graph_matches_set_reference(case, seed):
     assert g.sorted_edges() == tuple(sorted(canon))
     assert g.edge_count() == len(canon)
     for w in range(n):
-        assert g.neighbors(w) == frozenset(adj[w])
+        assert set(g.row(w)) == frozenset(adj[w])
         assert g.degree(w) == len(adj[w])
         assert type(g.degree(w)) is int
-        assert all(type(x) is int for x in g.neighbors(w))
+        assert all(type(x) is int for x in g.row(w))
         ids = [i for i, e in enumerate(sorted(canon)) if w in e]
         assert list(g.incident_ids(w)) == ids
         other = [sum(sorted(canon)[i]) - w for i in g.incident_ids(w)]
@@ -302,12 +305,41 @@ def test_contains_hn_matches_pair_oracle_exhaustive():
             if got is not None:
                 u, v = got
                 assert g.has_edge(u, v)
-                assert g.neighbors(u) & g.neighbors(v) >= set(range(g.n)) - {u, v}
+                assert set(g.row(u)) & set(g.row(v)) >= set(range(g.n)) - {u, v}
 
 
 def test_contains_hn_matches_pair_oracle_classes_n6():
     for g in connected_graph_classes(6):
         assert (contains_hn(g) is not None) == spanning_pair_oracle(g)
+
+
+def complete(n: int, drop=()) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in drop])
+
+
+def test_contains_hn_by_degree_matches_the_common_neighbour_search():
+    boards = []
+    for n in range(3, 9):
+        boards.append(complete(n))
+        boards += [complete(n, drop={(u, v)}) for u in range(n) for v in range(u + 1, n)]
+    for n in (3, 5, 8, 13, 21):
+        for p in (0.8, 0.9, 0.95, 0.99):
+            boards += [gen_gnp(n, p, seed) for seed in range(6)]
+    found = 0
+    for g in boards:
+        got = contains_hn(g)
+        assert got == common_neighbour_hn(g), g.sorted_edges()
+        found += got is not None
+    # the corpus holds boards with and without a spanning pair
+    assert 0 < found < len(boards)
+
+
+def test_degree_views_build_no_edge_tuple():
+    g = gen_gnp(30, 0.9, 4)
+    contains_hn(g)
+    hash(g)
+    check_b(g, build_bad_set(g, 3), {5})
+    assert g._sorted is None
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -337,9 +369,18 @@ def test_edge_list_format_errors(tmp_path):
         "n 3\n2 1\n",
         "n 3\n0 3\n",
         "n 3\n0 1\n0 1\n",
+        # plain decimal digits only: int() would read these as numbers
+        "n 1_000\n0 1\n",
+        "n 20\n0 1_0\n",
+        "n +3\n0 1\n",
+        "n 3\n+0 1\n",
     ):
         with pytest.raises(FormatError):
             load(text)
+    p = tmp_path / "latin1.edges"
+    p.write_bytes(b"n 3\n0 1\n1 2 \xe9\n")
+    with pytest.raises(FormatError, match="latin1.edges: edge-list file holds a non-ASCII byte"):
+        read_edge_list(str(p))
     g = load("n 3\n\n0 1\n 1 2 \n")  # blank lines and padding are fine
     assert g.sorted_edges() == ((0, 1), (1, 2))
 
@@ -348,8 +389,9 @@ def test_edge_list_format_errors(tmp_path):
 @given(n=st.integers(1, 40), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_rows_are_the_ascending_neighbourhoods(n, p, seed):
     g = gen_gnp(n, p, seed)
+    edges = g.sorted_edges()
     for w in range(n):
-        assert g.row(w) == tuple(sorted(g.neighbors(w)))
+        assert g.row(w) == tuple(sorted(b if a == w else a for a, b in edges if w in (a, b)))
         assert all(type(x) is int for x in g.row(w))
     assert g.row(0) is g.row(0)
 
@@ -358,8 +400,6 @@ def test_rows_are_the_ascending_neighbourhoods(n, p, seed):
 def test_vertex_views_reject_off_board_vertices(v):
     # a negative vertex used to wrap round onto vertex n + v
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    with pytest.raises(ParameterError, match=f"vertex {v} is not on the 4-vertex board"):
-        g.neighbors(v)
     with pytest.raises(ParameterError, match=f"vertex {v} is not on the 4-vertex board"):
         g.row(v)
     assert not g.has_edge(v, 0) and not g.has_edge(0, v)

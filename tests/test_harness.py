@@ -209,6 +209,45 @@ def test_parallel_matches_serial(tmp_path):
             assert (tmp_path / f"{i}-2.{ext}").read_bytes() == serial, (i, ext)
 
 
+def test_pool_is_sized_to_the_tasks(tmp_path, monkeypatch):
+    """jobs=8 on a 2-task grid asks the fork context for 2 workers. The
+    stand-in pool records that and runs the tasks in this process."""
+    from conbreak import harness
+
+    asked = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks, chunksize=1):
+            return [fn(*t) for t in tasks]
+
+    class ForkContext:
+        Pool = InlinePool
+
+    def get_context(method):
+        assert method == "fork"
+        return ForkContext()
+
+    monkeypatch.setattr(harness.multiprocessing, "get_context", get_context)
+    runs = {}
+    for jobs in (1, 8):
+        out = dict(out_csv=str(tmp_path / f"{jobs}.csv"),
+                   out_records=str(tmp_path / f"{jobs}.jsonl"))
+        runs[jobs] = run_trials(small_cfg(jobs=jobs, trials=2, ps=(0.3, 0.6), **out))
+    assert asked == [2]
+    assert runs[8] == runs[1]
+    for ext in ("csv", "jsonl"):
+        assert (tmp_path / f"8.{ext}").read_bytes() == (tmp_path / f"1.{ext}").read_bytes()
+
+
 def test_unwritable_output_fails_before_trials(tmp_path):
     cfg = small_cfg(out_records=str(tmp_path / "no-such-dir" / "r.jsonl"))
     with pytest.raises(OSError):

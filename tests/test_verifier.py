@@ -22,10 +22,11 @@ from conbreak import (
     decompose,
     edge,
     gen_gnp,
-    make_cells,
     validate_and_apply,
 )
 from conbreak.engine import BREAKER, CONNECTOR, REASON_EXHAUSTED
+
+from oracles import hand_cells
 
 
 def fan_graph() -> Graph:
@@ -39,7 +40,7 @@ def complete_graph(n: int) -> Graph:
 @lru_cache(maxsize=None)
 def k25_dec() -> Decomposition:
     g = complete_graph(25)
-    cells = make_cells(25, x=0, k=2, seed=2, cell_size=2)
+    cells = hand_cells(25, 0, 2, 2, seed=2)
     dec = decompose(g, 0, cells, 2)
     assert dec is not None
     return dec
@@ -67,6 +68,15 @@ def test_b_rejects_off_board_territory(v):
     g = fan_graph()
     with pytest.raises(ParameterError, match=f"protected vertex {v} out of range"):
         check_b(g, build_bad_set(g, 0), {1, v})
+
+
+@pytest.mark.parametrize("v", [5, -1])
+def test_b_rejects_off_board_bad_vertices(v):
+    # B2 and B3 index a vertex mask: -1 would wrap to the last vertex
+    g = fan_graph()
+    dec = BadSetDecomposition(x=0, layers=(frozenset({1, 2, 3}), frozenset({v})))
+    with pytest.raises(ParameterError, match=f"bad vertex {v} out of range"):
+        check_b(g, dec, ())
 
 
 def test_b1_flags_edge_inside_first_layer():
@@ -115,23 +125,23 @@ def test_b3_b4_surface_excluded_vertices():
 def literal_b_verdicts(g: Graph, dec: BadSetDecomposition, m_set) -> dict:
     first = set(dec.layers[0])
     bad = set(dec.union)
-    b1 = first == set(g.neighbors(dec.x)) and not any(
+    b1 = first == set(g.row(dec.x)) and not any(
         g.has_edge(u, v) for u in first for v in first if u < v
     )
     b2 = True
     for i in range(2, dec.r_x + 1):
         upto = set().union(*dec.layers[:i])
         for v in dec.layers[i - 1]:
-            if len(g.neighbors(v) & upto) != 2:
+            if len(set(g.row(v)) & upto) != 2:
                 b2 = False
     b3 = all(
-        len(g.neighbors(v) & bad) <= 1
+        len(set(g.row(v)) & bad) <= 1
         for v in range(g.n)
         if v != dec.x and v not in bad
     )
     closed = set(m_set)
     for u in m_set:
-        closed |= g.neighbors(u)
+        closed |= set(g.row(u))
     b4 = not (bad & closed)
     return {"B1": b1, "B2": b2, "B3": b3, "B4": b4}
 
