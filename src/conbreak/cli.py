@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="audit isolation-strategy games move by move",
     )
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sweep.add_argument("--jobs", type=int, default=1, help="worker processes, at most the core count")
     sweep.add_argument(
         "--scan",
         action=argparse.BooleanOptionalAction,

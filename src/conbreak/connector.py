@@ -346,6 +346,8 @@ def make_cells(n: int, x: int, k: int, seed: int = 0) -> Dict[CellKey, FrozenSet
     use more than n/4 vertices."""
     if not 0 <= x < n:
         raise ParameterError(f"center vertex {x} is not on the {n}-vertex board")
+    if k < 1:
+        raise ParameterError(f"decomposition depth must be at least 1, got k={k}")
     cell_size = n // 2 ** (k + 4)
     # checked before cell_keys builds its 4(2^k - 1) keys
     if cell_size < 1:
@@ -417,6 +419,8 @@ def decompose(
     ignored, because benchmark and acceptance callers still pass it."""
     if not 0 <= x < g.n:
         raise ParameterError(f"center vertex {x} is not on the {g.n}-vertex board")
+    if k < 1:
+        raise ParameterError(f"decomposition depth must be at least 1, got k={k}")
     keys = cell_keys(k)
     if set(cells.keys()) != set(keys):
         raise ParameterError("cell keys do not match the (level, index, branch) grid")
@@ -571,6 +575,13 @@ class ConnectorPlan:
         return self.k + 3
 
 
+def check_bias(m: int) -> None:
+    """Refuse a Connector bias the tree strategy cannot play: each of its
+    rounds claims two edges."""
+    if m < 2:
+        raise ParameterError(f"the tree strategy needs Connector bias >= 2, got {m}")
+
+
 def make_plan(
     g: Graph,
     m: int = 2,
@@ -582,8 +593,7 @@ def make_plan(
     ln(p)/ln(n) + 2/3; it fixes the tree depths and the per-target round
     budget."""
     n = g.n
-    if m < 2:
-        raise ParameterError(f"the tree strategy needs Connector bias >= 2, got {m}")
+    check_bias(m)
     if n >= 3:
         if p_hint is None:
             total = n * (n - 1) // 2

@@ -17,13 +17,11 @@ from a position she refuses to play).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import (
     Container, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
 )
-
-import numpy as np
 
 from .errors import ConnectivityError, IllegalMoveError, ParameterError
 from .graph import Edge, Graph, edge
@@ -55,111 +53,6 @@ class Move:
         return Move(tuple(edge(u, v) for u, v in pairs))
 
 
-class _Fenwick:
-    """Fenwick tree (Fenwick 1994) over 0/1 flags: flip a flag or find
-    the k-th set flag, each in O(log size). Built from a boolean array in
-    O(size) with numpy."""
-
-    __slots__ = ("flags", "tree", "size", "count", "top")
-
-    def __init__(self, flags: np.ndarray):
-        self.size = size = len(flags)
-        csum = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(flags, out=csum[1:])
-        i = np.arange(1, size + 1, dtype=np.int64)
-        # node i holds the flags in (i - lowbit(i), i], 1-based
-        self.tree = [0] + (csum[1:] - csum[i - (i & -i)]).tolist()
-        self.flags = bytearray(flags.astype(np.uint8).tobytes())
-        self.count = int(csum[-1])
-        self.top = 1 << (size.bit_length() - 1) if size else 0
-
-    def copy(self) -> "_Fenwick":
-        t = _Fenwick.__new__(_Fenwick)
-        t.flags = bytearray(self.flags)
-        t.tree = list(self.tree)
-        t.size = self.size
-        t.count = self.count
-        t.top = self.top
-        return t
-
-    def set(self, i: int, on: int) -> None:
-        flags = self.flags
-        if flags[i] == on:
-            return
-        flags[i] = on
-        d = 1 if on else -1
-        self.count += d
-        tree = self.tree
-        size = self.size
-        i += 1
-        while i <= size:
-            tree[i] += d
-            i += i & -i
-
-    def kth(self, k: int) -> int:
-        """Position of the k-th set flag, counting from 0; k < count."""
-        tree = self.tree
-        size = self.size
-        pos = 0
-        step = self.top
-        while step:
-            nxt = pos + step
-            if nxt <= size and tree[nxt] <= k:
-                pos = nxt
-                k -= tree[nxt]
-            step >>= 1
-        return pos
-
-    def select(self, k: int, skip: List[int], extra: List[int]) -> int:
-        """Position of the k-th element, counting from 0, of the set flags
-        minus `skip` plus `extra`: sorted lists of set and of clear
-        positions. The descent of `kth`, with each node's count corrected
-        by the skipped and extra positions it covers."""
-        tree = self.tree
-        size = self.size
-        pos = ns = nx = 0  # ns, nx: skipped and extra positions below pos
-        step = self.top
-        while step:
-            nxt = pos + step
-            if nxt <= size:
-                s = bisect_left(skip, nxt, ns)
-                x = bisect_left(extra, nxt, nx)
-                c = tree[nxt] - (s - ns) + (x - nx)
-                if c <= k:
-                    pos = nxt
-                    k -= c
-                    ns, nx = s, x
-            step >>= 1
-        return pos
-
-
-class Choices:
-    """A set of free edges as a read-only sequence in ascending order:
-    the positions flagged in a Fenwick tree over edge ids, minus `drop`
-    and plus `extra` (sorted ids). `len` is O(1) and the k-th element
-    O(log |E|), times log |drop| + log |extra| when they are not empty.
-    Valid until the state it came from changes."""
-
-    __slots__ = ("_edges", "_tree", "_drop", "_extra", "_size")
-
-    def __init__(self, graph: Graph, tree: _Fenwick, drop: List[int], extra: List[int]):
-        self._edges = graph.sorted_edges()
-        self._tree = tree
-        self._drop = drop
-        self._extra = extra
-        self._size = tree.count - len(drop) + len(extra)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, k: int) -> Edge:
-        if not 0 <= k < self._size:
-            raise IndexError(f"no edge number {k} among {self._size}")
-        if self._drop or self._extra:
-            return self._edges[self._tree.select(k, self._drop, self._extra)]
-        return self._edges[self._tree.kth(k)]
-
-
 # edges `GameState.lowest_free` reads from the edge arrays at a time
 _SCAN_CHUNK = 64
 
@@ -176,15 +69,15 @@ class GameState:
     the round number. `breaker_degrees[v]` is the number of Breaker edges
     at v, kept up to date as moves apply.
 
-    Two Fenwick trees over edge ids (positions in `graph.sorted_edges()`)
-    index the free edges and the frontier, the free edges that touch
-    `v_c`; `free_edges_at`, `free_choices` and `connector_choices` read
-    them. Each is built with numpy on the first query that needs it,
-    then kept up to date by every applied move and copied by `copy`; a
-    game that never queries them pays nothing for them, and builds none
-    of the board's whole-board Python views either: `is_free` and the
-    move checks bisect one CSR row, and `lowest_free` reads the edge
-    arrays.
+    Two sorted edge lists, in `graph.sorted_edges()` order, index the
+    free edges and the frontier, the free edges that touch `v_c`;
+    `free_choices` and `connector_choices` read them. Each is built on
+    the first query that needs it, then kept up to date by every applied
+    move (a bisect plus a list delete or insert per change) and copied
+    by `copy`; a game that never queries them pays nothing for them, and
+    builds none of the board's whole-board Python views either:
+    `is_free`, `free_edges_at` and the move checks read one CSR row, and
+    `lowest_free` reads the edge arrays.
     """
 
     __slots__ = (
@@ -242,8 +135,8 @@ class GameState:
         self.territory = list(dict.fromkeys(order))
         self.v_c = set(self.territory)
         self.log: List[Tuple[str, Edge]] = []
-        self._free: Optional[_Fenwick] = None
-        self._front: Optional[_Fenwick] = None
+        self._free: Optional[List[Edge]] = None
+        self._front: Optional[List[Edge]] = None
 
     def copy(self) -> "GameState":
         s = GameState.__new__(GameState)
@@ -259,8 +152,8 @@ class GameState:
         s.v_c = set(self.v_c)
         s.territory = list(self.territory)
         s.log = list(self.log)
-        s._free = None if self._free is None else self._free.copy()
-        s._front = None if self._front is None else self._front.copy()
+        s._free = None if self._free is None else list(self._free)
+        s._front = None if self._front is None else list(self._front)
         return s
 
     def bias(self, role: str) -> int:
@@ -309,63 +202,59 @@ class GameState:
             cursor[0] = i
         return out
 
-    def _free_tree(self) -> _Fenwick:
-        """The free-edge tree, built from the claimed sets on first use."""
-        if self._free is None:
-            g = self.graph
-            claimed = [g.edge_id(e) for e in self.connector_edges]
-            claimed += [g.edge_id(e) for e in self.breaker_edges]
-            free = np.ones(g.edge_count(), dtype=bool)
-            free[np.array(claimed, dtype=np.int64)] = False
-            self._free = _Fenwick(free)
-        return self._free
-
-    def _front_tree(self) -> _Fenwick:
-        """The frontier tree, built on first use from the free flags.
+    def _front_list(self) -> List[Edge]:
+        """The frontier list, built on first use from the free list.
         Games whose strategies never ask for it do not keep it."""
         if self._front is None:
-            g = self.graph
-            free = np.frombuffer(self._free_tree().flags, dtype=np.uint8).astype(bool)
-            vc = np.zeros(g.n, dtype=bool)
-            vc[np.array(sorted(self.v_c), dtype=np.int64)] = True
-            self._front = _Fenwick(free & (vc[g.u] | vc[g.v]))
+            vc = self.v_c
+            self._front = [e for e in self.free_choices() if e[0] in vc or e[1] in vc]
         return self._front
 
     def free_edges_at(self, v: int) -> List[Edge]:
         """Free edges at v, in ascending order of the other endpoint.
-        O(deg v)."""
-        flags = self._free_tree().flags
-        edges = self.graph.sorted_edges()
-        return [edges[i] for i in self.graph.incident_ids(v) if flags[i]]
+        O(deg v): one CSR row against the claimed sets."""
+        claimed, blocked = self.connector_edges, self.breaker_edges
+        out = []
+        for x in self.graph.row(v):
+            e = (x, v) if x < v else (v, x)
+            if e not in claimed and e not in blocked:
+                out.append(e)
+        return out
 
-    def free_choices(self) -> "Choices":
-        """The free edges, Breaker's choices."""
-        return Choices(self.graph, self._free_tree(), [], [])
+    def free_choices(self) -> List[Edge]:
+        """The free edges, Breaker's choices, in ascending order: a full
+        scan on first use, then kept up to date. The list is the state's
+        own: read it, do not change it."""
+        if self._free is None:
+            self._free = self.free_edges()
+        return self._free
 
-    def connector_choices(self, claims: Sequence[Edge] = ()) -> "Choices":
+    def connector_choices(self, claims: Sequence[Edge] = ()) -> List[Edge]:
         """The edges Connector may claim next in a move whose earlier
-        claims are `claims`: the free edges touching `v_c` or the claims,
-        minus the claims; every free edge while both are empty. The
-        claims' new vertices cost one scan of their edges."""
-        free, front = self._free_tree(), self._front_tree()
+        claims are `claims`, in ascending order: the free edges touching
+        `v_c` or the claims, minus the claims; every free edge while both
+        are empty. Without claims the list is the state's own, to be read
+        and not changed; with claims it is a copy of the frontier,
+        corrected by one scan of the claims' new vertices' edges."""
+        free, front = self.free_choices(), self._front_list()
         vc = self.v_c
         if not claims:
-            return Choices(self.graph, front if vc else free, [], [])
-        grown = {w for e in claims for w in e if w not in vc}
-        skipped = [self.graph.edge_id(e) for e in claims]
-        inc = self.graph.incident_ids
+            return front if vc else free
+        out = list(front)
+        for e in claims:
+            i = bisect_left(out, e)
+            if i < len(out) and out[i] == e:
+                del out[i]
         # free edges at the new vertices whose other end is outside v_c;
-        # each vertex's edge ids come in ascending order
-        extra = [
-            j
-            for w in grown
-            for j in inc(w)
-            if free.flags[j] and not front.flags[j] and j not in skipped
-        ]
-        if len(grown) > 1:
-            extra = sorted(set(extra))
-        drop = sorted(i for i in skipped if front.flags[i])
-        return Choices(self.graph, front, drop, extra)
+        # an edge between two new vertices turns up twice
+        for w in {w for e in claims for w in e if w not in vc}:
+            for e in self.free_edges_at(w):
+                if e[0] + e[1] - w in vc or e in claims:
+                    continue
+                i = bisect_left(out, e)
+                if i == len(out) or out[i] != e:
+                    out.insert(i, e)
+        return out
 
     def connector_has_spanned(self) -> bool:
         """Connector's edges are kept connected by the rules, so she spans
@@ -411,26 +300,28 @@ def _check_move(state: GameState, move: Move) -> None:
 def _apply_in_place(state: GameState, move: Move) -> None:
     """Apply a checked move. Mutates `state`; used by the game loop."""
     role = state.to_move
-    g = state.graph
-    free, front = state._free, state._front  # no frontier tree without a free one
+    free, front = state._free, state._front  # no frontier list without a free one
+    vc = state.v_c
     for e in move.edges:
         e = edge(*e)
         state.log.append((role, e))
         if free is not None:
-            i = g.edge_id(e)
-            free.set(i, 0)
+            del free[bisect_left(free, e)]
             if front is not None:
-                front.set(i, 0)
+                i = bisect_left(front, e)
+                if i < len(front) and front[i] == e:
+                    del front[i]
         if role == CONNECTOR:
             state.connector_edges.add(e)
             for w in e:
-                if w not in state.v_c:
-                    state.v_c.add(w)
+                if w not in vc:
+                    vc.add(w)
                     state.territory.append(w)
                     if front is not None:
-                        for j in g.incident_ids(w):
-                            if free.flags[j]:
-                                front.set(j, 1)
+                        # w's free edges into v_c are in the frontier already
+                        for f in state.free_edges_at(w):
+                            if f[0] + f[1] - w not in vc:
+                                insort(front, f)
         else:
             state.breaker_edges.add(e)
             state.breaker_degrees[e[0]] += 1

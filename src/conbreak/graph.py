@@ -9,15 +9,13 @@ construction. Every adjacency question is answered from the CSR: per
 vertex, the ascending row as a tuple (`row`, built on first use and
 cached; "has a neighbour in c" is `not c.isdisjoint(g.row(v))`); for all
 vertices at once, the neighbour count inside a boolean vertex mask
-(`counts_in`, one numpy pass); the degrees, a plain list of ints. The
-whole-board views, the sorted edge tuple and the edge ids (an edge's
-position in that tuple, by edge and by vertex), are cached on first use
-too. They hold a Python object per edge, which the cyclic garbage
-collector then keeps traversing, so the paper strategies, the engine's
-move checks, `check_b` and `contains_hn` never build them; the baseline
-strategies' indexed queries and the solver do. An edge test
-(`has_edge`) bisects one row, or looks the edge up in the edge-id table
-once that exists.
+(`counts_in`, one numpy pass); the degrees, a plain list of ints. An
+edge test (`has_edge`) bisects one row. The one whole-board view left,
+the sorted edge tuple (`sorted_edges()`), is cached on first use too.
+It holds a Python object per edge, which the cyclic garbage collector
+then keeps traversing, so the paper strategies, the engine's move
+checks, `check_b` and `contains_hn` never build it; the baseline
+strategies' free-edge and frontier lists and the solver do.
 
 G(n, p) boards come from one uniform per vertex pair, in canonical pair
 order, kept when it is below p (the coupling of Stojakovic-Szabo 2005).
@@ -31,7 +29,7 @@ is the one board builder and goes through it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,9 +99,7 @@ class Graph:
     integer array, in any order and orientation; duplicates are merged.
     Loops, out-of-range and non-integer vertices raise ParameterError."""
 
-    __slots__ = (
-        "n", "u", "v", "off", "nbr", "_deg", "_rows", "_sorted", "_ids", "_inc",
-    )
+    __slots__ = ("n", "u", "v", "off", "nbr", "_deg", "_rows", "_sorted")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -125,24 +121,17 @@ class Graph:
         self._deg: List[int] = deg.tolist()
         self._rows: List[Optional[Tuple[int, ...]]] = [None] * n
         self._sorted: Optional[Tuple[Edge, ...]] = None
-        self._ids: Optional[Dict[int, int]] = None
-        self._inc: Optional[List[Tuple[int, ...]]] = None
 
     def edge_count(self) -> int:
         return len(self.u)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether {u, v} is an edge, in either orientation; False for an
-        off-board vertex. A loop raises ParameterError. One lookup in the
-        edge-id table once `edge_id` has built it, else a bisect of u's
+        off-board vertex. A loop raises ParameterError. A bisect of u's
         CSR row, which builds no whole-board view."""
         if u == v:
             raise ParameterError(f"loop edge ({u},{v}) is not allowed")
-        n = self.n
-        if 0 <= u < n and 0 <= v < n:
-            ids = self._ids
-            if ids is not None:
-                return (u * n + v if u < v else v * n + u) in ids
+        if 0 <= u < self.n and 0 <= v < self.n:
             row = self._rows[u] or self.row(u)
             i = bisect_left(row, v)
             return i < len(row) and row[i] == v
@@ -174,31 +163,6 @@ class Graph:
         if self._sorted is None:
             self._sorted = tuple(zip(self.u.tolist(), self.v.tolist()))
         return self._sorted
-
-    def edge_id(self, e: Edge) -> int:
-        """Position of the canonical edge e in `sorted_edges()`."""
-        if self._ids is None:
-            keys = (self.u * self.n + self.v).tolist()
-            self._ids = dict(zip(keys, range(len(keys))))
-        return self._ids[e[0] * self.n + e[1]]
-
-    def incident_ids(self, v: int) -> Tuple[int, ...]:
-        """Edge ids of the edges at v in ascending order, which is also
-        the order of the other endpoint (v's CSR row). All rows are built
-        on the first call."""
-        if self._inc is None:
-            n = self.n
-            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.off))
-            # a row's neighbours above it are its edges in sorted order;
-            # those below it come in (v, u) order
-            upper = self.nbr > rows
-            ids = np.empty(len(self.nbr), dtype=np.int64)
-            ids[upper] = np.arange(len(self.u))
-            ids[~upper] = np.argsort(self.v * n + self.u)
-            flat = ids.tolist()
-            off = self.off.tolist()
-            self._inc = [tuple(flat[off[x] : off[x + 1]]) for x in range(n)]
-        return self._inc[v]
 
     def __eq__(self, other) -> bool:
         return (

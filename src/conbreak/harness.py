@@ -21,11 +21,13 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .breaker import BadSetDecomposition
+from .connector import check_bias
 from .engine import BREAKER, GameResult, REASON_FORFEIT, replay_states, run_game
 from .errors import ParameterError
 from .graph import GnpDraws, Graph, gen_gnp
@@ -89,6 +91,9 @@ class TrialConfig:
             raise ParameterError(f"bias must be at least 1, got m={self.m} b={self.b}")
         if self.jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {self.jobs}")
+        cores = os.cpu_count() or 1
+        if self.jobs > cores:
+            raise ParameterError(f"jobs must not exceed the {cores} cores, got {self.jobs}")
         # checked here, before run_trials truncates any output file
         if self.start_vertex is not None and not (0 <= self.start_vertex < min(self.ns)):
             raise ParameterError(
@@ -101,9 +106,12 @@ class TrialConfig:
             if (n, p) in seen:
                 raise ParameterError(f"the grid holds the cell n={n}, p={p!r} twice")
             seen.add((n, p))
-        # fail fast on unknown strategy ids
+        # fail fast on unknown strategy ids and on a bias the paper
+        # Connector cannot play
         make_strategy(self.connector_id)
         make_strategy(self.breaker_id)
+        if self.connector_id == "paper-connector":
+            check_bias(self.m)
 
     def ps_for(self, n: int) -> Tuple[float, ...]:
         if self.ps is not None:

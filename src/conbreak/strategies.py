@@ -34,9 +34,10 @@ class RandomStrategy:
     """Claims up to the full bias uniformly among currently legal edges.
 
     Each claim draws one index into the legal edges in ascending order
-    and reads it off the state's free-edge or frontier index, so a move
-    costs O(bias log |E|) plus, for Connector, a scan of the edges at the
-    vertices her earlier claims in the move add."""
+    and reads that entry of the state's sorted free-edge or frontier
+    list. A Connector claim after an earlier one in the same move reads
+    a copy of the frontier, corrected by a scan of the edges at the
+    vertices her earlier claims add."""
 
     def __init__(self):
         self.role = ""

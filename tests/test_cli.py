@@ -137,7 +137,13 @@ def test_sweep_eps_mapping(capsys):
 
 @pytest.mark.parametrize(
     "bad",
-    [["--start", "-1"], ["--trials", "0"], ["--ns", "0"], ["--start", "50"]],
+    [
+        ["--start", "-1"],
+        ["--trials", "0"],
+        ["--ns", "0"],
+        ["--start", "50"],
+        ["--connector", "paper-connector", "--m", "1"],
+    ],
 )
 def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, bad):
     out_csv = tmp_path / "x.csv"

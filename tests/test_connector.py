@@ -522,6 +522,14 @@ def test_make_cells_checks_sizes_before_building_keys(monkeypatch):
     monkeypatch.setattr(connector, "cell_keys", no_keys)
     with pytest.raises(ParameterError, match="cell size 0 is not positive"):
         make_cells(64, x=0, k=30)
+    # a depth below 1 once gave a float cell size (128.0 at k=-5) and no
+    # cells, or an empty decomposition
+    g = Graph(64, [(0, 1)])
+    for k in (0, -5):
+        with pytest.raises(ParameterError, match=f"depth must be at least 1, got k={k}"):
+            make_cells(64, x=0, k=k)
+        with pytest.raises(ParameterError, match=f"depth must be at least 1, got k={k}"):
+            decompose(g, 0, {}, k)
 
 
 def test_make_cells_layout():
@@ -546,9 +554,10 @@ def test_make_cells_layout():
 
 
 def test_make_cells_never_outgrow_the_board():
-    # 4(2^k - 1) cells of n // 2^(k+4) vertices use at most n/4 of them
+    # 4(2^k - 1) cells of n // 2^(k+4) vertices use at most n/4 of them;
+    # depths start at 1, below which make_cells refuses
     for n in (16, 17, 100, 999, 4099):
-        for k in range(9):
+        for k in range(1, 9):
             if n // 2 ** (k + 4) < 1:
                 continue
             cells = make_cells(n, x=n - 1, k=k, seed=k)

@@ -184,10 +184,14 @@ def test_outputs_byte_identical(tmp_path):
         }
 
 
-def test_parallel_matches_serial(tmp_path):
+def test_parallel_matches_serial(tmp_path, monkeypatch):
     """Trial-major runs, serial and one task per (n, trial) on two
     workers, give the records and bytes of a cell-major loop over run_one
-    with a fresh board per game."""
+    with a fresh board per game. The core count is patched so that two
+    workers are allowed on any machine."""
+    from conbreak import harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     grids = [
         dict(ps=(0.4, 0.7), trials=3),
         dict(ns=(10, 16), ps=(0.4, 0.7, 0.2), trials=3),
@@ -211,9 +215,11 @@ def test_parallel_matches_serial(tmp_path):
 
 def test_pool_is_sized_to_the_tasks(tmp_path, monkeypatch):
     """jobs=8 on a 2-task grid asks the fork context for 2 workers. The
-    stand-in pool records that and runs the tasks in this process."""
+    stand-in pool records that and runs the tasks in this process; the
+    core count is patched to allow jobs=8."""
     from conbreak import harness
 
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     asked = []
 
     class InlinePool:
@@ -246,6 +252,25 @@ def test_pool_is_sized_to_the_tasks(tmp_path, monkeypatch):
     assert runs[8] == runs[1]
     for ext in ("csv", "jsonl"):
         assert (tmp_path / f"8.{ext}").read_bytes() == (tmp_path / f"1.{ext}").read_bytes()
+
+
+def test_jobs_above_the_core_count_are_refused(monkeypatch):
+    """A jobs count above os.cpu_count() is refused when the config is
+    built, before any worker process starts."""
+    from conbreak import harness
+
+    def no_pool(method):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness.multiprocessing, "get_context", no_pool)
+    with pytest.raises(ParameterError, match="jobs must not exceed the 2 cores, got 3"):
+        small_cfg(jobs=3)
+    assert small_cfg(jobs=2).jobs == 2
+    # no core count known: one job only
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    with pytest.raises(ParameterError, match="got 2"):
+        small_cfg(jobs=2)
 
 
 def test_unwritable_output_fails_before_trials(tmp_path):

@@ -1,10 +1,11 @@
 """The engine's incremental indices against full-board rescans.
 
 The baseline strategies read the claim log, the territory order and the
-Fenwick trees over free and frontier edges instead of rescanning every
+sorted lists of free and frontier edges instead of rescanning every
 edge; `select_target` reads per-pool cursors and a lazy degree heap
 instead of scanning every vertex. Each must give exactly the move or
 target of the naive scan in `oracles`, from the same random stream.
+The lists are built only for strategies that read them.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def test_indexed_baselines_match_naive_rescan(n, p, seed, start, m, b, cid, bid,
     rescanning oracle's move from the same Rng state; the index queries
     match naive lists; applying a move to a copy leaves the original's
     queries as they were. Queries start after `check_from` moves, so the
-    trees are built both at the first position and mid-game."""
+    lists are built both at the first position and mid-game."""
     g = gen_gnp(n, p, seed)
     if start is not None:
         start %= n
@@ -133,6 +134,26 @@ def test_claim_log_and_territory_follow_play():
     assert s.territory == first
     built = GameState(g, start_vertex=5, connector_edges=[(0, 5), (0, 9)])
     assert built.territory == [5, 0, 9] and built.log == []
+
+
+def test_edge_lists_are_built_only_for_the_random_strategy():
+    """Greedy and paper players read CSR rows and build no edge list;
+    the random players build both lists, and they match a full scan at
+    the end of the game."""
+    g = gen_gnp(40, 0.3, 7)
+    for cid, bid, built in (
+        ("greedy-degree", "greedy-degree", False),
+        ("paper-connector", "paper-breaker", False),
+        ("random", "random", True),
+    ):
+        res = run_game(g, make_strategy(cid), make_strategy(bid), start_vertex=0, seed=7)
+        s = res.final_state
+        if not built:
+            assert s._free is None and s._front is None, (cid, bid)
+            continue
+        free = s.free_edges()
+        assert s._free == free
+        assert s._front == [e for e in free if s.v_c & set(e)]
 
 
 def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
