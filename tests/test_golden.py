@@ -1,4 +1,5 @@
-"""Pinned digests of game transcripts, sweep outputs and verify reports.
+"""Pinned digests of game transcripts, sweep outputs, verify reports and
+exact-solver answers.
 
 The byte-identity tests elsewhere compare two runs of the same code; these
 compare against fixed sha256 values, so a refactor that changes play, an
@@ -13,14 +14,18 @@ recorded, never to make a refactor pass.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 
 import pytest
 
 from conbreak.cli import main
-from conbreak.engine import run_game
+from conbreak.engine import BREAKER, CONNECTOR, GameState, run_game
 from conbreak.graph import gen_gnp
+from conbreak.solver import best_move, solve_exact
 from conbreak.strategies import make_strategy
+
+from oracles import connected_graph_classes
 
 CONNECTORS = ("random", "greedy-degree", "paper-connector")
 BREAKERS = ("random", "greedy-degree", "paper-breaker")
@@ -367,3 +372,40 @@ def test_capped_search_transcripts_pinned(caplog):
     assert sha("".join(parts)) == CAPPED_DIGEST
     capped = [r for r in caplog.records if "stage-1 tree search capped" in r.getMessage()]
     assert len(capped) >= len(SEEDS)
+
+
+# minimax against minimax, and the exact solver's answers, on every
+# connected board class up to 5 vertices: the first mover, the goal
+# (spanning, or reaching the last vertex) and the start vertex vary for
+# the solver; the games start from vertex 0 or from no vertex, and
+# Breaker's reply to an untouched board pins his opening as well
+SOLVER_BIASES = ((1, 1), (1, 2), (2, 1), (2, 2))
+SOLVER_DIGEST = "ead144fc818b901804adff096e7c5c1ee12325b0ba3c1c7f150858275d27b235"
+
+
+def solver_parts():
+    parts = []
+    for n in range(1, 6):
+        for g in connected_graph_classes(n):
+            for m, b in SOLVER_BIASES:
+                for start in (None, 0):
+                    result = run_game(
+                        g,
+                        make_strategy("minimax"),
+                        make_strategy("minimax"),
+                        m=m,
+                        b=b,
+                        start_vertex=start,
+                    )
+                    parts.append(result.transcript_jsonl())
+                    opening = GameState(g, m=m, b=b, start_vertex=start, to_move=BREAKER)
+                    parts.append(json.dumps([list(e) for e in best_move(opening).edges]))
+                    for first in (CONNECTOR, BREAKER):
+                        for goal in ("spanning", ("reach", n - 1)):
+                            parts.append(solve_exact(g, m, b, first, goal, start))
+                    parts.append("\n")
+    return parts
+
+
+def test_solver_answers_and_minimax_games_pinned():
+    assert sha("".join(solver_parts())) == SOLVER_DIGEST
