@@ -24,7 +24,7 @@ from typing import (
 )
 
 from .errors import ConnectivityError, IllegalMoveError, ParameterError
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph, edge, is_integer
 
 CONNECTOR = "C"
 BREAKER = "B"
@@ -105,13 +105,14 @@ class GameState:
         start_vertex: Optional[int] = None,
         connector_edges: Iterable[Edge] = (),
         breaker_edges: Iterable[Edge] = (),
-        round: int = 1,
         to_move: str = CONNECTOR,
     ):
         if m < 1 or b < 1:
             raise ParameterError(f"bias must be at least 1, got m={m} b={b}")
-        if start_vertex is not None and not (0 <= start_vertex < graph.n):
-            raise ParameterError(f"start vertex {start_vertex} out of range")
+        if start_vertex is not None and not (
+            is_integer(start_vertex) and 0 <= start_vertex < graph.n
+        ):
+            raise ParameterError(f"start vertex {start_vertex!r} is not a vertex of the board")
         if to_move not in (CONNECTOR, BREAKER):
             raise ParameterError(f"to_move must be 'C' or 'B', got {to_move!r}")
         self.graph = graph
@@ -123,7 +124,11 @@ class GameState:
         both = self.connector_edges & self.breaker_edges
         if both:
             raise ParameterError(f"edges claimed by both players: {sorted(both)}")
-        self.round = round
+        for e in self.connector_edges | self.breaker_edges:
+            pair = isinstance(e, tuple) and len(e) == 2 and all(map(is_integer, e))
+            if not (pair and e[0] < e[1] and graph.has_edge(*e)):
+                raise ParameterError(f"claimed pair {e!r} is not a board edge (u, v) with u < v")
+        self.round = 1
         self.to_move = to_move
         self.breaker_degrees = [0] * graph.n
         for u, v in self.breaker_edges:

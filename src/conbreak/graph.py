@@ -39,6 +39,11 @@ from .rng import check_seed, uniforms_at
 Edge = Tuple[int, int]
 
 
+def is_integer(x) -> bool:
+    """Whether x is a Python or numpy integer; a bool is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def edge(u: int, v: int) -> Edge:
     """Canonical form of the pair {u, v}."""
     if u == v:
@@ -102,7 +107,7 @@ class Graph:
     __slots__ = ("n", "u", "v", "off", "nbr", "_deg", "_rows", "_sorted")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not is_integer(n):
             raise ParameterError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ParameterError(f"vertex count must be non-negative, got {n}")
@@ -200,7 +205,7 @@ class GnpDraws:
         if not (0.0 <= p_max <= 1.0):
             raise ParameterError(f"edge probability must lie in [0,1], got {p_max}")
         check_seed(seed)
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not is_integer(n):
             raise ParameterError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ParameterError(f"vertex count must be non-negative, got {n}")

@@ -30,7 +30,7 @@ from .breaker import BadSetDecomposition
 from .connector import check_bias
 from .engine import BREAKER, GameResult, REASON_FORFEIT, replay_states, run_game
 from .errors import ParameterError
-from .graph import GnpDraws, Graph, gen_gnp
+from .graph import GnpDraws, Graph, gen_gnp, is_integer
 from .rng import check_seed, derive
 from .strategies import IsolationBreakerStrategy, make_strategy
 
@@ -69,6 +69,15 @@ class TrialConfig:
     def __post_init__(self):
         if not self.ns:
             raise ParameterError("need at least one board size")
+        # a float or a bool would pass the range checks below and fail
+        # only once run_trials has truncated the outputs
+        counts = [("board size", n) for n in self.ns]
+        counts += [("trials", self.trials), ("m", self.m), ("b", self.b), ("jobs", self.jobs)]
+        if self.start_vertex is not None:
+            counts.append(("start vertex", self.start_vertex))
+        for name, value in counts:
+            if not is_integer(value):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if any(n < 1 for n in self.ns):
             raise ParameterError(f"board sizes must be positive: {self.ns}")
         if (self.ps is None) == (self.eps_list is None):

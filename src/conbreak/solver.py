@@ -8,9 +8,10 @@ letting the memo table collapse permutations of the same claim set.
 
 States are keyed by the claimed-edge bitmaps, the player to move, the
 remaining claims in the current move, and whether the previous move was
-empty. The stand-off rule matches the engine: two consecutive empty moves
-end the game, and a game that ends without Connector reaching her goal is
-a Breaker win.
+empty. The goal is a territory mask: Connector has won once her territory
+covers it. The stand-off rule matches the engine: two consecutive empty
+moves end the game, and a game that ends without Connector reaching her
+goal is a Breaker win.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import List, Optional, Tuple, Union
 
 from .engine import BREAKER, CONNECTOR, GameState, Move
 from .errors import CapacityError, ParameterError
-from .graph import Graph
+from .graph import Graph, is_integer
 
 Goal = Union[str, Tuple[str, int]]
 
@@ -30,38 +31,39 @@ GOAL_REACH = "reach"
 MAX_EDGES = 16
 
 
-def _parse_goal(goal: Goal, n: int) -> Tuple[str, int]:
-    if goal == GOAL_SPANNING:
-        return (GOAL_SPANNING, -1)
-    if isinstance(goal, tuple) and len(goal) == 2 and goal[0] == GOAL_REACH:
-        x = goal[1]
-        if not (0 <= x < n):
-            raise ParameterError(f"goal vertex {x} out of range")
-        return (GOAL_REACH, x)
-    raise ParameterError(f"goal must be 'spanning' or ('reach', x), got {goal!r}")
+def check_size(g: Graph) -> None:
+    """Refuse, with CapacityError, a board too large for the search."""
+    if g.edge_count() > MAX_EDGES:
+        raise CapacityError(f"board has {g.edge_count()} edges, the solver allows {MAX_EDGES}")
 
 
 class _Search:
-    """Memoized game-tree search on one board with fixed biases and goal."""
+    """Memoized game-tree search on one board with fixed biases and goal.
 
-    def __init__(self, g: Graph, m: int, b: int, kind: str, x: int):
-        self.n = g.n
-        self.m = m
-        self.b = b
-        self.kind = kind
-        self.x = x
+    `need` is the goal as a territory mask: every vertex for the spanning
+    goal (none on a board of at most one vertex, which is won at once),
+    and vertex x alone for ('reach', x)."""
+
+    def __init__(self, g: Graph, m: int, b: int, goal: Goal = GOAL_SPANNING):
+        check_size(g)
+        if goal == GOAL_SPANNING:
+            self.need = (1 << g.n) - 1 if g.n >= 2 else 0
+        elif isinstance(goal, tuple) and len(goal) == 2 and goal[0] == GOAL_REACH:
+            x = goal[1]
+            if not (is_integer(x) and 0 <= x < g.n):
+                raise ParameterError(f"goal vertex {x} out of range")
+            self.need = 1 << x
+        else:
+            raise ParameterError(f"goal must be 'spanning' or ('reach', x), got {goal!r}")
+        self.bias = {CONNECTOR: m, BREAKER: b}
         self.edges = g.sorted_edges()
+        self.index = {e: i for i, e in enumerate(self.edges)}
         self.inc = [(1 << u) | (1 << v) for u, v in self.edges]
         self.all_e = (1 << len(self.edges)) - 1
-        self.full_v = (1 << g.n) - 1
         self.memo: dict = {}
 
     def goal_met(self, vc: int) -> bool:
-        if self.kind == GOAL_SPANNING:
-            if self.n <= 1:
-                return True
-            return vc == self.full_v
-        return bool((vc >> self.x) & 1)
+        return vc & self.need == self.need
 
     def val(self, cmask, bmask, vc, mover, left, prev_empty) -> bool:
         """True when Connector wins from here with best play."""
@@ -69,56 +71,41 @@ class _Search:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        free = self.all_e & ~(cmask | bmask)
-        fresh_bias = self.m if mover == CONNECTOR else self.b
-        any_claimed = left < fresh_bias
+        # `win` is the value the mover plays for; the first child worth
+        # it decides the node
+        win = mover == CONNECTOR
+        other = BREAKER if win else CONNECTOR
+        fresh = self.bias[other]
         inc = self.inc
-        if mover == CONNECTOR:
-            result = False
-            f = free
-            while f:
-                bit = f & -f
-                f ^= bit
+        need = self.need
+        f = self.all_e & ~(cmask | bmask)
+        while f:
+            bit = f & -f
+            f ^= bit
+            if win:
                 i = bit.bit_length() - 1
                 if vc and not (inc[i] & vc):
                     continue
-                nvc = vc | inc[i]
-                if self.goal_met(nvc):
+                cm, bm, nvc = cmask | bit, bmask, vc | inc[i]
+                if nvc & need == need:
                     result = True
                     break
-                if left > 1:
-                    r = self.val(cmask | bit, bmask, nvc, CONNECTOR, left - 1, prev_empty)
-                else:
-                    r = self.val(cmask | bit, bmask, nvc, BREAKER, self.b, False)
-                if r:
-                    result = True
-                    break
-            if not result:
-                # stop early (the empty move when nothing was claimed yet)
-                if not any_claimed and prev_empty:
-                    result = False  # stalled game, Connector never spans
-                else:
-                    result = self.val(cmask, bmask, vc, BREAKER, self.b, not any_claimed)
+            else:
+                cm, bm, nvc = cmask, bmask | bit, vc
+            if left > 1:
+                r = self.val(cm, bm, nvc, mover, left - 1, prev_empty)
+            else:
+                r = self.val(cm, bm, nvc, other, fresh, False)
+            if r == win:
+                result = win
+                break
         else:
-            result = True
-            f = free
-            while f:
-                bit = f & -f
-                f ^= bit
-                if left > 1:
-                    r = self.val(cmask, bmask | bit, vc, BREAKER, left - 1, prev_empty)
-                else:
-                    r = self.val(cmask, bmask | bit, vc, CONNECTOR, self.m, False)
-                if not r:
-                    result = False
-                    break
-            if result:
-                if not any_claimed and prev_empty:
-                    result = False
-                else:
-                    r = self.val(cmask, bmask, vc, CONNECTOR, self.m, not any_claimed)
-                    if not r:
-                        result = False
+            # stop here: the empty move when nothing was claimed yet, and
+            # a second empty move in a row stalls the game, a Breaker win
+            empty = left == self.bias[mover]
+            result = not (empty and prev_empty) and self.val(
+                cmask, bmask, vc, other, fresh, empty
+            )
         self.memo[key] = result
         return result
 
@@ -142,19 +129,13 @@ def solve_exact(
         raise ParameterError(f"bias must be at least 1, got m={m} b={b}")
     if first not in (CONNECTOR, BREAKER):
         raise ParameterError(f"first mover must be 'C' or 'B', got {first!r}")
-    if start_vertex is not None and not (0 <= start_vertex < g.n):
+    if start_vertex is not None and not (is_integer(start_vertex) and 0 <= start_vertex < g.n):
         raise ParameterError(f"start vertex {start_vertex} out of range")
-    kind, x = _parse_goal(goal, g.n)
-    ne = g.edge_count()
-    if ne > MAX_EDGES:
-        raise CapacityError(f"board has {ne} edges, guard allows {MAX_EDGES}")
-
-    search = _Search(g, m, b, kind, x)
+    search = _Search(g, m, b, goal)
     start_vc = 0 if start_vertex is None else (1 << start_vertex)
     if search.goal_met(start_vc):
         return CONNECTOR
-    start_left = m if first == CONNECTOR else b
-    won = search.val(0, 0, start_vc, first, start_left, False)
+    won = search.val(0, 0, start_vc, first, search.bias[first], False)
     return CONNECTOR if won else BREAKER
 
 
@@ -170,30 +151,16 @@ def best_move(state: GameState) -> Move:
     position is assumed not to sit on a half-finished stand-off: the
     previous move is treated as non-empty.
     """
-    g = state.graph
-    ne = g.edge_count()
-    if ne > MAX_EDGES:
-        raise CapacityError(f"board has {ne} edges, guard allows {MAX_EDGES}")
-    search = _Search(g, state.m, state.b, GOAL_SPANNING, -1)
-    index = {e: i for i, e in enumerate(search.edges)}
-
-    cmask = 0
-    for e in state.connector_edges:
-        cmask |= 1 << index[e]
-    bmask = 0
-    for e in state.breaker_edges:
-        bmask |= 1 << index[e]
-    vc = 0
-    for v in state.v_c:
-        vc |= 1 << v
-
-    mover = state.to_move
-    is_connector = mover == CONNECTOR
+    search = _Search(state.graph, state.m, state.b)
+    index, edges, inc = search.index, search.edges, search.inc
+    # distinct bits, so each sum is the union
+    cmask = sum(1 << index[e] for e in state.connector_edges)
+    bmask = sum(1 << index[e] for e in state.breaker_edges)
+    vc = sum(1 << v for v in state.v_c)
     if search.goal_met(vc):
         return Move(())
 
-    bias = state.bias(mover)
-    inc = search.inc
+    win = state.to_move == CONNECTOR
     candidates: List[Tuple[Tuple, int, int, int]] = []
     seen = set()
 
@@ -204,31 +171,24 @@ def best_move(state: GameState) -> Move:
             candidates.append((claims, cm, bm, vcur))
         if left == 0:
             return
-        free = search.all_e & ~(cm | bm)
-        f = free
+        f = search.all_e & ~(cm | bm)
         while f:
             bit = f & -f
             f ^= bit
             i = bit.bit_length() - 1
-            if is_connector:
-                if vcur and not (inc[i] & vcur):
-                    continue
-                enum(cm | bit, bm, vcur | inc[i], left - 1, claims + (search.edges[i],))
-            else:
-                enum(cm, bm | bit, vcur, left - 1, claims + (search.edges[i],))
+            if not win:
+                enum(cm, bm | bit, vcur, left - 1, claims + (edges[i],))
+            elif not vcur or inc[i] & vcur:
+                enum(cm | bit, bm, vcur | inc[i], left - 1, claims + (edges[i],))
 
-    enum(cmask, bmask, vc, bias, ())
+    enum(cmask, bmask, vc, state.bias(state.to_move), ())
     candidates.sort(key=lambda c: (-len(c[0]), c[0]))
 
+    other = BREAKER if win else CONNECTOR
     for claims, cm, bm, vcur in candidates:
-        if is_connector:
-            if search.goal_met(vcur):
-                return Move(claims)
-            won = search.val(cm, bm, vcur, BREAKER, state.b, not claims)
-            if won:
-                return Move(claims)
-        else:
-            won = search.val(cm, bm, vcur, CONNECTOR, state.m, not claims)
-            if not won:
-                return Move(claims)
+        won = (win and search.goal_met(vcur)) or search.val(
+            cm, bm, vcur, other, search.bias[other], not claims
+        )
+        if won == win:
+            return Move(claims)
     return Move(candidates[0][0])

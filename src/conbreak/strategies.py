@@ -27,7 +27,7 @@ from .engine import BREAKER, CONNECTOR, GameState, Move
 from .errors import CapacityError, ParameterError
 from .graph import Edge, Graph
 from .rng import Rng, Seed
-from .solver import MAX_EDGES, best_move
+from .solver import best_move, check_size
 
 
 class RandomStrategy:
@@ -217,14 +217,11 @@ class GreedyDegreeStrategy:
 
 
 class MinimaxStrategy:
-    """Optimal play through the exact solver. Tiny boards only; larger
-    boards are refused with CapacityError at propose time."""
+    """Optimal play through the exact solver. Tiny boards only; a board
+    above the solver's edge limit is refused with CapacityError at start."""
 
     def start(self, graph: Graph, role: str, seed: Seed) -> None:
-        if graph.edge_count() > MAX_EDGES:
-            raise CapacityError(
-                f"board has {graph.edge_count()} edges, minimax allows {MAX_EDGES}"
-            )
+        check_size(graph)
 
     def propose(self, state: GameState) -> Move:
         return best_move(state)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -85,6 +86,21 @@ def test_state_parameter_validation():
         GameState(g, start_vertex=4)
     with pytest.raises(ParameterError):
         GameState(g, to_move="X")
+    # a claim must be a board edge written (u, v) with u < v: a reversed
+    # (2, 1) left (1, 2) free to claim again
+    for opts in (
+        dict(connector_edges=[(2, 1)]),
+        dict(connector_edges=[(0, 2)]),
+        dict(breaker_edges=[(5, 9)]),
+        dict(breaker_edges=[(0.0, 1.0)]),
+        dict(start_vertex=1.5),
+        dict(start_vertex=True),
+    ):
+        with pytest.raises(ParameterError):
+            GameState(g, **opts)
+    one, two = np.int64(1), np.int64(2)
+    s = GameState(g, start_vertex=one, connector_edges=[(one, two)])
+    assert s.v_c == {1, 2} and not s.is_free((1, 2))
 
 
 def test_state_rejects_an_edge_claimed_by_both():

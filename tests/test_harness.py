@@ -99,6 +99,32 @@ def test_config_validation():
     assert TrialConfig(ns=(1000,), eps_list=(1000.0,)).ps_for(1000) == (1.0,)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(ns=(12.5,)),
+        dict(ns=(12.0,)),
+        dict(ns=(True,)),
+        dict(trials=2.5),
+        dict(m=2.5),
+        dict(b=1.5),
+        dict(jobs=1.0),
+        dict(start_vertex=0.5),
+    ],
+)
+def test_non_integer_sizes_and_counts_keep_existing_outputs(tmp_path, bad):
+    """A non-integer board size, count or bias is refused when the config
+    is built, so no output file is opened and truncated."""
+    out_csv = tmp_path / "x.csv"
+    records = tmp_path / "x.jsonl"
+    out_csv.write_bytes(b"keep me\n")
+    records.write_bytes(b"keep me too\n")
+    with pytest.raises(ParameterError, match="must be an integer"):
+        run_trials(small_cfg(out_csv=str(out_csv), out_records=str(records), **bad))
+    assert out_csv.read_bytes() == b"keep me\n"
+    assert records.read_bytes() == b"keep me too\n"
+
+
 def test_eps_list_maps_to_probabilities():
     cfg = TrialConfig(ns=(100,), eps_list=(0.1, -0.1), trials=1)
     got = cfg.ps_for(100)

@@ -132,8 +132,8 @@ def test_claim_log_and_territory_follow_play():
         if role == CONNECTOR:
             first.extend(w for w in e if w not in first)
     assert s.territory == first
-    built = GameState(g, start_vertex=5, connector_edges=[(0, 5), (0, 9)])
-    assert built.territory == [5, 0, 9] and built.log == []
+    built = GameState(g, start_vertex=18, connector_edges=[(0, 18), (0, 9)])
+    assert built.territory == [18, 0, 9] and built.log == []
 
 
 def test_edge_lists_are_built_only_for_the_random_strategy():

@@ -17,13 +17,30 @@ from conbreak import (
     validate_and_apply,
 )
 
-from oracles import all_labeled_graphs, connected_graph_classes, oracle_game_value
+from oracles import (
+    all_labeled_graphs,
+    canonical_form,
+    connected_graph_classes,
+    connected_graph_classes_slow,
+    oracle_game_value,
+)
 
 BIASES = [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def triangle() -> Graph:
     return Graph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def test_class_corpus_matches_the_slow_enumeration():
+    # the two enumerators pick different representatives of each class
+    def classes(corpus):
+        return sorted(tuple(sorted(canonical_form(g))) for g in corpus)
+
+    for n in range(1, 6):
+        fast = connected_graph_classes(n)
+        assert classes(fast) == classes(connected_graph_classes_slow(n)), n
+        assert len(set(classes(fast))) == len(fast), n
 
 
 def test_anchor_values():
@@ -110,8 +127,11 @@ def test_parameter_validation():
         solve_exact(g, 1, 1, goal="nonsense")
     with pytest.raises(ParameterError):
         solve_exact(g, 1, 1, goal=("reach", 5))
-    with pytest.raises(ParameterError):
-        solve_exact(g, 1, 1, start_vertex=3)
+    for bad in (3, 1.5, True):
+        with pytest.raises(ParameterError):
+            solve_exact(g, 1, 1, start_vertex=bad)
+        with pytest.raises(ParameterError):
+            solve_exact(g, 1, 1, goal=("reach", bad))
 
 
 def test_capacity_guards():
