@@ -26,6 +26,7 @@ from conbreak import (
     validate_and_apply,
 )
 from conbreak.connector import (
+    EXPANSION_CAP,
     FORFEIT_BUDGET,
     FORFEIT_NO_EDGE,
     FORFEIT_NO_STRUCTURE,
@@ -318,27 +319,39 @@ def test_find_tree_stage1_roots_share_the_cap_and_reseed():
 
 
 def search_outcome(search, g, blocked, root, x, k, seed, budget, tolerate_into, banned):
-    """What one search call shows: "capped" and the budget left, or the
-    tree (or None), the budget left and the next draw of its Rng."""
+    """What one search call shows: the tree, None or "capped", then the
+    budget left and the next draw of its Rng."""
     rng = Rng(seed)
     left = [budget]
     try:
         tree = search(g, blocked, root, x, k, rng, left, tolerate_into, banned)
     except _Capped:
-        return "capped", left[0]
+        tree = "capped"
     return tree, left[0], rng.u64()
 
 
 # the uncapped need above this counts as this; budgets then stop just past it
 NEED_LIMIT = 3000
+# the same for sparse boards, whose failing searches run longer
+SPARSE_NEED_LIMIT = 30000
 
 
 @st.composite
-def search_cases(draw):
-    k = draw(st.integers(2, 4))
-    n = draw(st.integers(2**k, 2**k + 5))
-    board_seed = draw(st.integers(0, 2**32))
-    g = gen_gnp(n, draw(st.sampled_from([1.0, 0.8, 0.6, 0.4])), board_seed)
+def search_cases(draw, sparse=False):
+    """A search call and a budget near what it needs. Dense boards (n just
+    above the tree's size, p >= 0.4) rarely leave a leaf parent with fewer
+    than two free leaves; sparse ones (k 3 or 4, n up to 64, p <= 0.35)
+    often do, so they reach the search's doomed-pair charges."""
+    if sparse:
+        k = draw(st.integers(3, 4))
+        n = draw(st.sampled_from([24, 40, 64]))
+        board_seed = draw(st.integers(0, 2**32))
+        g = gen_gnp(n, draw(st.sampled_from([0.15, 0.25, 0.35])), board_seed)
+    else:
+        k = draw(st.integers(2, 4))
+        n = draw(st.integers(2**k, 2**k + 5))
+        board_seed = draw(st.integers(0, 2**32))
+        g = gen_gnp(n, draw(st.sampled_from([1.0, 0.8, 0.6, 0.4])), board_seed)
     coin = Rng(board_seed)
     rate = draw(st.sampled_from([0.0, 0.1, 0.25]))
     blocked = {e for e in g.sorted_edges() if coin.random() < rate}
@@ -348,8 +361,15 @@ def search_cases(draw):
     banned = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=2)) - {root})
     seed = draw(st.integers(0, 2**64 - 1))
     args = (g, blocked, root, x, k, seed)
-    need = search_outcome(naive_find_tree, *args, NEED_LIMIT, tolerate_into, banned)
-    need = NEED_LIMIT if need[0] == "capped" else NEED_LIMIT - need[1]
+    limit = SPARSE_NEED_LIMIT if sparse else NEED_LIMIT
+    need = search_outcome(naive_find_tree, *args, limit, tolerate_into, banned)
+    need = limit if need[0] == "capped" else limit - need[1]
+    if sparse:
+        # half the need caps mid-search; the search's own cap is ample for
+        # a search that ends within the limit
+        ample = EXPANSION_CAP if need < limit else need
+        near = st.sampled_from([need - 1, need, need + 1, need // 2, ample])
+        return args + (max(draw(near), 1), tolerate_into, banned)
     # the exact need and its neighbours are where a miscounted charge shows
     near = st.sampled_from([need - 1, need, need + 1]).map(lambda b: max(b, 1))
     budget = draw(near | st.integers(1, need + 2))
@@ -432,6 +452,72 @@ def test_find_tree_matches_the_position_search(case):
     _Capped, and the same budget and Rng state left when it returns. After
     _Capped the budget left is 0, or untouched when the cap fired on a
     right child's skipped prefix."""
+    assert search_outcome(_find_tree, *case) == search_outcome(naive_find_tree, *case)
+
+
+# The cases below meet leaf pairs that cannot be filled: their parent has
+# fewer than two free leaves (leaf-pool neighbours through an allowed arc
+# that are not placed yet). k=3 below root 0 with x=9: inner vertices 1 and
+# 2 hold leaves 3, 4 and 5, 6; the root's third neighbour 7 also sees 8,
+# which is not a leaf. Rng(0) and Rng(3) put 7 first in the root's order.
+DOOMED = [(0, 1), (0, 2), (0, 7), (1, 3), (1, 4), (2, 5), (2, 6), (7, 8)]
+DOOMED += [(v, 9) for v in (3, 4, 5, 6)]
+
+# 7 has no free leaf: with 7 as node 2, each of node 3's candidates 1 and
+# 2 costs 1 plus 7's whole order [0, 8], and Rng(0) draws that order after
+# the first of them is reached. The tree needs 20; with 5 the cap fires in
+# the charge for the pairs, and with 2 on reaching 1, before the draw.
+NO_FREE_LEAF = (Graph(10, DOOMED), set(), 0, 9, 3, 0)
+
+# 7 also sees the leaf 3, its one free leaf: Rng(3) orders 7's neighbors
+# [8, 3, 0], so each pair below 7 costs 2 to reach 3, 2 for the right
+# leaf's skipped prefix and 1 + 1 for the two tails. The tree needs 26.
+# With 6 the cap fires on that prefix, and leaves the 1 it found.
+ONE_FREE_LEAF = (Graph(10, DOOMED + [(3, 7)]), set(), 0, 9, 3, 3)
+
+# stage-2 mode on the same board: (0, 1) and (3, 7) are blocked, and both
+# are tolerated, so 3 is still 7's free leaf; 8 is banned but still costs
+# its place in 7's order. The same tree needs 26.
+STAGE2_FREE_LEAF = (Graph(10, DOOMED + [(3, 7)]), {(0, 1), (3, 7)}, 0, 9, 3, 3)
+
+
+# k=4 below root 0 with x=19, whose leaves are 10 .. 17: 2 sees 5, 6 and
+# 7, and 1 sees 3, 4 and 8; 7 sees only 18, not a leaf, so it has no free
+# leaf. Rng(5) puts 2 below the root first and 7 first below 2, so with
+# node 4 on 7, nodes 6 and 7 below 1 (order [0, 4, 8, 3], three unused
+# candidates) cost 4 + 3 * 4 + 2 * 3 = 22 at once, and Rng(5) draws 7's
+# order there, once. The tree needs 76. With 19, 13 are left there, so
+# the pair is walked, and the cap fires on node 7's skipped prefix with 2
+# left.
+SIBLINGS = [(0, 1), (0, 2), (1, 3), (1, 4), (1, 8), (2, 5), (2, 6), (2, 7), (3, 9), (7, 18)]
+SIBLINGS += [(4, 10), (4, 11), (8, 12), (8, 13), (5, 14), (5, 15), (6, 16), (6, 17)]
+SIBLINGS += [(v, 19) for v in range(10, 18)]
+DOOMED_SIBLINGS = (Graph(20, SIBLINGS), set(), 0, 19, 4, 5)
+
+# as above, but 2 sees 5 and 7, and 1 sees 4 and 5 only. Rng(4) orders 2's
+# neighbors [0, 7, 5]: with 7 on node 4 and 5 on node 5, node 6 has one
+# unused candidate below 1, so nodes 6 and 7 cost 3 + 3 at once and draw
+# nothing, for node 7 never gets a candidate. The search fails after 21.
+ONE_SIBLING = [(0, 1), (0, 2), (1, 4), (1, 5), (2, 5), (2, 7), (7, 18)]
+ONE_SIBLING += [(4, 10), (4, 11), (5, 12), (5, 13)] + [(v, 19) for v in range(10, 18)]
+ONE_SIBLING = (Graph(20, ONE_SIBLING), set(), 0, 19, 4, 4)
+
+
+@example(case=(*NO_FREE_LEAF, 20, None, frozenset()))
+@example(case=(*NO_FREE_LEAF, 5, None, frozenset()))
+@example(case=(*NO_FREE_LEAF, 2, None, frozenset()))
+@example(case=(*ONE_FREE_LEAF, 26, None, frozenset()))
+@example(case=(*ONE_FREE_LEAF, 6, None, frozenset()))
+@example(case=(*STAGE2_FREE_LEAF, 26, {1, 3}, frozenset({8})))
+@example(case=(*STAGE2_FREE_LEAF, 26, {1}, frozenset({8})))
+@example(case=(*DOOMED_SIBLINGS, 76, None, frozenset()))
+@example(case=(*DOOMED_SIBLINGS, 19, None, frozenset()))
+@example(case=(*ONE_SIBLING, 10**4, None, frozenset()))
+@settings(max_examples=300, deadline=None)
+@given(case=search_cases(sparse=True))
+def test_find_tree_matches_the_position_search_on_sparse_boards(case):
+    """As above, on boards sparse enough that many leaf pairs are doomed:
+    the same tree, budget and next Rng draw, or the same cap."""
     assert search_outcome(_find_tree, *case) == search_outcome(naive_find_tree, *case)
 
 
