@@ -137,6 +137,27 @@ def _find_tree(
     A charge the budget cannot cover sets it to 0 and raises _Capped, as
     one charge per candidate would; a right child's skipped prefix is
     charged up front and, if uncovered, raises with the budget untouched.
+
+    A leaf pair is doomed when its parent P has fewer than two free
+    leaves, i.e. potential leaves (P's leaf-pool neighbours through an
+    allowed arc, fixed for the call) not yet placed. The search charges
+    what walking a doomed pair would cost instead of walking it, and
+    draws P's shuffle where the walk would first scan P's order (len L):
+    - A: if placing candidate c at node h dooms the parent P of the left
+      leaf h+1, c is not placed. With no free leaf the pair costs L; with
+      one, at position a-1, it costs a, then a as the right leaf's
+      skipped prefix (which, uncovered, leaves the budget untouched),
+      then 2(L - a).
+    - B: if P has no free leaf before node h's scan, every unused
+      candidate costs its reach plus L, so the scan is charged at once:
+      up to the first unused candidate, then P's draw, then the rest.
+    - C: at node 2^(k-1) - 2 (k >= 4), when the first leaf parent P0 has
+      no free leaf, the scan and its right siblings' scans (rule B) cost
+      (N + 1)L + deg(P0)N(N-1)/2 for N unused candidates in an order of
+      length L, with P0's shuffle drawn if N >= 2. They are one charge
+      when the budget covers it, and are walked otherwise, so that a cap
+      fires where it would.
+    So every placement, charge, cap and Rng draw is the walk's.
     """
     if root == x or root in banned:
         return None
@@ -158,31 +179,59 @@ def _find_tree(
     # (parent, leaf level?) -> the parent's shuffled order and the ascending
     # positions in it whose vertex passes every filter but `used`
     scans: Dict[Tuple[int, bool], Tuple[List[int], List[int]]] = {}
+    # vertex -> its potential leaves; they need no shuffle, so no draw
+    potential: Dict[int, List[int]] = {}
 
-    def arc_ok(u: int, w: int) -> bool:
-        if edge(u, w) not in blocked:
-            return True
-        return tolerate_into is not None and w in tolerate_into
+    def fits(u: int, c: int, leaf: bool) -> bool:
+        """Whether c passes every filter fixed for the call below u."""
+        if c in never or (leaf and c not in leaf_pool):
+            return False
+        return edge(u, c) not in blocked or (tolerate_into is not None and c in tolerate_into)
 
-    def scan(u: int, leaf: bool) -> Tuple[List[int], List[int]]:
+    def order_of(u: int) -> List[int]:
         order = order_cache.get(u)
         if order is None:
             order = list(g.row(u))
             rng.shuffle(order)
             order_cache[u] = order
-        good = [
-            at
-            for at, c in enumerate(order)
-            if c not in never and (not leaf or c in leaf_pool) and arc_ok(u, c)
-        ]
+        return order
+
+    def scan(u: int, leaf: bool) -> Tuple[List[int], List[int]]:
+        order = order_of(u)
+        good = [at for at, c in enumerate(order) if fits(u, c, leaf)]
         scans[(u, leaf)] = order, good
         return order, good
+
+    def free_leaves(p: int, most: int) -> List[int]:
+        """Up to `most` of p's potential leaves that are not placed."""
+        pot = potential.get(p)
+        if pot is None:
+            pot = potential[p] = [w for w in g.row(p) if fits(p, w, True)]
+        return list(islice((w for w in pot if w not in used), most))
 
     def charge(n: int) -> None:
         if budget[0] < n:
             budget[0] = 0
             raise _Capped()
         budget[0] -= n
+
+    def skip(n: int) -> None:
+        # a right child's skipped prefix: uncovered, it leaves the budget
+        if budget[0] < n:
+            raise _Capped()
+        budget[0] -= n
+
+    def doomed_pair(p: int, free: List[int]) -> None:
+        """Rule A: the cost of walking p's leaf pair, `free` its free
+        leaves (at most one)."""
+        order = order_of(p)
+        if not free:
+            charge(len(order))
+            return
+        a = order.index(free[0]) + 1
+        charge(a)
+        skip(a)
+        charge(2 * (len(order) - a))
 
     def fill(h: int) -> bool:
         if h == 2 * first_leaf:
@@ -194,16 +243,42 @@ def _find_tree(
             # a right child comes after its left sibling in the parent's
             # order; the skipped prefix still costs one expansion a vertex
             cur = picked[h - 2] + 1
-            if budget[0] < cur:
-                raise _Capped()
-            budget[0] -= cur
-        for at in islice(good, bisect_left(good, cur), None):
+            skip(cur)
+        # used stays as it is across this scan: each candidate placed below
+        # is removed again before the next
+        unused = [at for at in islice(good, bisect_left(good, cur), None) if order[at] not in used]
+        free = None
+        if h % 2 and first_leaf <= h + 1 < 2 * first_leaf:
+            # node h+1 is the left leaf below p, node (h+1)/2
+            p = heap[h // 2]
+            free = free_leaves(p, 3)
+            if not free and unused:
+                # rule B: each candidate costs its reach and p's order
+                charge(unused[0] - cur + 1)
+                cur = unused[0] + 1
+                charge(len(order) - cur + len(order_of(p)) * len(unused))
+                return False
+        elif k >= 4 and h == first_leaf - 2 and not free_leaves(heap[first_leaf // 2 - 1], 1):
+            # rule C; node h is a left child, so cur is 0
+            p0 = heap[first_leaf // 2 - 1]
+            n = len(unused)
+            cost = (n + 1) * len(order) + len(g.row(p0)) * n * (n - 1) // 2
+            if budget[0] >= cost:
+                if n >= 2:
+                    order_of(p0)
+                budget[0] -= cost
+                return False
+        for at in unused:
             # the candidates from cur through at, skipped or not
             charge(at - cur + 1)
             cur = at + 1
             c = order[at]
-            if c in used:
-                continue
+            if free is not None:
+                rest = [w for w in free if w != c]
+                if len(rest) < 2:
+                    # rule A
+                    doomed_pair(p, rest)
+                    continue
             heap.append(c)
             picked.append(at)
             used.add(c)
