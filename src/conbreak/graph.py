@@ -29,6 +29,7 @@ is the one board builder and goes through it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -61,11 +62,17 @@ def _reject_bad_pair(pairs, n: int) -> None:
         except (TypeError, ValueError):
             raise ParameterError(f"edge {pair!r} is not a pair of vertices") from None
         for w in (a, b):
-            if not isinstance(w, (int, np.integer)):
+            if not is_integer(w):
                 raise ParameterError(f"edge {pair!r} has a non-integer vertex {w!r}")
         e = edge(int(a), int(b))
         if not (0 <= e[0] and e[1] < n):
             raise ParameterError(f"edge {e} out of range for n={n}")
+
+
+def _holds_bool(pairs) -> bool:
+    """Whether a sequence of pairs holds a bool (Python or numpy)."""
+    kinds = set(map(type, chain.from_iterable(pairs)))
+    return bool in kinds or np.bool_ in kinds
 
 
 def _canonical_arrays(n: int, edges) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,8 +87,15 @@ def _canonical_arrays(n: int, edges) -> Tuple[np.ndarray, np.ndarray, np.ndarray
         arr = np.asarray(pairs)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
-        # mixed, ragged or non-integer input: check it pair by pair
+    if (
+        arr is None
+        or arr.ndim != 2
+        or arr.shape[1] != 2
+        or arr.dtype.kind not in "iu"
+        or (arr is not pairs and _holds_bool(pairs))
+    ):
+        # mixed, ragged or non-integer input, or a bool among integers,
+        # which numpy casts to an integer: check it pair by pair
         _reject_bad_pair(pairs, n)
         arr = np.array([(int(a), int(b)) for a, b in pairs], dtype=np.int64)
     a = arr[:, 0].astype(np.int64)

@@ -66,6 +66,13 @@ def test_graph_validation():
         [None],
         np.array([(0.5, 1.0)]),
         [(0, 2**70)],
+        # a bool is not a vertex, alone or among integers (numpy would cast
+        # it to one), nor is a numpy bool
+        [(True, False)],
+        [(True, 2)],
+        ((0, 1), (2, False)),
+        [(np.True_, 2)],
+        np.array([(True, False)]),
     ):
         with pytest.raises(ParameterError):
             Graph(3, bad)
