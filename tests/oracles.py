@@ -102,8 +102,8 @@ def connected_graph_classes(n: int) -> Tuple[Graph, ...]:
             m ^= bit
             u, v = pairs[bit.bit_length() - 1]
             parent[find(u)] = find(v)
-        root = find(0)
-        return all(find(v) == root for v in range(n))
+        # vacuous on 0 or 1 vertices: the empty board is one class
+        return all(find(v) == find(0) for v in range(1, n))
 
     seen: Set[int] = set()
     reps: List[Graph] = []
@@ -166,7 +166,7 @@ def common_neighbour_hn(g: Graph) -> Optional[Tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# whole-move, non-memoized game value
+# whole-move game value
 
 
 def _subgraph_spans(g: Graph, edges: FrozenSet[Tuple[int, int]]) -> bool:
@@ -198,11 +198,12 @@ def oracle_game_value(
 ) -> str:
     """Winner under optimal play, by plain recursive whole-move minimax.
 
-    No memoization, no per-edge factoring: each turn enumerates every
-    claimable edge SET (all orders collapsed after legality filtering),
-    including the empty pass. Two consecutive passes end the game in
-    Breaker's favor, as does a fully claimed board without a spanning
-    Connector subgraph.
+    Memoized on (Connector's claims, Breaker's claims, mover, whether the
+    previous move passed), and nothing else; no per-edge factoring: each
+    turn enumerates every claimable edge SET (all orders collapsed after
+    legality filtering), including the empty pass. Two consecutive passes
+    end the game in Breaker's favor, as does a fully claimed board without
+    a spanning Connector subgraph. Shares no code with the package solver.
     """
     all_edges = g.sorted_edges()
 
@@ -252,6 +253,9 @@ def oracle_game_value(
             out.extend(frozenset(c) for c in combinations(free, r))
         return out
 
+    # claims only grow and two passes end the game, so no position
+    # recurs below itself
+    @lru_cache(maxsize=None)
     def value(cedges: FrozenSet, bedges: FrozenSet, mover: str, prev_empty: bool) -> bool:
         """True when Connector wins from here."""
         if mover == "C":

@@ -37,10 +37,13 @@ def test_class_corpus_matches_the_slow_enumeration():
     def classes(corpus):
         return sorted(tuple(sorted(canonical_form(g))) for g in corpus)
 
-    for n in range(1, 6):
+    for n in range(0, 6):
         fast = connected_graph_classes(n)
         assert classes(fast) == classes(connected_graph_classes_slow(n)), n
         assert len(set(classes(fast))) == len(fast), n
+    # the empty board is the one class on 0 vertices, as on 1
+    assert connected_graph_classes(0) == (Graph(0),)
+    assert connected_graph_classes(1) == (Graph(1),)
 
 
 def test_anchor_values():
