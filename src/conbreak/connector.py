@@ -148,9 +148,12 @@ def _find_tree(
       one, at position a-1, it costs a, then a as the right leaf's
       skipped prefix (which, uncovered, leaves the budget untouched),
       then 2(L - a).
-    - B: if P has no free leaf before node h's scan, every unused
-      candidate costs its reach plus L, so the scan is charged at once:
-      up to the first unused candidate, then P's draw, then the rest.
+    - B: if P has at most one free leaf before node h's scan, every
+      unused candidate costs its reach plus its pair's cost, L or 2L, so
+      the scan is charged at once: up to the first unused candidate, then
+      P's draw, then the rest. With one free leaf this needs the budget
+      to cover the whole scan, or the walk's right-leaf prefix might have
+      capped; otherwise the scan is walked under rule A.
     - C: at node 2^(k-1) - 2 (k >= 4), when the first leaf parent P0 has
       no free leaf, the scan and its right siblings' scans (rule B) cost
       (N + 1)L + deg(P0)N(N-1)/2 for N unused candidates in an order of
@@ -252,12 +255,17 @@ def _find_tree(
             # node h+1 is the left leaf below p, node (h+1)/2
             p = heap[h // 2]
             free = free_leaves(p, 3)
-            if not free and unused:
-                # rule B: each candidate costs its reach and p's order
-                charge(unused[0] - cur + 1)
-                cur = unused[0] + 1
-                charge(len(order) - cur + len(order_of(p)) * len(unused))
-                return False
+            if len(free) < 2 and unused:
+                # rule B: every candidate's pair is doomed and costs p's
+                # order once, or twice when a free leaf is left beside it
+                pairs = len(unused) * (1 + len(free)) - sum(order[at] in free for at in unused)
+                cost = len(order) - cur + len(g.row(p)) * pairs
+                if not free or budget[0] >= cost:
+                    reach = unused[0] - cur + 1
+                    charge(reach)
+                    order_of(p)
+                    charge(cost - reach)
+                    return False
         elif k >= 4 and h == first_leaf - 2 and not free_leaves(heap[first_leaf // 2 - 1], 1):
             # rule C; node h is a left child, so cur is 0
             p0 = heap[first_leaf // 2 - 1]

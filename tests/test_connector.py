@@ -471,8 +471,10 @@ NO_FREE_LEAF = (Graph(10, DOOMED), set(), 0, 9, 3, 0)
 
 # 7 also sees the leaf 3, its one free leaf: Rng(3) orders 7's neighbors
 # [8, 3, 0], so each pair below 7 costs 2 to reach 3, 2 for the right
-# leaf's skipped prefix and 1 + 1 for the two tails. The tree needs 26.
-# With 6 the cap fires on that prefix, and leaves the 1 it found.
+# leaf's skipped prefix and 1 + 1 for the two tails. The tree needs 26,
+# and that budget covers node 3's whole scan, which is charged at once.
+# With 6 the scan is walked, and the cap fires on that prefix, leaving
+# the 1 it found.
 ONE_FREE_LEAF = (Graph(10, DOOMED + [(3, 7)]), set(), 0, 9, 3, 3)
 
 # stage-2 mode on the same board: (0, 1) and (3, 7) are blocked, and both
