@@ -219,7 +219,8 @@ def _find_tree(
         budget[0] -= n
 
     def skip(n: int) -> None:
-        # a right child's skipped prefix: uncovered, it leaves the budget
+        # a right child's skipped prefix: one the budget cannot cover
+        # raises with the budget untouched
         if budget[0] < n:
             raise _Capped()
         budget[0] -= n
@@ -266,12 +267,12 @@ def _find_tree(
                     order_of(p)
                     charge(cost - reach)
                     return False
-        elif k >= 4 and h == first_leaf - 2 and not free_leaves(heap[first_leaf // 2 - 1], 1):
+        elif k >= 4 and h == first_leaf - 2:
             # rule C; node h is a left child, so cur is 0
             p0 = heap[first_leaf // 2 - 1]
             n = len(unused)
             cost = (n + 1) * len(order) + len(g.row(p0)) * n * (n - 1) // 2
-            if budget[0] >= cost:
+            if budget[0] >= cost and not free_leaves(p0, 1):
                 if n >= 2:
                     order_of(p0)
                 budget[0] -= cost
