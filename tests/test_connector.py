@@ -479,7 +479,8 @@ ONE_FREE_LEAF = (Graph(10, DOOMED + [(3, 7)]), set(), 0, 9, 3, 3)
 
 # stage-2 mode on the same board: (0, 1) and (3, 7) are blocked, and both
 # are tolerated, so 3 is still 7's free leaf; 8 is banned but still costs
-# its place in 7's order. The same tree needs 26.
+# its place in 7's order. The same tree needs 26. Tolerating 1 alone
+# leaves 7 with no free leaf.
 STAGE2_FREE_LEAF = (Graph(10, DOOMED + [(3, 7)]), {(0, 1), (3, 7)}, 0, 9, 3, 3)
 
 
