@@ -340,11 +340,11 @@ SPARSE_NEED_LIMIT = 30000
 def search_cases(draw, sparse=False):
     """A search call and a budget near what it needs. Dense boards (n just
     above the tree's size, p >= 0.4) rarely leave a leaf parent with fewer
-    than two free leaves; sparse ones (k 3 or 4, n up to 64, p <= 0.35)
+    than two free leaves; sparse ones (k 3 to 5, n up to 96, p <= 0.35)
     often do, so they reach the search's doomed-pair charges."""
     if sparse:
-        k = draw(st.integers(3, 4))
-        n = draw(st.sampled_from([24, 40, 64]))
+        k = draw(st.integers(3, 5))
+        n = draw(st.sampled_from([40, 64, 96] if k == 5 else [24, 40, 64]))
         board_seed = draw(st.integers(0, 2**32))
         g = gen_gnp(n, draw(st.sampled_from([0.15, 0.25, 0.35])), board_seed)
     else:
@@ -505,6 +505,18 @@ ONE_SIBLING = [(0, 1), (0, 2), (1, 4), (1, 5), (2, 5), (2, 7), (7, 18)]
 ONE_SIBLING += [(4, 10), (4, 11), (5, 12), (5, 13)] + [(v, 19) for v in range(10, 18)]
 ONE_SIBLING = (Graph(20, ONE_SIBLING), set(), 0, 19, 4, 4)
 
+# k=5 below root 0 with x=31: the full tree with node h on vertex h-1, so
+# v's children are 2v+1 and 2v+2 and the leaves are 15 .. 30, plus a third
+# child 32 of 3 that sees only 33, not a leaf. Rng(12) orders 3's
+# neighbours [32, 8, 7, 1], so 32 is node 8, the first leaf parent, with
+# no free leaf, while 8 and then 7 are tried as node 9. Each time nodes 2
+# .. 13 are placed, nodes 14 and 15 below 6 (order [14, 13, 2], two unused
+# candidates) cost 3 + 2 * 3 + 2 * 1 = 11 at once; the first time draws 32's
+# order. The tree needs 117; with 116 the cap fires on the last charge.
+FIVE_LEVELS = [(v, 2 * v + c) for v in range(15) for c in (1, 2)]
+FIVE_LEVELS += [(v, 31) for v in range(15, 31)] + [(3, 32), (32, 33)]
+DOOMED_FIVE_LEVELS = (Graph(34, FIVE_LEVELS), set(), 0, 31, 5, 12)
+
 
 @example(case=(*NO_FREE_LEAF, 20, None, frozenset()))
 @example(case=(*NO_FREE_LEAF, 5, None, frozenset()))
@@ -516,6 +528,8 @@ ONE_SIBLING = (Graph(20, ONE_SIBLING), set(), 0, 19, 4, 4)
 @example(case=(*DOOMED_SIBLINGS, 76, None, frozenset()))
 @example(case=(*DOOMED_SIBLINGS, 19, None, frozenset()))
 @example(case=(*ONE_SIBLING, 10**4, None, frozenset()))
+@example(case=(*DOOMED_FIVE_LEVELS, 117, None, frozenset()))
+@example(case=(*DOOMED_FIVE_LEVELS, 116, None, frozenset()))
 @settings(max_examples=300, deadline=None)
 @given(case=search_cases(sparse=True))
 def test_find_tree_matches_the_position_search_on_sparse_boards(case):
