@@ -325,10 +325,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConbreakError as exc:
-        sys.stderr.write(f"conbreak: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ConbreakError, OSError) as exc:
         sys.stderr.write(f"conbreak: {exc}\n")
         return 2
 

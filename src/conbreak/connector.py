@@ -140,27 +140,23 @@ def _find_tree(
 
     A leaf pair is doomed when its parent P has fewer than two free
     leaves, i.e. potential leaves (P's leaf-pool neighbours through an
-    allowed arc, fixed for the call) not yet placed. The search charges
-    what walking a doomed pair would cost instead of walking it, and
-    draws P's shuffle where the walk would first scan P's order (len L):
-    - A: if placing candidate c at node h dooms the parent P of the left
-      leaf h+1, c is not placed. With no free leaf the pair costs L; with
-      one, at position a-1, it costs a, then a as the right leaf's
-      skipped prefix (which, uncovered, leaves the budget untouched),
-      then 2(L - a).
-    - B: if P has at most one free leaf before node h's scan, every
-      unused candidate costs its reach plus its pair's cost, L or 2L, so
-      the scan is charged at once: up to the first unused candidate, then
-      P's draw, then the rest. With one free leaf this needs the budget
-      to cover the whole scan, or the walk's right-leaf prefix might have
-      capped; otherwise the scan is walked under rule A.
+    allowed arc, fixed for the call) not yet placed. Two rules charge
+    what walking doomed pairs would cost instead of walking them, and
+    draw P's shuffle where the walk would first scan P's order (len L):
+    - B: if the parent P of the left leaf h+1 has at most one free leaf
+      before node h's scan, every unused candidate costs its reach plus
+      its pair's cost, L or 2L, so the scan is charged at once: up to the
+      first unused candidate, then P's draw, then the rest. With one free
+      leaf this needs the budget to cover the whole scan, or the walk's
+      right-leaf prefix might have capped; otherwise the scan is walked.
     - C: at node 2^(k-1) - 2 (k >= 4), when the first leaf parent P0 has
       no free leaf, the scan and its right siblings' scans (rule B) cost
       (N + 1)L + deg(P0)N(N-1)/2 for N unused candidates in an order of
       length L, with P0's shuffle drawn if N >= 2. They are one charge
       when the budget covers it, and are walked otherwise, so that a cap
       fires where it would.
-    So every placement, charge, cap and Rng draw is the walk's.
+    Walking is the reference: every placement, charge, cap and Rng draw
+    is the walk's.
     """
     if root == x or root in banned:
         return None
@@ -218,25 +214,6 @@ def _find_tree(
             raise _Capped()
         budget[0] -= n
 
-    def skip(n: int) -> None:
-        # a right child's skipped prefix: one the budget cannot cover
-        # raises with the budget untouched
-        if budget[0] < n:
-            raise _Capped()
-        budget[0] -= n
-
-    def doomed_pair(p: int, free: List[int]) -> None:
-        """Rule A: the cost of walking p's leaf pair, `free` its free
-        leaves (at most one)."""
-        order = order_of(p)
-        if not free:
-            charge(len(order))
-            return
-        a = order.index(free[0]) + 1
-        charge(a)
-        skip(a)
-        charge(2 * (len(order) - a))
-
     def fill(h: int) -> bool:
         if h == 2 * first_leaf:
             return True
@@ -245,17 +222,19 @@ def _find_tree(
         cur = 0
         if h % 2:
             # a right child comes after its left sibling in the parent's
-            # order; the skipped prefix still costs one expansion a vertex
+            # order; the skipped prefix still costs one expansion a vertex,
+            # and one the budget cannot cover raises with the budget untouched
             cur = picked[h - 2] + 1
-            skip(cur)
+            if budget[0] < cur:
+                raise _Capped()
+            budget[0] -= cur
         # used stays as it is across this scan: each candidate placed below
         # is removed again before the next
         unused = [at for at in islice(good, bisect_left(good, cur), None) if order[at] not in used]
-        free = None
         if h % 2 and first_leaf <= h + 1 < 2 * first_leaf:
             # node h+1 is the left leaf below p, node (h+1)/2
             p = heap[h // 2]
-            free = free_leaves(p, 3)
+            free = free_leaves(p, 2)
             if len(free) < 2 and unused:
                 # rule B: every candidate's pair is doomed and costs p's
                 # order once, or twice when a free leaf is left beside it
@@ -282,12 +261,6 @@ def _find_tree(
             charge(at - cur + 1)
             cur = at + 1
             c = order[at]
-            if free is not None:
-                rest = [w for w in free if w != c]
-                if len(rest) < 2:
-                    # rule A
-                    doomed_pair(p, rest)
-                    continue
             heap.append(c)
             picked.append(at)
             used.add(c)
@@ -432,8 +405,9 @@ def make_cells(n: int, x: int, k: int, seed: int = 0) -> Dict[CellKey, FrozenSet
         raise ParameterError(f"center vertex {x} is not on the {n}-vertex board")
     if k < 1:
         raise ParameterError(f"decomposition depth must be at least 1, got k={k}")
-    cell_size = n // 2 ** (k + 4)
+    # a shift takes O(1) time for any k, where 2 ** (k + 4) grows with k;
     # checked before cell_keys builds its 4(2^k - 1) keys
+    cell_size = n >> (k + 4)
     if cell_size < 1:
         raise ParameterError(
             f"cell size {cell_size} is not positive; n={n} is too small for k={k}"
@@ -680,9 +654,8 @@ def make_plan(
     check_bias(m)
     if n >= 3:
         if p_hint is None:
-            total = n * (n - 1) // 2
-            p_hint = g.edge_count() / total if total else 0.0
-        if p_hint > 0 and n > 1:
+            p_hint = g.edge_count() / (n * (n - 1) // 2)
+        if p_hint > 0:
             eps = math.log(p_hint) / math.log(n) + 2.0 / 3.0
         else:
             eps = 0.0

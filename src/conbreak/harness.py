@@ -261,17 +261,12 @@ def run_trial(cfg: TrialConfig, n: int, trial: int) -> List[TrialRecord]:
 
 def summarize(records: Sequence[TrialRecord]) -> List[SummaryRow]:
     """Per-cell summary rows in (n, p) order of first appearance."""
-    order: List[Tuple[int, float]] = []
+    # dicts keep insertion order
     buckets: Dict[Tuple[int, float], List[TrialRecord]] = {}
     for r in records:
-        key = (r.n, r.p)
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(r)
+        buckets.setdefault((r.n, r.p), []).append(r)
     rows = []
-    for n, p in order:
-        rs = buckets[(n, p)]
+    for (n, p), rs in buckets.items():
         cw = sum(1 for r in rs if r.winner == "C")
         bw = sum(1 for r in rs if r.winner == "B")
         ff = sum(1 for r in rs if r.reason == REASON_FORFEIT)

@@ -623,8 +623,11 @@ def test_make_cells_checks_sizes_before_building_keys(monkeypatch):
         raise AssertionError("cell_keys called before the size checks")
 
     monkeypatch.setattr(connector, "cell_keys", no_keys)
-    with pytest.raises(ParameterError, match="cell size 0 is not positive"):
-        make_cells(64, x=0, k=30)
+    # the size itself must not take 2^(k+4) either: at k=10^12 that power
+    # alone needs more memory than any machine has
+    for k in (30, 10**12):
+        with pytest.raises(ParameterError, match="cell size 0 is not positive"):
+            make_cells(64, x=0, k=k)
     # a depth below 1 once gave a float cell size (128.0 at k=-5) and no
     # cells, or an empty decomposition
     g = Graph(64, [(0, 1)])
