@@ -111,9 +111,13 @@ def _inject_config(argv: Sequence[str]) -> List[str]:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    if getattr(args, "graph", None):
+    if args.graph:
+        # a density the file's board does not have would still reach the
+        # paper Connector as its hint
+        if args.n is not None or args.p is not None:
+            raise ParameterError("give either --graph FILE or --n and --p, not both")
         return read_edge_list(args.graph)
-    if getattr(args, "n", None) is not None and getattr(args, "p", None) is not None:
+    if args.n is not None and args.p is not None:
         return gen_gnp(args.n, args.p, args.seed)
     raise ParameterError("give --graph FILE, or --n and --p to generate a board")
 

@@ -9,15 +9,16 @@ the four surviving branch pairs, so two good branches always remain and
 the tree shrinks by one level per round until a leaf hands her the edge
 into x.
 
-Targets come in two alternating flavours: stage I picks the lowest missing
-vertex from two fixed reservoirs (a small core A1 and a larger ring A2,
-then anything), stage II picks the vertex Breaker has loaded with the most
-claimed edges. While A1 is incomplete the structure is a single tree found
-by direct search; once A1 sits in territory the structure is a pivot
-vertex z adjacent to A1 plus four disjoint trees hanging off z; once A2 is
-complete a single free edge into the territory suffices. Any missing
-structure is a forfeit: this strategy only promises wins on boards dense
-enough to feed it.
+Targets come in two alternating flavours, by the parity of the number of
+targets reached: stage I picks the lowest missing vertex, stage II the
+vertex Breaker has loaded with the most claimed edges. Two reservoirs, a
+small core A1 and a larger ring A2, are the lowest vertex ids, so the
+lowest missing vertex also tells how far they are filled. While A1 is
+incomplete the structure is a single tree found by direct search; once A1
+sits in territory the structure is a pivot vertex z adjacent to A1 plus
+four disjoint trees hanging off z; once A2 is complete a single free edge
+into the territory suffices. Any missing structure is a forfeit: this
+strategy only promises wins on boards dense enough to feed it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .engine import BREAKER, GameState, Move
 from .errors import ParameterError
@@ -312,8 +313,8 @@ def find_tree_stage1(
 
 def find_structure_stage2(
     g: Graph,
-    blocked: Iterable[Edge],
-    m_set: Iterable[int],
+    blocked: Set[Edge],
+    m_set: Set[int],
     a1: Iterable[int],
     x: int,
     k2: int,
@@ -324,11 +325,10 @@ def find_structure_stage2(
     four vertex-disjoint k2-level trees rooted at distinct unblocked
     neighbors of z. Tree arcs may ride a blocked edge only into `m_set`;
     leaf-to-x edges must be unblocked and x stays outside every tree.
-    Returns (z, trees) or None (not found, or expansion cap hit)."""
+    `blocked` and `m_set` are read in place, not copied. Returns
+    (z, trees) or None (not found, or expansion cap hit)."""
     if k2 < 2:
         raise ParameterError(f"tree search needs k2 >= 2 levels, got {k2}")
-    blk = set(blocked)
-    mset = set(m_set)
     a1set = set(a1)
     rng = Rng(seed)
     budget = [cap]
@@ -336,34 +336,22 @@ def find_structure_stage2(
     z_cands = set()
     for a in a1set:
         for w in g.row(a):
-            if w != x and w not in a1set and edge(a, w) not in blk:
+            if w != x and w not in a1set and edge(a, w) not in blocked:
                 z_cands.add(w)
     z_order = sorted(z_cands)
     rng.shuffle(z_order)
 
     try:
         for z in z_order:
-            roots = [
-                r
-                for r in g.row(z)
-                if r != x and edge(z, r) not in blk
-            ]
+            roots = [r for r in g.row(z) if r != x and edge(z, r) not in blocked]
             rng.shuffle(roots)
             trees: List[TreeEmbedding] = []
-            used: Set[int] = {z}
+            # a root already in a tree is banned: _find_tree refuses it
+            # before any draw or charge
+            used = frozenset((z,))
             for r in roots:
-                if r in used:
-                    continue
                 t = _find_tree(
-                    g,
-                    blk,
-                    r,
-                    x,
-                    k2,
-                    rng,
-                    budget,
-                    tolerate_into=mset,
-                    banned=frozenset(used),
+                    g, blocked, r, x, k2, rng, budget, tolerate_into=m_set, banned=used
                 )
                 if t is not None:
                     trees.append(t)
@@ -588,24 +576,25 @@ def _two_good(cands: Iterable[_Branch], x: int, state: GameState) -> Optional[Li
 class ConnectorPlan:
     """Mutable per-game strategy state for `connector_move`.
 
-    a1/a2 are the two reservoir vertex sets; k the structure depth, from
-    which follow the tree depths k1/k2 of the two structure cases and the
-    per-target round allowance `budget`. stage
-    alternates between "I" (reservoir fill) and "II" (Breaker-pressure
-    relief) each time a target lands in territory. `chase` descends the
-    current target's structure once it is acquired. `vc_order` lists the
-    territory, each batch of new vertices sorted, as the case-1 roots.
+    a1/a2 are the two reservoirs, the lowest vertex ids; k the structure
+    depth, from which follow the tree depths k1/k2 of the two structure
+    cases and the per-target round allowance `budget`. `stage` is "I"
+    (reservoir fill) or "II" (Breaker-pressure relief) by the parity of
+    `targets_done`, the number of targets that have landed in territory.
+    `case` is the structure case of the current target, set at its
+    selection. `chase` descends the current target's structure once it is
+    acquired. `vc_order` lists the territory, each batch of new vertices
+    sorted, as the case-1 roots.
 
     `select_target` keeps its per-game state here, outside equality:
-    one cursor per stage-I pool (territory only grows, so they only move
-    forward), and the stage-II max-heap of (-Breaker degree, vertex) with
-    the number of claim-log entries it has read."""
+    `low`, the lowest vertex outside territory (territory only grows, so
+    it only moves forward), and the stage-II max-heap of (-Breaker
+    degree, vertex) with the number of claim-log entries it has read."""
 
-    a1: FrozenSet[int]
-    a2: FrozenSet[int]
+    a1: range
+    a2: range
     k: int
     seed: int = 0
-    stage: str = "I"
     target: Optional[int] = None
     rounds_used: int = 0
     chase: Optional[TargetChase] = None
@@ -613,12 +602,15 @@ class ConnectorPlan:
     case: int = 0
     vc_order: List[int] = field(default_factory=list)
     targets_done: int = 0
-    pools: Optional[Tuple[Sequence[int], ...]] = field(default=None, repr=False, compare=False)
-    cursors: List[int] = field(default_factory=lambda: [0, 0, 0], repr=False, compare=False)
+    low: int = field(default=0, repr=False, compare=False)
     degree_heap: Optional[List[Tuple[int, int]]] = field(
         default=None, repr=False, compare=False
     )
     log_read: int = field(default=0, repr=False, compare=False)
+
+    @property
+    def stage(self) -> str:
+        return "II" if self.targets_done % 2 else "I"
 
     @property
     def k1(self) -> int:
@@ -662,40 +654,41 @@ def make_plan(
         k_struct = tree_depth_for(eps)
     else:
         k_struct = 2
-    a1_size = max(1, math.ceil(n ** (1.0 / 3.0)))
-    a1_size = min(a1_size, n)
+    a1_size = min(max(1, math.ceil(n ** (1.0 / 3.0))), n)
     a2_size = min(math.ceil(n ** (2.0 / 3.0)), n - a1_size)
-    a1 = frozenset(range(a1_size))
-    a2 = frozenset(range(a1_size, a1_size + max(a2_size, 0)))
+    a1 = range(a1_size)
+    a2 = range(a1_size, a1_size + a2_size)
     return ConnectorPlan(a1=a1, a2=a2, k=k_struct, seed=seed)
 
 
 def select_target(state: GameState, plan: ConnectorPlan) -> int:
-    """Stage I: lowest missing vertex from a1, else a2, else anywhere.
-    Stage II: the missing vertex with the most Breaker edges, lowest
-    index on ties.
+    """Stage I: the lowest missing vertex, which is the lowest missing
+    vertex of a1, else of a2, else of the board, as the reservoirs are the
+    lowest ids. Stage II: the missing vertex with the most Breaker edges,
+    lowest index on ties. Either way the plan's case follows from where
+    the lowest missing vertex falls: 1 in a1, 2 in a2, 3 past them.
 
     The states passed to one plan must be successive positions of one
-    game: stage I advances per-pool cursors past territory, and stage II
-    reads a lazy heap fed with the Breaker claims logged since its last
-    call. An entry is dropped when its vertex has joined the territory or
-    gained Breaker edges since (a newer entry holds the new degree)."""
+    game: the lowest missing vertex is a cursor `low` that moves past
+    territory, and stage II reads a lazy heap fed with the Breaker claims
+    logged since its last call. An entry is dropped when its vertex has
+    joined the territory or gained Breaker edges since (a newer entry
+    holds the new degree)."""
     vc = state.v_c
-    if plan.stage == "I":
-        if plan.pools is None:
-            plan.pools = (sorted(plan.a1), sorted(plan.a2), range(state.graph.n))
-        for i, pool in enumerate(plan.pools):
-            c = plan.cursors[i]
-            while c < len(pool) and pool[c] in vc:
-                c += 1
-            plan.cursors[i] = c
-            if c < len(pool):
-                return pool[c]
+    n = state.graph.n
+    low = plan.low
+    while low < n and low in vc:
+        low += 1
+    plan.low = low
+    if low == n:
         raise ParameterError("no target: territory already spans the board")
+    plan.case = 1 if low in plan.a1 else 2 if low in plan.a2 else 3
+    if plan.stage == "I":
+        return low
     deg = state.breaker_degrees
     heap = plan.degree_heap
     if heap is None:
-        heap = plan.degree_heap = [(-deg[v], v) for v in range(state.graph.n) if v not in vc]
+        heap = plan.degree_heap = [(-deg[v], v) for v in range(n) if v not in vc]
         heapq.heapify(heap)
     else:
         for role, e in state.log[plan.log_read:]:
@@ -703,12 +696,13 @@ def select_target(state: GameState, plan: ConnectorPlan) -> int:
                 for w in e:
                     heapq.heappush(heap, (-deg[w], w))
     plan.log_read = len(state.log)
-    while heap:
+    # every missing vertex has an entry with its current degree, and low
+    # is missing, so the heap holds a live entry
+    while True:
         d, v = heap[0]
         if v not in vc and -d == deg[v]:
             return v
         heapq.heappop(heap)
-    raise ParameterError("no target: territory already spans the board")
 
 
 def _forfeit(reason: str) -> Move:
@@ -729,7 +723,6 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
     plan.vc_order.extend(sorted(state.territory[len(plan.vc_order):]))
 
     if plan.target is not None and plan.target in vc:
-        plan.stage = "II" if plan.stage == "I" else "I"
         plan.target = None
         plan.targets_done += 1
 
@@ -745,12 +738,6 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
         plan.rounds_used = 0
         plan.chase = None
         plan.pending_pivot = None
-        if not plan.a1 <= vc:
-            plan.case = 1
-        elif not plan.a2 <= vc:
-            plan.case = 2
-        else:
-            plan.case = 3
 
     x = plan.target
     search_seed = (plan.seed + plan.targets_done) & MASK64
@@ -761,7 +748,7 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
     # a free edge straight into the target beats any structure; prefer the
     # a2 reservoir side so the endgame case stays on its guaranteed supply
     near = vc.intersection(g.row(x))
-    for pool in (sorted(near & plan.a2), sorted(near - plan.a2)):
+    for pool in (sorted(near.intersection(plan.a2)), sorted(near.difference(plan.a2))):
         for w in pool:
             if state.is_free(edge(w, x)):
                 return Move((edge(w, x),))
@@ -791,8 +778,9 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
                     return _forfeit(FORFEIT_NO_STRUCTURE)
                 z = found[0]
                 if z not in vc:
-                    # claim the pivot first; its trees are checked next round
-                    for a in sorted(plan.a1 & vc):
+                    # claim the pivot first; its trees are checked next
+                    # round. In case 2 all of a1 is in territory
+                    for a in plan.a1:
                         if a != z and g.has_edge(a, z) and state.is_free(edge(a, z)):
                             plan.pending_pivot = found
                             return Move((edge(a, z),))

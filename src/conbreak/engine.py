@@ -23,8 +23,9 @@ from typing import (
     Container, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
 )
 
-from .errors import ConnectivityError, IllegalMoveError, ParameterError
+from .errors import ConbreakError, ConnectivityError, IllegalMoveError, ParameterError
 from .graph import Edge, Graph, edge, is_integer
+from .rng import check_seed, derive
 
 CONNECTOR = "C"
 BREAKER = "B"
@@ -270,22 +271,33 @@ class GameState:
 
 
 def _check_move(state: GameState, move: Move) -> None:
-    """Raise if `move` is illegal for state.to_move in `state`."""
+    """Raise if `move` is illegal for state.to_move in `state`: a
+    ParameterError for a loop, an IllegalMoveError (or its subclass
+    ConnectivityError) for anything else, unreadable entries included."""
     role = state.to_move
     limit = state.bias(role)
-    if len(move.edges) > limit:
-        raise IllegalMoveError(
-            f"{role} claimed {len(move.edges)} edges, bias allows {limit}"
-        )
+    try:
+        count = len(move.edges)
+    except TypeError:
+        raise IllegalMoveError(f"move edges {move.edges!r} are not a sequence") from None
+    if count > limit:
+        raise IllegalMoveError(f"{role} claimed {count} edges, bias allows {limit}")
     seen = set()
     vc = state.v_c
     added: Set[int] = set()  # vertices this move has added so far
     for e in move.edges:
-        e = u, v = edge(*e)
+        # a try is free until it catches: a non-pair entry or a vertex that
+        # cannot index a row (None, 0.0) raises TypeError here; one equal to
+        # an integer (True, 2.0) still passes as that integer
+        try:
+            e = u, v = edge(*e)
+            on_board = state.graph.has_edge(u, v)
+        except TypeError:
+            raise IllegalMoveError(f"{e!r} is not a pair of integer vertices") from None
         if e in seen:
             raise IllegalMoveError(f"edge {e} claimed twice in one move", edge=e)
         seen.add(e)
-        if not state.graph.has_edge(u, v):
+        if not on_board:
             raise IllegalMoveError(f"edge {e} is not an edge of the board", edge=e)
         if e in state.connector_edges or e in state.breaker_edges:
             raise IllegalMoveError(f"edge {e} is already claimed", edge=e)
@@ -342,7 +354,8 @@ def validate_and_apply(state: GameState, move: Move) -> GameState:
     """Check `move` for the player to move and return the resulting state.
 
     The input state is not modified. Raises IllegalMoveError (naming the
-    offending edge) or ConnectivityError on a bad move.
+    offending edge, when it is a pair of vertices), ConnectivityError, or
+    ParameterError for a loop, on a bad move.
     """
     if move.forfeit:
         raise IllegalMoveError("a forfeit move cannot be applied to a state")
@@ -426,11 +439,12 @@ def run_game(
 
     Connector moves first. Each strategy gets an independent sub-seed
     derived from `seed` (tags 0xC0 and 0xB0 through the documented derive
-    function), so a single game seed pins the whole transcript. An illegal
-    move or a forfeit move ends the game against its author.
+    function), so a single game seed pins the whole transcript. A seed
+    outside 64 unsigned bits is refused with ParameterError. An illegal
+    move, a move that cannot be read as pairs of integer vertices, or a
+    forfeit move ends the game against its author.
     """
-    from .rng import derive
-
+    check_seed(seed)
     state = GameState(graph, m=m, b=b, start_vertex=start_vertex)
     connector.start(graph, CONNECTOR, derive(seed, _TAG_CONNECTOR))
     breaker.start(graph, BREAKER, derive(seed, _TAG_BREAKER))
@@ -455,7 +469,7 @@ def run_game(
             break
         try:
             _check_move(state, move)
-        except IllegalMoveError:
+        except ConbreakError:
             winner = BREAKER if role == CONNECTOR else CONNECTOR
             reason = REASON_FORFEIT
             flags.extend(move.flags)
@@ -498,14 +512,15 @@ def replay_states(
 ) -> Iterator[Tuple[int, str, GameState]]:
     """Replay a recorded game, checking each move like the game loop does,
     and yield (round, role, state) after each move. The state is one
-    object updated in place. A move out of turn raises ParameterError."""
+    object updated in place. A move out of turn raises ParameterError; an
+    illegal or unreadable move raises the game loop's ConbreakError."""
     state = GameState(graph, m=result.m, b=result.b, start_vertex=result.start_vertex)
     for rnd, role, edges in result.transcript:
         if role != state.to_move:
             raise ParameterError(
                 f"transcript out of turn at round {rnd}: {role} cannot move"
             )
-        move = Move(tuple(edges))
+        move = Move(edges)
         _check_move(state, move)
         _apply_in_place(state, move)
         yield rnd, role, state

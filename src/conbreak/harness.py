@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .breaker import BadSetDecomposition
 from .connector import check_bias
-from .engine import BREAKER, GameResult, REASON_FORFEIT, replay_states, run_game
+from .engine import BREAKER, CONNECTOR, GameResult, REASON_FORFEIT, replay_states, run_game
 from .errors import ParameterError
 from .graph import GnpDraws, Graph, gen_gnp, is_integer
 from .rng import check_seed, derive
@@ -115,10 +115,11 @@ class TrialConfig:
             if (n, p) in seen:
                 raise ParameterError(f"the grid holds the cell n={n}, p={p!r} twice")
             seen.add((n, p))
-        # fail fast on unknown strategy ids and on a bias the paper
-        # Connector cannot play
-        make_strategy(self.connector_id)
-        make_strategy(self.breaker_id)
+        # fail fast on unknown strategy ids, on a strategy in a role it
+        # refuses to play (its own start checks the role) and on a bias the
+        # paper Connector cannot play
+        make_strategy(self.connector_id).start(Graph(0), CONNECTOR, 0)
+        make_strategy(self.breaker_id).start(Graph(0), BREAKER, 0)
         if self.connector_id == "paper-connector":
             check_bias(self.m)
 

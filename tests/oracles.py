@@ -729,3 +729,14 @@ def naive_select_target(state, plan) -> int:
     if not missing:
         raise ValueError("no target")
     return max(missing, key=lambda v: sum(1 for e in state.breaker_edges if v in e))
+
+
+def naive_case(state, plan) -> int:
+    """The structure case by subset tests: 1 while a1 is not all in
+    territory, else 2 while a2 is not, else 3."""
+    vc = state.v_c
+    if not set(plan.a1) <= vc:
+        return 1
+    if not set(plan.a2) <= vc:
+        return 2
+    return 3

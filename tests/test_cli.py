@@ -75,6 +75,28 @@ def test_play_reads_graph_file(capsys, triangle_file):
     assert tail == {"winner": "C", "reason": "spanned"}
 
 
+@pytest.mark.parametrize("command", ["play", "verify", "solve"])
+@pytest.mark.parametrize("extra", [["--n", "3"], ["--p", "0.001"], ["--n", "3", "--p", "0.5"]])
+def test_graph_file_refuses_n_and_p(capsys, triangle_file, command, extra):
+    # n and p would describe a board other than the file's; play handed p
+    # to the paper Connector as its density hint
+    argv = [command, "--graph", triangle_file] + extra
+    if command == "verify":
+        argv += ["--family", "b", "--x", "0"]
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("conbreak:") and "--graph" in err
+
+
+@pytest.mark.parametrize("seed", ["-5", str(10**23)])
+def test_play_graph_file_checks_the_seed(capsys, triangle_file, seed):
+    # the same seed with --n/--p fails in the board generator
+    for source in (["--graph", triangle_file], ["--n", "3", "--p", "1.0"]):
+        rc, out, err = run_main(capsys, ["play", *source, f"--seed={seed}"])
+        assert rc == 2 and out == ""
+        assert err.startswith("conbreak:") and "seed" in err
+
+
 def test_play_errors_exit_2(capsys):
     rc, _, err = run_main(capsys, ["play", "--n", "5", "--p", "0.5", "--start", "9"])
     assert rc == 2 and err.startswith("conbreak:")
@@ -143,6 +165,8 @@ def test_sweep_eps_mapping(capsys):
         ["--ns", "0"],
         ["--start", "50"],
         ["--connector", "paper-connector", "--m", "1"],
+        ["--connector", "paper-breaker"],
+        ["--breaker", "paper-connector"],
     ],
 )
 def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, bad):

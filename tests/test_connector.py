@@ -752,9 +752,9 @@ def test_make_plan_parameters():
     plan = make_plan(g, m=2, p_hint=0.2)
     # eps = ln(0.2)/ln(100) + 2/3 is about 0.317, comfortably depth 2
     assert plan.k2 == 2 and plan.k1 == 3 and plan.budget == 5
-    assert plan.a1 == frozenset(range(5))  # ceil(100^(1/3)) = 5
+    assert plan.a1 == range(5)  # ceil(100^(1/3)) = 5
     assert len(plan.a2) == math.ceil(100 ** (2 / 3))
-    assert plan.a2 == frozenset(range(5, 5 + len(plan.a2)))
+    assert plan.a2 == range(5, 5 + len(plan.a2))
     assert plan.stage == "I"
     with pytest.raises(ParameterError):
         make_plan(g, m=1)
@@ -783,7 +783,7 @@ def test_select_target_stage2_most_breaker_edges():
         # a plan serves successive positions of one game, so each
         # unrelated position gets a fresh one
         plan = make_plan(g, m=2, p_hint=0.9)
-        plan.stage = "II"
+        plan.targets_done = 1
         return select_target(state, plan)
 
     s = GameState(
@@ -802,7 +802,7 @@ def test_select_target_exhausted_board():
     s = GameState(g, connector_edges=[(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ParameterError):
         select_target(s, plan)
-    plan.stage = "II"
+    plan.targets_done = 1
     with pytest.raises(ParameterError):
         select_target(s, plan)
 
@@ -828,7 +828,6 @@ def test_connector_move_stage_flips_when_target_lands():
     g = complete_graph(12)
     plan = make_plan(g, m=2, p_hint=0.9)
     plan.target = 2
-    plan.stage = "I"
     s = GameState(g, m=2, b=2, connector_edges=[(0, 2)])
     connector_move(s, plan)
     assert plan.stage == "II"
@@ -840,11 +839,10 @@ def test_connector_move_forfeits_without_structure():
     # target is not adjacent to territory, so the fast path cannot save it
     g = Graph(12, [(u, u + 1) for u in range(11)])
     plan = make_plan(g, m=2, p_hint=0.05)
-    plan.a1 = frozenset({7})
-    plan.a2 = frozenset({8})
-    s = GameState(g, m=2, b=2, connector_edges=[(0, 1)])
+    s = GameState(g, m=2, b=2, connector_edges=[(3, 4)])
     mv = connector_move(s, plan)
-    assert plan.case == 1 and plan.target == 7
+    # vertex 0, three steps from the territory, lies in a1 = range(3)
+    assert plan.case == 1 and plan.target == 0
     assert mv.forfeit
     assert FORFEIT_NO_STRUCTURE in mv.flags
 

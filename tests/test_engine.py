@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conbreak import (
     BREAKER,
     CONNECTOR,
+    ConbreakError,
     ConnectivityError,
     GameState,
     Graph,
@@ -241,6 +243,38 @@ def test_illegal_proposal_counts_as_forfeit():
     assert res.winner == BREAKER
     assert res.reason == REASON_FORFEIT
     assert res.transcript == ()
+
+
+UNREADABLE = [((0, 0),), ((True, 1),), ((0.0, 1),), (None,), ((0, 1, 2),), ((0, 4),)]
+
+
+@pytest.mark.parametrize("edges", UNREADABLE + [None], ids=repr)
+@pytest.mark.parametrize("role", [CONNECTOR, BREAKER])
+def test_unreadable_proposal_counts_as_forfeit(edges, role):
+    # a loop, a bool or float vertex, a non-pair or an off-board vertex:
+    # the game ends against the proposer instead of raising out of the loop
+    g = square()
+    bad = Scripted(Move(edges, flags=("bad",)))
+    if role == CONNECTOR:
+        res = run_game(g, bad, Scripted())
+    else:
+        res = run_game(g, Scripted(Move.of((0, 1))), bad)
+    assert res.winner == (BREAKER if role == CONNECTOR else CONNECTOR)
+    assert res.reason == REASON_FORFEIT and res.flags == ("bad",)
+    assert [r for _, r, _ in res.transcript] == [CONNECTOR] * (role == BREAKER)
+    # the move checks outside the game loop raise a package error
+    with pytest.raises(ConbreakError):
+        validate_and_apply(res.final_state, Move(edges))
+    recorded = dataclasses.replace(res, transcript=res.transcript + ((1, role, edges),))
+    with pytest.raises(ConbreakError):
+        list(replay_states(recorded, g))
+
+
+def test_run_game_checks_the_seed():
+    for seed in (-5, 2**64, 10**23, True, 1.0):
+        with pytest.raises(ParameterError, match="seed"):
+            run_game(square(), Scripted(), Scripted(), seed=seed)
+    assert run_game(square(), Scripted(), Scripted(), seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_breaker_wins_on_exhaustion():

@@ -2,9 +2,11 @@
 
 The baseline strategies read the claim log, the territory order and the
 sorted lists of free and frontier edges instead of rescanning every
-edge; `select_target` reads per-pool cursors and a lazy degree heap
-instead of scanning every vertex. Each must give exactly the move or
-target of the naive scan in `oracles`, from the same random stream.
+edge; `select_target` reads a lowest-missing-vertex cursor and a lazy
+degree heap instead of scanning every vertex, and derives the structure
+case from that cursor instead of testing the reservoirs as subsets. Each
+must give exactly the move, target or case of the naive scan in
+`oracles`, from the same random stream.
 The lists are built only for strategies that read them.
 """
 
@@ -22,7 +24,13 @@ from conbreak.graph import gen_gnp
 from conbreak.rng import derive
 from conbreak.strategies import make_strategy
 
-from oracles import free_edge_count, naive_greedy_move, naive_random_move, naive_select_target
+from oracles import (
+    free_edge_count,
+    naive_case,
+    naive_greedy_move,
+    naive_random_move,
+    naive_select_target,
+)
 
 
 def index_view(state: GameState):
@@ -158,14 +166,19 @@ def test_edge_lists_are_built_only_for_the_random_strategy():
 
 def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
     """Recorded paper-connector games, with every select_target call
-    checked against the full scan; both stages are reached."""
+    checked against the full scan and the case it sets checked against
+    the reservoir subset tests; both stages and all three cases are
+    reached."""
     real = connector.select_target
     stages = []
+    cases = []
 
     def checked(state, plan):
         got = real(state, plan)
         assert got == naive_select_target(state, plan)
+        assert plan.case == naive_case(state, plan)
         stages.append(plan.stage)
+        cases.append(plan.case)
         return got
 
     monkeypatch.setattr(connector, "select_target", checked)
@@ -181,3 +194,4 @@ def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
                     seed=seed,
                 )
     assert stages.count("I") > 50 and stages.count("II") > 50
+    assert set(cases) == {1, 2, 3}
