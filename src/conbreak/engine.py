@@ -17,11 +17,8 @@ from a position she refuses to play).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import (
-    Container, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
-)
+from typing import Container, Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
 
 from .errors import ConbreakError, ConnectivityError, IllegalMoveError, ParameterError
 from .graph import Edge, Graph, edge, is_integer
@@ -70,15 +67,11 @@ class GameState:
     the round number. `breaker_degrees[v]` is the number of Breaker edges
     at v, kept up to date as moves apply.
 
-    Two sorted edge lists, in `graph.sorted_edges()` order, index the
-    free edges and the frontier, the free edges that touch `v_c`;
-    `free_choices` and `connector_choices` read them. Each is built on
-    the first query that needs it, then kept up to date by every applied
-    move (a bisect plus a list delete or insert per change) and copied
-    by `copy`; a game that never queries them pays nothing for them, and
-    builds none of the board's whole-board Python views either:
-    `is_free`, `free_edges_at` and the move checks read one CSR row, and
-    `lowest_free` reads the edge arrays.
+    The state holds the position and nothing a strategy alone reads:
+    `is_free`, `free_edges_at` and the move checks read one CSR row,
+    `lowest_free` reads the edge arrays, and none of them builds a
+    whole-board Python view. A strategy that wants an index of the free
+    edges keeps its own, brought up to date from `log` and `territory`.
     """
 
     __slots__ = (
@@ -94,8 +87,6 @@ class GameState:
         "round",
         "to_move",
         "start_vertex",
-        "_free",
-        "_front",
     )
 
     def __init__(
@@ -141,8 +132,6 @@ class GameState:
         self.territory = list(dict.fromkeys(order))
         self.v_c = set(self.territory)
         self.log: List[Tuple[str, Edge]] = []
-        self._free: Optional[List[Edge]] = None
-        self._front: Optional[List[Edge]] = None
 
     def copy(self) -> "GameState":
         s = GameState.__new__(GameState)
@@ -158,8 +147,6 @@ class GameState:
         s.v_c = set(self.v_c)
         s.territory = list(self.territory)
         s.log = list(self.log)
-        s._free = None if self._free is None else list(self._free)
-        s._front = None if self._front is None else list(self._front)
         return s
 
     def bias(self, role: str) -> int:
@@ -174,9 +161,9 @@ class GameState:
         return u < v and self.graph.has_edge(u, v)
 
     def free_edges(self) -> List[Edge]:
-        """Free edges in ascending order. O(|E|): a full scan, kept for
-        tests, audits and the greedy Connector's opening from an empty
-        territory; per-move play uses the indexed queries below."""
+        """Free edges in ascending order. O(|E|): a full scan of the
+        board's sorted edge tuple, for tests, the random Breaker's index
+        and the baseline Connectors' opening from an empty territory."""
         claimed = self.connector_edges
         blocked = self.breaker_edges
         return [e for e in self.graph.sorted_edges() if e not in claimed and e not in blocked]
@@ -208,14 +195,6 @@ class GameState:
             cursor[0] = i
         return out
 
-    def _front_list(self) -> List[Edge]:
-        """The frontier list, built on first use from the free list.
-        Games whose strategies never ask for it do not keep it."""
-        if self._front is None:
-            vc = self.v_c
-            self._front = [e for e in self.free_choices() if e[0] in vc or e[1] in vc]
-        return self._front
-
     def free_edges_at(self, v: int) -> List[Edge]:
         """Free edges at v, in ascending order of the other endpoint.
         O(deg v): one CSR row against the claimed sets."""
@@ -227,41 +206,6 @@ class GameState:
                 out.append(e)
         return out
 
-    def free_choices(self) -> List[Edge]:
-        """The free edges, Breaker's choices, in ascending order: a full
-        scan on first use, then kept up to date. The list is the state's
-        own: read it, do not change it."""
-        if self._free is None:
-            self._free = self.free_edges()
-        return self._free
-
-    def connector_choices(self, claims: Sequence[Edge] = ()) -> List[Edge]:
-        """The edges Connector may claim next in a move whose earlier
-        claims are `claims`, in ascending order: the free edges touching
-        `v_c` or the claims, minus the claims; every free edge while both
-        are empty. Without claims the list is the state's own, to be read
-        and not changed; with claims it is a copy of the frontier,
-        corrected by one scan of the claims' new vertices' edges."""
-        free, front = self.free_choices(), self._front_list()
-        vc = self.v_c
-        if not claims:
-            return front if vc else free
-        out = list(front)
-        for e in claims:
-            i = bisect_left(out, e)
-            if i < len(out) and out[i] == e:
-                del out[i]
-        # free edges at the new vertices whose other end is outside v_c;
-        # an edge between two new vertices turns up twice
-        for w in {w for e in claims for w in e if w not in vc}:
-            for e in self.free_edges_at(w):
-                if e[0] + e[1] - w in vc or e in claims:
-                    continue
-                i = bisect_left(out, e)
-                if i == len(out) or out[i] != e:
-                    out.insert(i, e)
-        return out
-
     def connector_has_spanned(self) -> bool:
         """Connector's edges are kept connected by the rules, so she spans
         exactly when her territory covers every vertex."""
@@ -270,10 +214,12 @@ class GameState:
         return len(self.v_c) == self.graph.n
 
 
-def _check_move(state: GameState, move: Move) -> None:
-    """Raise if `move` is illegal for state.to_move in `state`: a
-    ParameterError for a loop, an IllegalMoveError (or its subclass
-    ConnectivityError) for anything else, unreadable entries included."""
+def _check_move(state: GameState, move: Move) -> Tuple[Edge, ...]:
+    """Return the edges of `move` as (u, v) with u < v and Python int
+    vertices, or raise if the move is illegal for state.to_move in
+    `state`: a ParameterError for a loop, an IllegalMoveError (or its
+    subclass ConnectivityError) for anything else, unreadable entries
+    included."""
     role = state.to_move
     limit = state.bias(role)
     try:
@@ -282,22 +228,25 @@ def _check_move(state: GameState, move: Move) -> None:
         raise IllegalMoveError(f"move edges {move.edges!r} are not a sequence") from None
     if count > limit:
         raise IllegalMoveError(f"{role} claimed {count} edges, bias allows {limit}")
-    seen = set()
+    seen: Dict[Edge, None] = {}  # the checked edges, in move order
     vc = state.v_c
     added: Set[int] = set()  # vertices this move has added so far
     for e in move.edges:
-        # a try is free until it catches: a non-pair entry or a vertex that
-        # cannot index a row (None, 0.0) raises TypeError here; one equal to
-        # an integer (True, 2.0) still passes as that integer
         try:
-            e = u, v = edge(*e)
-            on_board = state.graph.has_edge(u, v)
-        except TypeError:
+            u, v = e
+        except (TypeError, ValueError):
             raise IllegalMoveError(f"{e!r} is not a pair of integer vertices") from None
+        # a legal move pays two type tests; a numpy integer is read as
+        # the int it equals, a bool, a float or None ends the move
+        if type(u) is not int or type(v) is not int:
+            if not (is_integer(u) and is_integer(v)):
+                raise IllegalMoveError(f"{e!r} is not a pair of integer vertices")
+            u, v = int(u), int(v)
+        e = u, v = edge(u, v)
         if e in seen:
             raise IllegalMoveError(f"edge {e} claimed twice in one move", edge=e)
-        seen.add(e)
-        if not on_board:
+        seen[e] = None
+        if not state.graph.has_edge(u, v):
             raise IllegalMoveError(f"edge {e} is not an edge of the board", edge=e)
         if e in state.connector_edges or e in state.breaker_edges:
             raise IllegalMoveError(f"edge {e} is already claimed", edge=e)
@@ -312,33 +261,22 @@ def _check_move(state: GameState, move: Move) -> None:
                 )
             added.add(u)
             added.add(v)
+    return tuple(seen)
 
 
-def _apply_in_place(state: GameState, move: Move) -> None:
-    """Apply a checked move. Mutates `state`; used by the game loop."""
+def _apply_in_place(state: GameState, edges: Tuple[Edge, ...]) -> None:
+    """Apply the edges `_check_move` returned for the player to move.
+    Mutates `state`; used by the game loop."""
     role = state.to_move
-    free, front = state._free, state._front  # no frontier list without a free one
     vc = state.v_c
-    for e in move.edges:
-        e = edge(*e)
+    for e in edges:
         state.log.append((role, e))
-        if free is not None:
-            del free[bisect_left(free, e)]
-            if front is not None:
-                i = bisect_left(front, e)
-                if i < len(front) and front[i] == e:
-                    del front[i]
         if role == CONNECTOR:
             state.connector_edges.add(e)
             for w in e:
                 if w not in vc:
                     vc.add(w)
                     state.territory.append(w)
-                    if front is not None:
-                        # w's free edges into v_c are in the frontier already
-                        for f in state.free_edges_at(w):
-                            if f[0] + f[1] - w not in vc:
-                                insort(front, f)
         else:
             state.breaker_edges.add(e)
             state.breaker_degrees[e[0]] += 1
@@ -359,9 +297,9 @@ def validate_and_apply(state: GameState, move: Move) -> GameState:
     """
     if move.forfeit:
         raise IllegalMoveError("a forfeit move cannot be applied to a state")
-    _check_move(state, move)
+    edges = _check_move(state, move)
     out = state.copy()
-    _apply_in_place(out, move)
+    _apply_in_place(out, edges)
     return out
 
 
@@ -369,10 +307,15 @@ class Strategy(Protocol):
     """A decision procedure for one side of one game.
 
     Instances are per-game: `start` is called once with the board, the role
-    ('C' or 'B') and a seed, then `propose` once per turn. Given the same
-    board, role, seed and state sequence, a strategy must produce the same
-    moves. Strategies may keep per-game caches but must treat the passed
-    state as read-only.
+    ('C' or 'B') and a seed, then `propose` once per turn, with the
+    successive positions of one game, as `run_game` plays them: each
+    position after the first is the one before it with the proposed move
+    and the opponent's reply applied. So a strategy may keep per-game
+    indices, brought up to date from the claim log and the territory
+    order, and may update them at `propose` as if its move were played.
+    Given the same board, role, seed and state sequence, a strategy must
+    produce the same moves. Strategies must treat the passed state as
+    read-only.
     """
 
     def start(self, graph: Graph, role: str, seed: int) -> None: ...
@@ -468,15 +411,15 @@ def run_game(
             flags.extend(move.flags)
             break
         try:
-            _check_move(state, move)
+            edges = _check_move(state, move)
         except ConbreakError:
             winner = BREAKER if role == CONNECTOR else CONNECTOR
             reason = REASON_FORFEIT
             flags.extend(move.flags)
             break
-        transcript.append((state.round, role, tuple(edge(*e) for e in move.edges)))
+        transcript.append((state.round, role, edges))
         flags.extend(move.flags)
-        _apply_in_place(state, move)
+        _apply_in_place(state, edges)
         if role == CONNECTOR and state.connector_has_spanned():
             winner, reason = CONNECTOR, REASON_SPANNED
             break
@@ -520,7 +463,5 @@ def replay_states(
             raise ParameterError(
                 f"transcript out of turn at round {rnd}: {role} cannot move"
             )
-        move = Move(edges)
-        _check_move(state, move)
-        _apply_in_place(state, move)
+        _apply_in_place(state, _check_move(state, Move(edges)))
         yield rnd, role, state

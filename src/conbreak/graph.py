@@ -14,8 +14,9 @@ edge test (`has_edge`) bisects one row. The one whole-board view left,
 the sorted edge tuple (`sorted_edges()`), is cached on first use too.
 It holds a Python object per edge, which the cyclic garbage collector
 then keeps traversing, so the paper strategies, the engine's move
-checks, `check_b` and `contains_hn` never build it; the baseline
-strategies' free-edge and frontier lists and the solver do.
+checks, `check_b` and `contains_hn` never build it; the random
+Breaker's free-edge list, the greedy Breaker's rank order,
+`GameState.free_edges` and the solver do.
 
 G(n, p) boards come from one uniform per vertex pair, in canonical pair
 order, kept when it is below p (the coupling of Stojakovic-Szabo 2005).

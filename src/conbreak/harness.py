@@ -18,13 +18,14 @@ are summarised or written, so the outputs do not depend on that order.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import multiprocessing
 import os
-from contextlib import ExitStack
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, TextIO, Tuple
 
 from .breaker import BadSetDecomposition
 from .connector import check_bias
@@ -122,6 +123,12 @@ class TrialConfig:
         make_strategy(self.breaker_id).start(Graph(0), BREAKER, 0)
         if self.connector_id == "paper-connector":
             check_bias(self.m)
+        if self.out_csv and self.out_records and (
+            os.path.realpath(self.out_csv) == os.path.realpath(self.out_records)
+        ):
+            raise ParameterError(
+                f"the summary and the records outputs are one file: {self.out_records}"
+            )
 
     def ps_for(self, n: int) -> Tuple[float, ...]:
         if self.ps is not None:
@@ -286,20 +293,37 @@ def records_jsonl(records: Sequence[TrialRecord]) -> str:
     return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records)
 
 
-def _open_out(path: str):
-    return open(path, "w", encoding="utf-8", newline="\n")
+@contextmanager
+def _replacing(path: Optional[str]) -> Iterator[Optional[TextIO]]:
+    """A text file written beside `path` that replaces it when the block
+    ends without an error; on an error it is removed and `path` is left
+    as it was. None when no path is given. A missing directory, or a
+    directory at `path`, fails here, before the block runs."""
+    if not path:
+        yield None
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def run_trials(cfg: TrialConfig) -> Tuple[List[TrialRecord], List[SummaryRow]]:
     """Run the whole grid, trial-major (one `run_trial` per (n, trial),
     also the unit of a parallel task); returns (records, summary rows)
-    and writes the configured outputs. Parallel runs produce
-    byte-identical outputs to serial ones: records are sorted by
-    (n, p, trial) regardless of run or completion order."""
-    with ExitStack() as outputs:
-        # opened before any trial runs, so a bad path fails fast
-        csv_fh = outputs.enter_context(_open_out(cfg.out_csv)) if cfg.out_csv else None
-        rec_fh = outputs.enter_context(_open_out(cfg.out_records)) if cfg.out_records else None
+    and writes the configured outputs. An output is replaced only when
+    the whole grid has run, so a failed run leaves it as it was.
+    Parallel runs produce byte-identical outputs to serial ones: records
+    are sorted by (n, p, trial) regardless of run or completion order."""
+    # opened before any trial runs, so a bad path fails fast
+    with _replacing(cfg.out_csv) as csv_fh, _replacing(cfg.out_records) as rec_fh:
         tasks = [(cfg, n, trial) for n in cfg.ns for trial in range(cfg.trials)]
         if cfg.jobs > 1:
             ctx = multiprocessing.get_context("fork")

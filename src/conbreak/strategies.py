@@ -17,7 +17,8 @@ seed, `propose` reads the live state without mutating it.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple, Type
+from bisect import bisect_left, insort
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 import numpy as np
 
@@ -34,30 +35,69 @@ class RandomStrategy:
     """Claims up to the full bias uniformly among currently legal edges.
 
     Each claim draws one index into the legal edges in ascending order
-    and reads that entry of the state's sorted free-edge or frontier
-    list. A Connector claim after an earlier one in the same move reads
-    a copy of the frontier, corrected by a scan of the edges at the
-    vertices her earlier claims add."""
+    and reads that entry of one sorted list the strategy keeps. Breaker's
+    list holds the free edges: a full scan at his first propose, then
+    each propose deletes the claims logged since. Connector's list holds
+    her frontier, the free edges that touch her territory: each propose
+    deletes the logged claims, and each vertex that joins the territory
+    inserts its free edges whose other end has not joined. After each
+    claim she updates the list as if the claim were played, so the next
+    claim of the move draws from it. From an empty territory she draws
+    from all free edges, at most once a game."""
 
     def __init__(self):
         self.role = ""
         self.rng: Optional[Rng] = None
+        self.edges: Optional[List[Edge]] = None
+        self.read = 0  # claims of the log already deleted from `edges`
+        self.joined: Set[int] = set()  # vertices whose edges are in `edges`
 
     def start(self, graph: Graph, role: str, seed: Seed) -> None:
         self.role = role
         self.rng = Rng(seed)
 
     def propose(self, state: GameState) -> Move:
+        if self.edges is None:
+            self.edges = state.free_edges() if self.role == BREAKER else []
+        else:
+            self._drop(e for _, e in state.log[self.read:])
+        self.read = len(state.log)
+        edges = self.edges
         if self.role == BREAKER:
-            free = state.free_choices()
-            return Move(tuple(self.rng.sample(free, min(state.b, len(free)))))
+            return Move(tuple(self.rng.sample(edges, min(state.b, len(edges)))))
+        joined = self.joined
+        # the positions are one game's, whose territory only grows, so
+        # its first len(joined) vertices have joined, in its order
+        for w in state.territory[len(joined):]:
+            self._join(state, w, ())
         claims: List[Edge] = []
         for _ in range(state.m):
-            cands = state.connector_choices(claims)
+            cands = edges if joined else state.free_edges()
             if not cands:
                 break
-            claims.append(self.rng.choice(cands))
+            e = self.rng.choice(cands)
+            claims.append(e)
+            self._drop((e,))
+            for w in e:
+                if w not in joined:
+                    self._join(state, w, claims)
         return Move(tuple(claims))
+
+    def _drop(self, claimed) -> None:
+        """Delete the claimed edges from the sorted list."""
+        edges = self.edges
+        for e in claimed:
+            i = bisect_left(edges, e)
+            if i < len(edges) and edges[i] == e:
+                del edges[i]
+
+    def _join(self, state: GameState, w: int, claims: Sequence[Edge]) -> None:
+        """Add w to the territory the frontier is kept for."""
+        joined = self.joined
+        joined.add(w)
+        for e in state.free_edges_at(w):
+            if e[0] + e[1] - w not in joined and e not in claims:
+                insort(self.edges, e)
 
 
 class GreedyDegreeStrategy:
@@ -70,13 +110,15 @@ class GreedyDegreeStrategy:
 
     Breaker reads one rank order, sorted once per game, through a cursor
     past the claimed edges. Connector keeps one live heap entry per
-    outside vertex w next to her territory, (-degree(w), e, w) with e the
-    lowest free edge from the territory to w, named by `lowest[w]`. When w
-    joins the territory, dropping `lowest[w]` retires its entry at once,
+    outside vertex x next to her territory, (-degree(x), e, x) with e the
+    lowest free edge from the territory to x, named by `lowest[x]`. When
+    x joins the territory, dropping `lowest[x]` retires its entry at once,
     and its edges into the territory, now of gain -1, go to a list of
     inside edges that is heaped only when no outside vertex is left to
-    reach. Her opening from an empty territory, at most once a game,
-    scans the free edges.
+    reach. After each claim she joins its new vertices as if the claim
+    were played, so the next claim of the move reads the same heap. Her
+    opening from an empty territory, at most once a game, scans the free
+    edges.
     """
 
     def __init__(self):
@@ -99,7 +141,7 @@ class GreedyDegreeStrategy:
             self.lowest: Dict[int, Edge] = {}
             self.inside: List[Edge] = []  # a heap of free edges inside territory
             self.pending: List[Edge] = []  # inside edges not yet in that heap
-            self.synced: Set[int] = set()  # territory whose edges are indexed
+            self.joined: Set[int] = set()  # territory whose edges are indexed
 
     def propose(self, state: GameState) -> Move:
         if self.role == BREAKER:
@@ -114,78 +156,71 @@ class GreedyDegreeStrategy:
                     picks.append(order[i])
                 i += 1
             return Move(tuple(picks))
-        self._sync(state)
-        vc = state.v_c
+        joined = self.joined
+        # as for the random Connector: the first len(joined) have joined
+        for w in state.territory[len(joined):]:
+            self._join(state, w, ())
+        degree = self.graph.degree
         claims: List[Edge] = []
-        new: Set[int] = set()  # vertices this move's claims add to vc
-        held: List[tuple] = []  # (heap, entry) set aside for this move
         for _ in range(state.m):
-            if not vc and not claims:
-                best = min(((-self._gain(e, vc), e) for e in state.free_edges()), default=None)
+            if joined:
+                best = self._best(state, claims)
             else:
-                tops = (
-                    self._heap_best(state, new, claims, held),
-                    self._best_at(state, new, claims),
+                best = min(
+                    state.free_edges(),
+                    key=lambda e: (-max(degree(e[0]), degree(e[1])), e),
+                    default=None,
                 )
-                best = min((t for t in tops if t is not None), default=None)
             if best is None:
                 break
-            claims.append(best[1])
-            new.update(w for w in best[1] if w not in vc)
-        for heap, entry in held:
-            heapq.heappush(heap, entry)
+            claims.append(best)
+            for w in best:
+                if w not in joined:
+                    self._join(state, w, claims)
         return Move(tuple(claims))
 
-    def _gain(self, e: Edge, vc, new=()) -> int:
-        """Largest graph degree among e's endpoints outside vc and new,
-        -1 when there is none."""
-        u, v = e
-        du = -1 if u in vc or u in new else self.graph.degree(u)
-        dv = -1 if v in vc or v in new else self.graph.degree(v)
-        return du if du > dv else dv
-
-    def _sync(self, state: GameState) -> None:
-        """Index the free edges of territory vertices not yet seen."""
-        synced = self.synced
+    def _join(self, state: GameState, w: int, claims: Sequence[Edge]) -> None:
+        """Index the free edges at w, a vertex joining the territory,
+        leaving out this move's claims."""
+        joined = self.joined
         lowest = self.lowest
         degree = self.graph.degree
-        # territory only grows, so its first len(synced) entries are synced
-        for w in state.territory[len(synced):]:
-            synced.add(w)
-            lowest.pop(w, None)  # w's entry is dead
-            for e in state.free_edges_at(w):
-                x = e[0] + e[1] - w
-                if x in synced:
-                    self.pending.append(e)
-                elif x not in lowest or e < lowest[x]:
-                    lowest[x] = e
-                    heapq.heappush(self.heap, (-degree(x), e, x))
+        joined.add(w)
+        lowest.pop(w, None)  # w's entry is dead
+        for e in state.free_edges_at(w):
+            if e in claims:
+                continue
+            x = e[0] + e[1] - w
+            if x in joined:
+                self.pending.append(e)
+            elif x not in lowest or e < lowest[x]:
+                lowest[x] = e
+                heapq.heappush(self.heap, (-degree(x), e, x))
 
-    def _heap_best(self, state, new, claims, held) -> Optional[Tuple[int, Edge]]:
-        """Best (-gain, edge) among the free edges from the territory,
-        away from this move's new vertices and claims; those are keyed by
-        `_best_at` instead. An outside vertex's best edge is its lowest
-        free edge into the territory; an inside edge has gain -1."""
+    def _best(self, state: GameState, claims: Sequence[Edge]) -> Optional[Edge]:
+        """The best free edge from the territory, with this move's claims
+        played: an outside vertex's best edge is its lowest free edge into
+        the territory, and an inside edge, of gain -1, comes after every
+        edge that reaches an outside vertex."""
         heap = self.heap
         lowest = self.lowest
-        vc = state.v_c
+        joined = self.joined
         while heap:
             key, e, w = heap[0]
             if lowest.get(w) != e:
                 heapq.heappop(heap)
             elif not state.is_free(e):
                 # free_edges_at is in ascending edge order: w's next lowest
-                nxt = next((f for f in state.free_edges_at(w) if f[0] + f[1] - w in vc), None)
+                nxt = next((f for f in state.free_edges_at(w) if f[0] + f[1] - w in joined), None)
                 if nxt is None:
                     del lowest[w]
                     heapq.heappop(heap)
                 else:
                     lowest[w] = nxt
                     heapq.heapreplace(heap, (key, nxt, w))
-            elif w in new:
-                held.append((heap, heapq.heappop(heap)))
             else:
-                return key, e
+                # w has not joined, so e is no claim of this move
+                return e
         inside = self.inside
         if self.pending:
             inside.extend(self.pending)
@@ -193,27 +228,10 @@ class GreedyDegreeStrategy:
             heapq.heapify(inside)
         while inside:
             e = inside[0]
-            if not state.is_free(e):
-                heapq.heappop(inside)
-            elif e in claims:
-                held.append((inside, heapq.heappop(inside)))
-            else:
-                return 1, e
+            if state.is_free(e) and e not in claims:
+                return e
+            heapq.heappop(inside)
         return None
-
-    def _best_at(self, state, new, claims) -> Optional[Tuple[int, Edge]]:
-        """Best (-gain, edge) among the free edges at this move's new
-        vertices, with gains counted against the grown territory."""
-        vc = state.v_c
-        return min(
-            (
-                (-self._gain(e, vc, new), e)
-                for w in new
-                for e in state.free_edges_at(w)
-                if e not in claims
-            ),
-            default=None,
-        )
 
 
 class MinimaxStrategy:

@@ -70,3 +70,37 @@ def test_hooks_are_looked_up_at_call_time(capsys):
         "strategies.paper-breaker.B.propose",
     ):
         assert name in seen, name
+
+
+def test_hooks_cover_the_baseline_strategies_and_audits(capsys):
+    """A traced run of the baseline pairs, and of the random Connector
+    against the paper Breaker with both audits on, records a span for
+    every baseline propose and for the audits' hooks."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        runs = [
+            ["--connector", "random", "--breaker", "greedy-degree"],
+            ["--connector", "greedy-degree", "--breaker", "random"],
+            ["--connector", "random", "--breaker", "paper-breaker",
+             "--verify-degree-bound", "--verify-isolation"],
+        ]
+        for pair in runs:
+            rc = cli.main(["sweep", "--ns", "60", "--eps", "-0.1", "--trials", "2", *pair])
+            assert rc == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert tracer.missing == []
+    seen = {span[tracing.NAME] for span in tracer.spans}
+    for name in (
+        "strategies.random.C.propose",
+        "strategies.random.B.propose",
+        "strategies.greedy-degree.C.propose",
+        "strategies.greedy-degree.B.propose",
+        "strategies.paper-breaker.B.propose",
+        "harness.audit_degree_bound",
+        "harness.audit_isolation",
+        "verifier.check_q",
+    ):
+        assert name in seen, name

@@ -167,19 +167,46 @@ def test_sweep_eps_mapping(capsys):
         ["--connector", "paper-connector", "--m", "1"],
         ["--connector", "paper-breaker"],
         ["--breaker", "paper-connector"],
+        # the records path, relative to the working directory, names the
+        # summary's file
+        ["--records", "x.csv"],
+        ["--records", "sub/../x.csv"],
     ],
 )
-def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, bad):
+def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, monkeypatch, bad):
+    monkeypatch.chdir(tmp_path)
     out_csv = tmp_path / "x.csv"
     records = tmp_path / "x.jsonl"
     out_csv.write_text("keep me\n")
     records.write_text("keep me too\n")
     rc, out, err = run_main(
-        capsys, sweep_argv(bad + ["--out", str(out_csv), "--records", str(records)])
+        capsys, sweep_argv(["--out", str(out_csv), "--records", str(records)] + bad)
     )
     assert rc == 2 and out == "" and err.startswith("conbreak:")
     assert out_csv.read_text() == "keep me\n"
     assert records.read_text() == "keep me too\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.jsonl"]
+
+
+def test_sweep_failing_in_a_game_keeps_existing_outputs(capsys, tmp_path):
+    # the solver refuses the 20-vertex board only when the first game
+    # starts, after the outputs are open
+    out_csv = tmp_path / "x.csv"
+    records = tmp_path / "x.jsonl"
+    out_csv.write_text("keep me\n")
+    records.write_text("keep me too\n")
+    argv = ["sweep", "--ns", "20", "--ps", "0.5", "--trials", "1", "--connector", "minimax",
+            "--breaker", "random", "--out", str(out_csv), "--records", str(records)]
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 2 and out == "" and "solver allows" in err
+    assert out_csv.read_text() == "keep me\n"
+    assert records.read_text() == "keep me too\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.jsonl"]
+    # a run that completes replaces both
+    rc, out, _ = run_main(capsys, sweep_argv(["--out", str(out_csv), "--records", str(records)]))
+    assert rc == 0 and out_csv.read_text() == out
+    assert len(records.read_text().splitlines()) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.jsonl"]
 
 
 @pytest.mark.parametrize("via_config", [False, True])

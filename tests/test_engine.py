@@ -245,7 +245,9 @@ def test_illegal_proposal_counts_as_forfeit():
     assert res.transcript == ()
 
 
-UNREADABLE = [((0, 0),), ((True, 1),), ((0.0, 1),), (None,), ((0, 1, 2),), ((0, 4),)]
+# (True, 2) and (1, 2.0) equal the free edge (1, 2) of the square
+UNREADABLE = [((0, 0),), ((True, 1),), ((0.0, 1),), (None,), ((0, 1, 2),), ((0, 4),),
+              ((True, 2),), ((1, 2.0),)]
 
 
 @pytest.mark.parametrize("edges", UNREADABLE + [None], ids=repr)
@@ -268,6 +270,21 @@ def test_unreadable_proposal_counts_as_forfeit(edges, role):
     recorded = dataclasses.replace(res, transcript=res.transcript + ((1, role, edges),))
     with pytest.raises(ConbreakError):
         list(replay_states(recorded, g))
+
+
+def test_numpy_vertices_are_played_as_ints():
+    g = square()
+    conn = Scripted(Move(((np.int64(2), np.int32(1)),)))
+    brk = Scripted(Move(((np.int64(3), np.uint8(2)),)))
+    res = run_game(g, conn, brk, m=2, b=2)
+    assert res.transcript[:2] == ((1, CONNECTOR, ((1, 2),)), (1, BREAKER, ((2, 3),)))
+    s = res.final_state
+    played = [w for _, _, edges in res.transcript for e in edges for w in e]
+    played += [w for _, e in s.log for w in e] + s.territory
+    assert all(type(w) is int for w in played)
+    assert res.transcript_jsonl().startswith('{"round":1,"player":"C","edges":[[1,2]]}\n')
+    nxt = validate_and_apply(GameState(g, start_vertex=0), Move(((np.int16(0), 1),)))
+    assert all(type(w) is int for w in nxt.territory) and nxt.log == [(CONNECTOR, (0, 1))]
 
 
 def test_run_game_checks_the_seed():

@@ -299,7 +299,13 @@ def test_jobs_above_the_core_count_are_refused(monkeypatch):
         small_cfg(jobs=2)
 
 
-def test_unwritable_output_fails_before_trials(tmp_path):
+def test_unwritable_output_fails_before_trials(tmp_path, monkeypatch):
+    from conbreak import harness
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
     cfg = small_cfg(out_records=str(tmp_path / "no-such-dir" / "r.jsonl"))
     with pytest.raises(OSError):
         run_trials(cfg)
@@ -309,6 +315,10 @@ def test_unwritable_output_fails_before_trials(tmp_path):
     )
     with pytest.raises(OSError):
         run_trials(both)
+    # a directory in an output's place fails before any trial too
+    with pytest.raises(IsADirectoryError):
+        run_trials(small_cfg(out_csv=str(tmp_path)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_summarize_keeps_first_seen_cell_order():

@@ -1,19 +1,19 @@
-"""The engine's incremental indices against full-board rescans.
+"""The baseline strategies' own indices against full-board rescans.
 
-The baseline strategies read the claim log, the territory order and the
-sorted lists of free and frontier edges instead of rescanning every
-edge; `select_target` reads a lowest-missing-vertex cursor and a lazy
-degree heap instead of scanning every vertex, and derives the structure
-case from that cursor instead of testing the reservoirs as subsets. Each
-must give exactly the move, target or case of the naive scan in
-`oracles`, from the same random stream.
-The lists are built only for strategies that read them.
+The baseline strategies read the claim log and the territory order and
+keep their own sorted lists, heaps and cursors instead of rescanning
+every edge; `select_target` reads a lowest-missing-vertex cursor and a
+lazy degree heap instead of scanning every vertex, and derives the
+structure case from that cursor instead of testing the reservoirs as
+subsets. Each must give exactly the move, target or case of the naive
+scan in `oracles`, from the same random stream, and each strategy's
+index must agree with a full scan of the position it was last brought
+up to date with.
 """
 
 from __future__ import annotations
 
 import copy
-import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +22,7 @@ from conbreak import connector
 from conbreak.engine import BREAKER, CONNECTOR, GameState, run_game, validate_and_apply
 from conbreak.graph import gen_gnp
 from conbreak.rng import derive
-from conbreak.strategies import make_strategy
+from conbreak.strategies import GreedyDegreeStrategy, RandomStrategy, make_strategy
 
 from oracles import (
     free_edge_count,
@@ -33,39 +33,59 @@ from oracles import (
 )
 
 
-def index_view(state: GameState):
-    """Everything the indices answer, read through the public queries."""
-    n = state.graph.n
+def position(state: GameState):
+    """The position as the public queries read it."""
+    g = state.graph
     return (
-        list(state.free_choices()),
-        list(state.connector_choices()),
-        [state.free_edges_at(v) for v in range(n)],
+        [e for e in g.sorted_edges() if state.is_free(e)],
+        [state.free_edges_at(v) for v in range(g.n)],
+        list(state.territory),
+        list(state.log),
     )
 
 
-def legal_next(free, vc, claims):
-    """Connector's legal next claims by the rules, from a full scan."""
-    grown = set(vc).union(*claims)
-    return [e for e in free if e not in claims and (not grown or grown & set(e))]
-
-
-def check_queries(state: GameState, pick: random.Random) -> None:
+def check_index(player, state: GameState) -> None:
+    """A baseline player's index against a full scan of `state`, a
+    position at or after the one its last propose saw, with its move
+    played. Claims logged since that propose may still be listed."""
     g = state.graph
     free = [e for e in g.sorted_edges() if state.is_free(e)]
-    assert index_view(state) == (
-        free,
-        legal_next(free, state.v_c, []),
-        [[e for e in free if v in e] for v in range(g.n)],
-    )
-    # a partial Connector move of up to three claims, checked claim by claim
-    claims = []
-    for _ in range(3):
-        cands = state.connector_choices(claims)
-        naive = legal_next(free, state.v_c, claims)
-        assert list(cands) == naive and len(cands) == len(naive)
-        if not naive:
-            break
-        claims.append(pick.choice(naive))
+    vc = state.v_c
+    if isinstance(player, RandomStrategy):
+        assert player.edges == sorted(set(player.edges))
+        later = {e for _, e in state.log[player.read:]}
+        kept = [e for e in player.edges if e not in later]
+        if player.role == BREAKER:
+            assert kept == free
+        else:
+            assert player.joined == vc
+            assert kept == ([e for e in free if vc & set(e)] if vc else [])
+        return
+    assert isinstance(player, GreedyDegreeStrategy)
+    if player.role == BREAKER:
+        deg = g.degree
+        assert player.order == sorted(g.sorted_edges(), key=lambda e: (-deg(e[0]) - deg(e[1]), e))
+        assert not any(state.is_free(e) for e in player.order[: player.cursor])
+        return
+    assert player.joined == vc
+    # every outside vertex with a free edge into the territory has a live
+    # entry no higher than its lowest such edge; an entry may be claimed
+    reach = {}
+    for e in free:
+        for w in e:
+            x = e[0] + e[1] - w
+            if w in vc and x not in vc:
+                reach.setdefault(x, e)
+    lowest = player.lowest
+    assert set(reach) <= set(lowest) and not set(lowest) & vc
+    for x, e in lowest.items():
+        assert vc & set(e) and x in e
+        assert e <= reach.get(x, e)
+        assert (-g.degree(x), e, x) in player.heap
+    live = set(player.inside) | set(player.pending)
+    assert {e for e in free if set(e) <= vc} <= live
+    inside = player.inside
+    assert all(inside[(i - 1) // 2] <= inside[i] for i in range(1, len(inside)))
 
 
 @example(n=9, p=0.45, seed=0, start=0, m=2, b=2, cid="random", bid="random", check_from=0)
@@ -87,10 +107,12 @@ def check_queries(state: GameState, pick: random.Random) -> None:
 )
 def test_indexed_baselines_match_naive_rescan(n, p, seed, start, m, b, cid, bid, check_from):
     """At every state of a played game the indexed move equals the
-    rescanning oracle's move from the same Rng state; the index queries
-    match naive lists; applying a move to a copy leaves the original's
-    queries as they were. Queries start after `check_from` moves, so the
-    lists are built both at the first position and mid-game."""
+    rescanning oracle's move from the same Rng state, and neither the
+    move nor applying it to a copy changes the position. After
+    `check_from` moves, each mover's index, updated as if its move were
+    played, matches a full scan of the next position, so indices are
+    checked from the first position and from mid-game on; both players'
+    indices are checked again at the end, once each has moved."""
     g = gen_gnp(n, p, seed)
     if start is not None:
         start %= n
@@ -99,8 +121,8 @@ def test_indexed_baselines_match_naive_rescan(n, p, seed, start, m, b, cid, bid,
     players = {role: make_strategy(sid) for role, sid in ids.items()}
     players[CONNECTOR].start(g, CONNECTOR, derive(seed, 0xC0))
     players[BREAKER].start(g, BREAKER, derive(seed, 0xB0))
-    pick = random.Random(seed)
     empty_rounds = 0
+    moved = set()
     for moves in range(4 * g.edge_count() + 4):
         if free_edge_count(state) == 0 or state.connector_has_spanned() or empty_rounds == 2:
             break
@@ -112,19 +134,20 @@ def test_indexed_baselines_match_naive_rescan(n, p, seed, start, m, b, cid, bid,
         else:
             twin = None
             naive = naive_greedy_move(role, state)
-        if moves >= check_from:
-            check_queries(state, pick)
-            before = index_view(state)
+        before = position(state)
         mv = player.propose(state)
+        moved.add(role)
         assert mv.edges == naive
         if twin is not None:
             assert twin.u64() == player.rng.u64()
         nxt = validate_and_apply(state, mv)
+        assert position(state) == before
         if moves >= check_from:
-            assert index_view(state) == before
+            check_index(player, nxt)
         empty_rounds = empty_rounds + 1 if not mv.edges else 0
         state = nxt
-    check_queries(state, pick)
+    for role in moved:
+        check_index(players[role], state)
 
 
 def test_claim_log_and_territory_follow_play():
@@ -144,24 +167,17 @@ def test_claim_log_and_territory_follow_play():
     assert built.territory == [18, 0, 9] and built.log == []
 
 
-def test_edge_lists_are_built_only_for_the_random_strategy():
-    """Greedy and paper players read CSR rows and build no edge list;
-    the random players build both lists, and they match a full scan at
-    the end of the game."""
+def test_baseline_indices_match_a_full_scan_after_run_game():
+    """Each baseline player's own index, at the end of a game the engine
+    played, matches a full scan of the final position."""
     g = gen_gnp(40, 0.3, 7)
-    for cid, bid, built in (
-        ("greedy-degree", "greedy-degree", False),
-        ("paper-connector", "paper-breaker", False),
-        ("random", "random", True),
-    ):
-        res = run_game(g, make_strategy(cid), make_strategy(bid), start_vertex=0, seed=7)
-        s = res.final_state
-        if not built:
-            assert s._free is None and s._front is None, (cid, bid)
-            continue
-        free = s.free_edges()
-        assert s._free == free
-        assert s._front == [e for e in free if s.v_c & set(e)]
+    for cid, bid in (("greedy-degree", "greedy-degree"), ("random", "random"),
+                     ("random", "greedy-degree"), ("greedy-degree", "random")):
+        players = make_strategy(cid), make_strategy(bid)
+        res = run_game(g, *players, start_vertex=0, seed=7)
+        assert res.rounds > 5
+        for player in players:
+            check_index(player, res.final_state)
 
 
 def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
