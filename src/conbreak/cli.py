@@ -268,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-degree-bound",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="flag rounds where an unclaimed vertex exceeds the ln^2(n) opponent-degree bound",
+        help="flag rounds after which a vertex outside Connector's territory has at least "
+        "ln^2(n) Breaker edges",
     )
     sweep.add_argument(
         "--verify-isolation",

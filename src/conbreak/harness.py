@@ -19,6 +19,7 @@ are summarised or written, so the outputs do not depend on that order.
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import math
 import multiprocessing
@@ -29,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, TextIO, Tuple
 
 from .breaker import BadSetDecomposition
 from .connector import check_bias
-from .engine import BREAKER, CONNECTOR, GameResult, REASON_FORFEIT, replay_states, run_game
+from .engine import BREAKER, CONNECTOR, GameResult, REASON_FORFEIT, run_game
 from .errors import ParameterError
 from .graph import GnpDraws, Graph, gen_gnp, is_integer
 from .rng import check_seed, derive
@@ -182,23 +183,37 @@ class SummaryRow:
 
 
 def degree_bound_flags(g: Graph, result: GameResult) -> List[str]:
-    """Replay a transcript and flag every round after which some vertex
-    outside Connector territory carries at least ln^2(n) opponent edges."""
+    """Flag every round after whose Breaker move some vertex outside
+    Connector territory carries at least ln^2(n) Breaker edges.
+
+    A walk over `result.transcript`, not a replay: it keeps only Breaker's
+    per-vertex edge counts and the territory, and checks no move. It
+    trusts the transcript to be legal, as `run_game` checked every move
+    it recorded."""
     n = g.n
     if n < 2:
         return []
     bound = math.log(n) ** 2
-    out: List[str] = []
-    # Breaker degrees only grow, and only at the endpoints of Breaker
-    # moves, so the vertices at or over the bound are kept as a set
+    deg = [0] * n
+    vc: Set[int] = set() if result.start_vertex is None else {result.start_vertex}
+    # Breaker degrees and the territory only grow, so a vertex outside the
+    # territory at or over the bound stays flagged until it joins it
     over: Set[int] = set()
-    states = replay_states(result, g)
-    for (rnd, role, state), (_, _, edges) in zip(states, result.transcript):
+    out: List[str] = []
+    for rnd, role, edges in result.transcript:
         if role == BREAKER:
-            deg = state.breaker_degrees
-            over.update(w for e in edges for w in e if deg[w] >= bound)
-            if any(w not in state.v_c for w in over):
+            for e in edges:
+                for w in e:
+                    deg[w] += 1
+                    if deg[w] >= bound and w not in vc:
+                        over.add(w)
+            if over:
                 out.append(f"{FLAG_DEGREE_BOUND}@{rnd}")
+        else:
+            for e in edges:
+                vc.update(e)
+                if over:
+                    over.difference_update(e)
     return out
 
 
@@ -298,14 +313,21 @@ def _replacing(path: Optional[str]) -> Iterator[Optional[TextIO]]:
     """A text file written beside `path` that replaces it when the block
     ends without an error; on an error it is removed and `path` is left
     as it was. None when no path is given. A missing directory, or a
-    directory at `path`, fails here, before the block runs."""
+    directory at `path`, fails here, before the block runs. A temporary
+    file that a killed run left behind is skipped, not reused."""
     if not path:
         yield None
         return
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    # pids repeat across runs, so a counter picks a name not yet taken
+    for k in itertools.count():
+        tmp = f"{path}.{os.getpid()}.{k}.tmp"
+        try:
+            fh = open(tmp, "x", encoding="utf-8", newline="\n")
+            break
+        except FileExistsError:
+            continue
     try:
         with fh:
             yield fh

@@ -188,6 +188,26 @@ def test_sweep_bad_config_keeps_existing_outputs(capsys, tmp_path, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.jsonl"]
 
 
+def test_sweep_skips_stale_temporary_outputs(capsys, tmp_path, monkeypatch):
+    # a killed run leaves its temporary output behind, and a later run
+    # may get the same pid
+    monkeypatch.setattr(os, "getpid", lambda: 4242)
+    stale = ["x.csv.4242.tmp", "x.csv.4242.0.tmp", "x.csv.4242.1.tmp"]
+    for name in stale:
+        (tmp_path / name).write_text("stale\n")
+    out_csv = tmp_path / "x.csv"
+    argv = ["sweep", "--ns", "20", "--ps", "0.5", "--trials", "1", "--connector", "random",
+            "--breaker", "random", "--out", str(out_csv)]
+    rc, out, err = run_main(capsys, argv)
+    assert rc == 0 and err == "" and out_csv.read_text() == out
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["x.csv"] + stale)
+    assert all((tmp_path / name).read_text() == "stale\n" for name in stale)
+    # the output keeps the mode a plain open gives it
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out_csv.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_sweep_failing_in_a_game_keeps_existing_outputs(capsys, tmp_path):
     # the solver refuses the 20-vertex board only when the first game
     # starts, after the outputs are open

@@ -6,6 +6,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conbreak import (
     GameResult,
@@ -24,6 +26,7 @@ from conbreak import (
     threshold_scan,
     validate_and_apply,
 )
+from conbreak import engine
 from conbreak.engine import BREAKER, CONNECTOR, REASON_EXHAUSTED, replay_states
 from conbreak.harness import (
     CSV_HEADER,
@@ -409,15 +412,18 @@ def fabricate_result(g, m, b, start, entries, winner=BREAKER, reason=REASON_EXHA
     )
 
 
+# ln(8)^2 is about 4.3, so five Breaker edges at one outside vertex trip it
+PILING_BOARD = Graph(8, [(0, k) for k in range(1, 8)])
+PILING = (
+    (1, CONNECTOR, ()),
+    (1, BREAKER, ((0, 1), (0, 2), (0, 3))),
+    (2, CONNECTOR, ()),
+    (2, BREAKER, ((0, 4), (0, 5))),
+)
+
+
 def test_degree_bound_flags_detect_piling():
-    # ln(8)^2 is about 4.3, so five Breaker edges at one outside vertex trip it
-    g = Graph(8, [(0, k) for k in range(1, 8)])
-    entries = (
-        (1, CONNECTOR, ()),
-        (1, BREAKER, ((0, 1), (0, 2), (0, 3))),
-        (2, CONNECTOR, ()),
-        (2, BREAKER, ((0, 4), (0, 5))),
-    )
+    g, entries = PILING_BOARD, PILING
     result = fabricate_result(g, 1, 3, None, entries)
     assert degree_bound_flags(g, result) == [f"{FLAG_DEGREE_BOUND}@2"]
 
@@ -462,6 +468,94 @@ def test_degree_bound_flags_match_naive_scan():
                 cleared += last < result.transcript[-1][0]
     # games that cross the bound, some of which Connector later absorbs
     assert flagged >= 10 and cleared >= 1, (flagged, cleared)
+
+
+def test_degree_bound_flags_do_not_replay(monkeypatch):
+    result = fabricate_result(PILING_BOARD, 1, 3, None, PILING)
+
+    def refuse(state, move):
+        raise AssertionError("a move was checked again")
+
+    # replay_states reads the module global, so the patch catches a replay
+    monkeypatch.setattr(engine, "_check_move", refuse)
+    with pytest.raises(AssertionError):
+        next(replay_states(result, PILING_BOARD))
+    assert degree_bound_flags(PILING_BOARD, result) == [f"{FLAG_DEGREE_BOUND}@2"]
+
+
+@st.composite
+def legal_games(draw):
+    """A board of at most 8 vertices, biases m, b in {1, 2, 3}, a start
+    vertex or None, and a legal transcript on them, empty moves included,
+    that ends where run_game would end the game."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(
+        st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), min_size=1, unique=True)
+    )
+    g = Graph(n, sorted(pairs))
+    m, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    start = draw(st.none() | st.integers(0, n - 1))
+    state = GameState(g, m=m, b=b, start_vertex=start)
+    entries = []
+    while len(entries) < 60:
+        role = state.to_move
+        reach = set(state.v_c)
+        edges = []
+        for _ in range(draw(st.integers(0, state.bias(role)))):
+            legal = [
+                e for e in state.free_edges()
+                if e not in edges and (role == BREAKER or not reach or reach.intersection(e))
+            ]
+            if not legal:
+                break
+            edges.append(draw(st.sampled_from(legal)))
+            reach.update(edges[-1])
+        entries.append((state.round, role, tuple(edges)))
+        state = validate_and_apply(state, Move(tuple(edges)))
+        if role == CONNECTOR and state.connector_has_spanned() or not state.free_edges():
+            break
+        if len(entries) >= 2 and not entries[-1][2] and not entries[-2][2]:
+            break
+    return g, m, b, start, tuple(entries)
+
+
+# ln(5)^2 is about 2.6: vertex 0 reaches three Breaker edges with the first
+# edge of round 2's Breaker move, Connector absorbs it in round 3, and the
+# three Breaker edges vertex 1 reaches in round 4 come after it joined
+ABSORBED = (
+    Graph(5, list(itertools.combinations(range(5), 2))),
+    1,
+    3,
+    None,
+    (
+        (1, CONNECTOR, ((3, 4),)),
+        (1, BREAKER, ((0, 1), (0, 2))),
+        (2, CONNECTOR, ((2, 4),)),
+        (2, BREAKER, ((0, 3), (1, 3))),
+        (3, CONNECTOR, ((0, 4),)),
+        (3, BREAKER, ()),
+        (4, CONNECTOR, ((1, 2),)),
+        (4, BREAKER, ((1, 4),)),
+    ),
+)
+
+
+def test_degree_bound_flags_stop_when_connector_absorbs():
+    g, m, b, start, entries = ABSORBED
+    result = fabricate_result(g, m, b, start, entries)
+    assert degree_bound_flags(g, result) == [f"{FLAG_DEGREE_BOUND}@2"]
+    assert naive_degree_bound_flags(g, result) == [f"{FLAG_DEGREE_BOUND}@2"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(legal_games())
+@example(ABSORBED)
+@example((PILING_BOARD, 1, 3, None, PILING))
+@example((PILING_BOARD, 1, 3, 0, PILING))
+def test_degree_bound_flags_match_naive_scan_on_fabricated_games(game):
+    g, m, b, start, entries = game
+    result = fabricate_result(g, m, b, start, entries)
+    assert degree_bound_flags(g, result) == naive_degree_bound_flags(g, result)
 
 
 def fan_graph() -> Graph:
