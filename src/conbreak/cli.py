@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-isolation",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="audit isolation-strategy games move by move",
+        help="flag when the defended vertex joined territory and the first uncleared violation",
     )
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes, at most the core count")
     sweep.add_argument(

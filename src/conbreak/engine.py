@@ -18,7 +18,7 @@ from a position she refuses to play).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Protocol, Set, Tuple
 
 from .errors import ConbreakError, ConnectivityError, IllegalMoveError, ParameterError
 from .graph import Edge, Graph, edge, is_integer
@@ -328,9 +328,9 @@ class GameResult:
     """Outcome plus a replayable transcript.
 
     `transcript` holds one (round, role, edges) entry per move in play
-    order. Replaying the moves from the initial state (`replay_states`)
-    reproduces `final_state`. `rounds` is the round number of the
-    last recorded move, 0 when the game ended before any move.
+    order, edges written u < v; applied in turn to the initial state they
+    reproduce `final_state`. `rounds` is the round number of the last
+    recorded move, 0 when the game ended before any move.
     """
 
     winner: str
@@ -448,20 +448,3 @@ def run_game(
         start_vertex=start_vertex,
         seed=seed,
     )
-
-
-def replay_states(
-    result: GameResult, graph: Graph
-) -> Iterator[Tuple[int, str, GameState]]:
-    """Replay a recorded game, checking each move like the game loop does,
-    and yield (round, role, state) after each move. The state is one
-    object updated in place. A move out of turn raises ParameterError; an
-    illegal or unreadable move raises the game loop's ConbreakError."""
-    state = GameState(graph, m=result.m, b=result.b, start_vertex=result.start_vertex)
-    for rnd, role, edges in result.transcript:
-        if role != state.to_move:
-            raise ParameterError(
-                f"transcript out of turn at round {rnd}: {role} cannot move"
-            )
-        _apply_in_place(state, _check_move(state, Move(edges)))
-        yield rnd, role, state

@@ -219,8 +219,8 @@ def degree_bound_flags(g: Graph, result: GameResult) -> List[str]:
 
 def isolation_flags(g: Graph, result: GameResult, dec: BadSetDecomposition) -> List[str]:
     """Audit a finished game against an isolation decomposition: flag the
-    round where the defended vertex joined territory, and every Breaker
-    reply that left violation edges standing."""
+    round where the defended vertex joined territory, and the first
+    Breaker reply that left violation edges standing."""
     from .verifier import check_q
 
     report = check_q(g, result, dec)

@@ -6,8 +6,8 @@ verdict per clause, a concrete re-checkable witness for every false
 verdict, and the numeric parameters used. Checkers are pure functions;
 nothing here mutates game state. B checks the paper Breaker's bad-set
 layering (`find_candidate` runs it on every candidate), D the
-Connector's levelled decomposition, and Q replays a finished game to
-audit the isolation defense.
+Connector's levelled decomposition, and Q walks a finished game's
+transcript to audit the isolation defense.
 
 D4 encodes an asymptotic degree bound: its threshold is evaluated
 exactly at the given (n, eps), yet small boards routinely miss it, so it
@@ -22,11 +22,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .breaker import BadSetDecomposition, q_violations
+from .breaker import BadSetDecomposition
 from .connector import Decomposition, alpha_table
-from .engine import BREAKER, GameResult, replay_states
+from .engine import BREAKER, CONNECTOR, GameResult
 from .errors import ParameterError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, edge
 
 Witness = Dict[str, object]
 
@@ -250,26 +250,43 @@ def check_d(dec: Decomposition, eps: Optional[float] = None) -> PropertyReport:
 
 
 def check_q(g: Graph, result: GameResult, dec: BadSetDecomposition) -> PropertyReport:
-    """Replays a finished game and audits the isolation defense of dec's
-    center: `isolated` holds when the center never joined Connector
-    territory, `cleared` when no violation edge survived any of Breaker's
-    replies."""
-    isolated = Clause(True)
-    cleared = Clause(True)
+    """Audit the isolation defense of dec's center x in one walk over the
+    transcript `run_game` checked; a move out of turn raises ParameterError.
+    `isolated`: x never joined Connector territory. `cleared`: no Breaker
+    reply made while x was outside left a `breaker.q_violations` edge free."""
+    moves = result.transcript
+    never = len(moves)
+    joined = {} if result.start_vertex is None else {result.start_vertex: -1}
+    claimed: Dict[Edge, int] = {}  # edge -> index of the move claiming it
+    for i, (rnd, role, edges) in enumerate(moves):
+        if role != (BREAKER if i % 2 else CONNECTOR):
+            raise ParameterError(f"transcript out of turn at round {rnd}: {role} cannot move")
+        for e in edges:
+            claimed[e] = i
+            if role == CONNECTOR:
+                joined.setdefault(e[0], i)
+                joined.setdefault(e[1], i)
+    isolated = cleared = Clause(True)
+    end = joined.get(dec.x, never)
     if dec.x == result.start_vertex:
         isolated = Clause(False, {"round": 0, "reason": "center is the start vertex"})
-    for rnd, role, state in replay_states(result, g):
-        if isolated.passed and dec.x in state.v_c:
-            isolated = Clause(False, {"round": rnd})
-        if role == BREAKER and cleared.passed and isolated.passed:
-            viol = q_violations(state, dec)
-            if viol:
-                cleared = Clause(False, {"round": rnd, "edges": [list(e) for e in viol]})
-    report = PropertyReport(
-        family="Q",
-        params={"n": g.n, "x": dec.x, "rounds": result.rounds, "winner": result.winner},
-    )
-    report.clauses["isolated"] = isolated
-    report.clauses["cleared"] = cleared
-    return report
-
+    elif end < never:
+        isolated = Clause(False, {"round": moves[end][0]})
+    # an edge vw from a layer vertex v to a w on no strictly earlier layer
+    # (or off the layers) is a violation after Breaker move t exactly when
+    # joined[w] <= t < min(joined[v], claimed[vw], joined[x]); as w joined at
+    # -1 or an even index, t0 = max(joined[w] + 1, 1) is Breaker's next move
+    levels = dec.level_map()
+    spans = []
+    for v, lv in levels.items():
+        for w in g.row(v):
+            if w in joined and levels.get(w, lv) >= lv:
+                e = edge(v, w)
+                hi = min(joined.get(v, never), claimed.get(e, never), end)
+                spans.append((max(joined[w] + 1, 1), hi, e))
+    first = min((t0 for t0, hi, _ in spans if t0 < hi), default=never)
+    if first < never:
+        viol = sorted({e for t0, hi, e in spans if t0 <= first < hi})
+        cleared = Clause(False, {"round": moves[first][0], "edges": [list(e) for e in viol]})
+    params = {"n": g.n, "x": dec.x, "rounds": result.rounds, "winner": result.winner}
+    return PropertyReport("Q", params, {"isolated": isolated, "cleared": cleared})

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from conbreak import Graph
 from conbreak.graph import edge
@@ -740,3 +740,51 @@ def naive_case(state, plan) -> int:
     if not set(plan.a2) <= vc:
         return 2
     return 3
+
+
+# ---------------------------------------------------------------------------
+# finished games, replayed
+
+
+def replay_states(result, graph: Graph) -> Iterator[Tuple[int, str, object]]:
+    """Replay a recorded game, checking each move as the game loop does,
+    and yield (round, role, state) after each move, a fresh state each
+    time. A move out of turn raises ParameterError; an illegal or
+    unreadable move raises the game loop's ConbreakError."""
+    from conbreak import GameState, Move, ParameterError, validate_and_apply
+
+    state = GameState(graph, m=result.m, b=result.b, start_vertex=result.start_vertex)
+    for rnd, role, edges in result.transcript:
+        if role != state.to_move:
+            raise ParameterError(
+                f"transcript out of turn at round {rnd}: {role} cannot move"
+            )
+        state = validate_and_apply(state, Move(edges))
+        yield rnd, role, state
+
+
+def naive_check_q(g: Graph, result, dec):
+    """The isolation audit as a replay: ask `q_violations` after every
+    Breaker move while the center stays outside Connector territory."""
+    from conbreak.breaker import q_violations
+    from conbreak.engine import BREAKER
+    from conbreak.verifier import Clause, PropertyReport
+
+    isolated = Clause(True)
+    cleared = Clause(True)
+    if dec.x == result.start_vertex:
+        isolated = Clause(False, {"round": 0, "reason": "center is the start vertex"})
+    for rnd, role, state in replay_states(result, g):
+        if isolated.passed and dec.x in state.v_c:
+            isolated = Clause(False, {"round": rnd})
+        if role == BREAKER and cleared.passed and isolated.passed:
+            viol = q_violations(state, dec)
+            if viol:
+                cleared = Clause(False, {"round": rnd, "edges": [list(e) for e in viol]})
+    report = PropertyReport(
+        family="Q",
+        params={"n": g.n, "x": dec.x, "rounds": result.rounds, "winner": result.winner},
+    )
+    report.clauses["isolated"] = isolated
+    report.clauses["cleared"] = cleared
+    return report

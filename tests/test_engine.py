@@ -26,10 +26,9 @@ from conbreak import (
     run_game,
     validate_and_apply,
 )
-from conbreak.engine import replay_states
 from conbreak.rng import Rng
 
-from oracles import free_edge_count
+from oracles import free_edge_count, replay_states
 
 
 class Scripted:

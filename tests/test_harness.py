@@ -19,6 +19,7 @@ from conbreak import (
     TrialConfig,
     TrialRecord,
     build_bad_set,
+    check_q,
     gen_gnp,
     make_strategy,
     run_game,
@@ -27,7 +28,7 @@ from conbreak import (
     validate_and_apply,
 )
 from conbreak import engine
-from conbreak.engine import BREAKER, CONNECTOR, REASON_EXHAUSTED, replay_states
+from conbreak.engine import BREAKER, CONNECTOR, REASON_EXHAUSTED
 from conbreak.harness import (
     CSV_HEADER,
     FLAG_DEGREE_BOUND,
@@ -41,6 +42,8 @@ from conbreak.harness import (
     summary_csv,
 )
 from conbreak.rng import derive
+
+from oracles import naive_check_q, replay_states
 
 
 def small_cfg(**overrides) -> TrialConfig:
@@ -470,17 +473,29 @@ def test_degree_bound_flags_match_naive_scan():
     assert flagged >= 10 and cleared >= 1, (flagged, cleared)
 
 
-def test_degree_bound_flags_do_not_replay(monkeypatch):
-    result = fabricate_result(PILING_BOARD, 1, 3, None, PILING)
+def test_audits_do_not_replay(monkeypatch):
+    piling = fabricate_result(PILING_BOARD, 1, 3, None, PILING)
+    g = fan_graph()
+    dec = build_bad_set(g, 0)
+    # Breaker leaves round 1's violations standing, then the center joins
+    late = fabricate_result(
+        g, 1, 2, 4, ((1, CONNECTOR, ((2, 4),)), (1, BREAKER, ()), (2, CONNECTOR, ((0, 2),)))
+    )
 
-    def refuse(state, move):
-        raise AssertionError("a move was checked again")
+    def refuse(*args):
+        raise AssertionError("a move was checked or applied again")
 
-    # replay_states reads the module global, so the patch catches a replay
+    # validate_and_apply, and so the oracle's replay, calls the engine's
+    # helpers as module globals, so the patch catches a replay
     monkeypatch.setattr(engine, "_check_move", refuse)
+    monkeypatch.setattr(engine, "_apply_in_place", refuse)
     with pytest.raises(AssertionError):
-        next(replay_states(result, PILING_BOARD))
-    assert degree_bound_flags(PILING_BOARD, result) == [f"{FLAG_DEGREE_BOUND}@2"]
+        next(replay_states(piling, PILING_BOARD))
+    assert degree_bound_flags(PILING_BOARD, piling) == [f"{FLAG_DEGREE_BOUND}@2"]
+    assert isolation_flags(g, late, dec) == [
+        f"{FLAG_ISOLATION_BROKEN}@2",
+        f"{FLAG_Q_NOT_CLEARED}@1",
+    ]
 
 
 @st.composite
@@ -556,6 +571,15 @@ def test_degree_bound_flags_match_naive_scan_on_fabricated_games(game):
     g, m, b, start, entries = game
     result = fabricate_result(g, m, b, start, entries)
     assert degree_bound_flags(g, result) == naive_degree_bound_flags(g, result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(legal_games(), st.data())
+def test_check_q_matches_replay_on_fabricated_games(game, data):
+    g, m, b, start, entries = game
+    result = fabricate_result(g, m, b, start, entries)
+    dec = build_bad_set(g, data.draw(st.integers(0, g.n - 1), label="center"))
+    assert check_q(g, result, dec).to_json() == naive_check_q(g, result, dec).to_json()
 
 
 def fan_graph() -> Graph:

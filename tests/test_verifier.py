@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -22,11 +24,13 @@ from conbreak import (
     decompose,
     edge,
     gen_gnp,
+    make_strategy,
+    run_game,
     validate_and_apply,
 )
 from conbreak.engine import BREAKER, CONNECTOR, REASON_EXHAUSTED
 
-from oracles import hand_cells
+from oracles import hand_cells, naive_check_q
 
 
 def fan_graph() -> Graph:
@@ -310,6 +314,75 @@ def test_q_center_as_start_vertex():
         "round": 0,
         "reason": "center is the start vertex",
     }
+
+
+def test_q_violation_closed_by_its_outer_end_joining():
+    # the fan graph with a triangle 3-5-6 hung off the first layer: 5 and
+    # 6 lie off the bad layers of 0, and 3 can join through 6 as well as 5
+    g = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (3, 6), (5, 6)])
+    dec = build_bad_set(g, 0)
+    entries = (
+        (1, CONNECTOR, ((5, 6), (3, 6))),
+        (1, BREAKER, ((0, 3),)),
+        (2, CONNECTOR, ()),
+        (2, BREAKER, ()),
+    )
+    result = play_record(g, 2, 2, 5, entries, BREAKER, REASON_EXHAUSTED)
+    # (3, 5) stays free with 5 in territory from the start, but 3 joined
+    # before Breaker's first reply, so it was never a violation
+    assert result.final_state.is_free((3, 5))
+    rep = check_q(g, result, dec)
+    assert rep.clauses["cleared"].passed and rep.clauses["isolated"].passed
+
+
+def test_q_violation_surviving_two_replies_reports_the_first():
+    g = fan_graph()
+    dec = build_bad_set(g, 0)
+    entries = (
+        (1, CONNECTOR, ((2, 4),)),
+        (1, BREAKER, ((0, 2),)),
+        (2, CONNECTOR, ()),
+        (2, BREAKER, ()),
+    )
+    result = play_record(g, 1, 2, 4, entries, BREAKER, REASON_EXHAUSTED)
+    rep = check_q(g, result, dec)
+    assert rep.clauses["cleared"].witness == {"round": 1, "edges": [[1, 4]]}
+    assert rep.clauses["isolated"].passed
+
+
+def test_q_uncleared_before_the_center_joins():
+    g = fan_graph()
+    dec = build_bad_set(g, 0)
+    entries = (
+        (1, CONNECTOR, ((2, 4),)),
+        (1, BREAKER, ()),
+        (2, CONNECTOR, ((0, 2),)),
+    )
+    result = play_record(g, 1, 2, 4, entries, CONNECTOR, "spanned")
+    rep = check_q(g, result, dec)
+    assert rep.clauses["cleared"].witness == {"round": 1, "edges": [[0, 2], [1, 4]]}
+    assert rep.clauses["isolated"].witness == {"round": 2}
+
+
+def test_q_walk_matches_replay_on_played_games():
+    # random and greedy Connectors against the paper Breaker, audited
+    # around its adopted center and around three fixed ones
+    failed = Counter()
+    games = itertools.product((30, 60, 200), range(8), ("random", "greedy-degree"))
+    for n, seed, connector in games:
+        g = gen_gnp(n, n**-0.8 if seed % 2 else 0.1, seed)
+        breaker = make_strategy("paper-breaker")
+        start = 0 if seed % 3 else None
+        result = run_game(g, make_strategy(connector), breaker, start_vertex=start, seed=seed)
+        decs = [build_bad_set(g, x) for x in (0, 1, n // 2)]
+        if breaker.decomposition is not None:
+            decs.append(breaker.decomposition)
+        for dec in decs:
+            rep = check_q(g, result, dec)
+            expected = naive_check_q(g, result, dec).to_json()
+            assert rep.to_json() == expected, (n, seed, connector, dec.x)
+            failed.update(rep.failures())
+    assert failed["cleared"] >= 20 and failed["isolated"] >= 20, failed
 
 
 def test_q_rejects_out_of_turn_transcript():
