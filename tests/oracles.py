@@ -731,6 +731,19 @@ def naive_select_target(state, plan) -> int:
     return max(missing, key=lambda v: sum(1 for e in state.breaker_edges if v in e))
 
 
+def naive_direct_edge(state, plan, x: int) -> Optional[Tuple[int, int]]:
+    """The Connector's direct edge into target x by set operations: the
+    territory's neighbours of x split into those in a2 and the rest, each
+    part sorted, and the first free edge from a2's part, else from the
+    rest's; None when no territory edge into x is free."""
+    near = state.v_c.intersection(state.graph.row(x))
+    for pool in (sorted(near.intersection(plan.a2)), sorted(near.difference(plan.a2))):
+        for w in pool:
+            if state.is_free(edge(w, x)):
+                return edge(w, x)
+    return None
+
+
 def naive_case(state, plan) -> int:
     """The structure case by subset tests: 1 while a1 is not all in
     territory, else 2 while a2 is not, else 3."""

@@ -44,6 +44,7 @@ from oracles import (
     chase_witness,
     copy_chase,
     hand_cells,
+    naive_direct_edge,
     naive_find_tree,
 )
 
@@ -766,8 +767,8 @@ def test_make_plan_parameters():
 def test_select_target_stage1():
     g = complete_graph(12)
     plan = make_plan(g, m=2, p_hint=0.9)
-    plan.a1 = frozenset({0, 1, 2})
-    plan.a2 = frozenset({3, 4, 5})
+    plan.a1 = range(3)
+    plan.a2 = range(3, 6)
     s = GameState(g, connector_edges=[(0, 2)])
     assert select_target(s, plan) == 1
     s = GameState(g, connector_edges=[(0, 1), (1, 2)])
@@ -824,6 +825,24 @@ def test_connector_move_opening_and_fast_paths():
     assert mv.edges in (((1, 2),), ((0, 2),))
 
 
+def test_connector_move_direct_edge_prefers_a2_then_lowest():
+    g = complete_graph(12)
+    # n=12: a1 = range(3), a2 = range(3, 9); stage I targets vertex 1
+    plan = make_plan(g, m=2, p_hint=0.9)
+    s = GameState(g, m=2, b=2, connector_edges=[(0, 4), (4, 9)])
+    # the a2 edge (1, 4) beats the lower free edge (0, 1) from a1
+    assert connector_move(s, plan) == Move(((1, 4),))
+    assert plan.target == 1
+    assert naive_direct_edge(s, plan, 1) == (1, 4)
+    # with (1, 4) taken by Breaker the lowest other territory edge is next
+    plan2 = make_plan(g, m=2, p_hint=0.9)
+    s2 = GameState(
+        g, m=2, b=2, connector_edges=[(0, 4), (4, 9)], breaker_edges=[(1, 4)]
+    )
+    assert connector_move(s2, plan2) == Move(((0, 1),))
+    assert naive_direct_edge(s2, plan2, 1) == (0, 1)
+
+
 def test_connector_move_stage_flips_when_target_lands():
     g = complete_graph(12)
     plan = make_plan(g, m=2, p_hint=0.9)
@@ -850,8 +869,8 @@ def test_connector_move_forfeits_without_structure():
 def test_connector_move_budget_forfeit():
     g = complete_graph(12)
     plan = make_plan(g, m=2, p_hint=0.9)
-    plan.a1 = frozenset({0})
-    plan.a2 = frozenset({1})
+    plan.a1 = range(1)
+    plan.a2 = range(1, 2)
     s = GameState(g, m=2, b=2, connector_edges=[(6, 7)])
     # replay the same unprogressed state past the budget: the plan burns a
     # round per call and eventually resigns
@@ -865,16 +884,16 @@ def test_connector_move_budget_forfeit():
 def test_connector_move_case3_needs_single_edge():
     g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4), (0, 4), (2, 3)])
     plan = make_plan(g, m=2, p_hint=0.9)
-    plan.a1 = frozenset({0, 1})
-    plan.a2 = frozenset({2})
+    plan.a1 = range(2)
+    plan.a2 = range(2, 3)
     s = GameState(g, m=2, b=2, connector_edges=[(0, 1), (1, 2)])
     mv = connector_move(s, plan)
     assert plan.case == 3
     assert mv.edges in (((2, 3),), ((0, 4),))
     # same position with those edges gone: forfeit
     plan2 = make_plan(g, m=2, p_hint=0.9)
-    plan2.a1 = frozenset({0, 1})
-    plan2.a2 = frozenset({2})
+    plan2.a1 = range(2)
+    plan2.a2 = range(2, 3)
     s2 = GameState(
         g, m=2, b=2, connector_edges=[(0, 1), (1, 2)],
         breaker_edges=[(2, 3), (0, 4)],

@@ -5,7 +5,9 @@ keep their own sorted lists, heaps and cursors instead of rescanning
 every edge; `select_target` reads a lowest-missing-vertex cursor and a
 lazy degree heap instead of scanning every vertex, and derives the
 structure case from that cursor instead of testing the reservoirs as
-subsets. Each must give exactly the move, target or case of the naive
+subsets; `connector_move` finds its direct edge into the target in one
+pass over the target's row instead of set operations over the reservoir
+a2. Each must give exactly the move, target or case of the naive
 scan in `oracles`, from the same random stream, and each strategy's
 index must agree with a full scan of the position it was last brought
 up to date with.
@@ -18,15 +20,16 @@ import copy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conbreak import connector
+from conbreak import connector, strategies
 from conbreak.engine import BREAKER, CONNECTOR, GameState, run_game, validate_and_apply
-from conbreak.graph import gen_gnp
+from conbreak.graph import edge, gen_gnp
 from conbreak.rng import derive
 from conbreak.strategies import GreedyDegreeStrategy, RandomStrategy, make_strategy
 
 from oracles import (
     free_edge_count,
     naive_case,
+    naive_direct_edge,
     naive_greedy_move,
     naive_random_move,
     naive_select_target,
@@ -211,3 +214,46 @@ def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
                 )
     assert stages.count("I") > 50 and stages.count("II") > 50
     assert set(cases) == {1, 2, 3}
+
+
+def test_direct_edge_matches_set_rule_on_paper_games(monkeypatch):
+    """Recorded paper-connector games, with every round that reaches the
+    direct-edge rule checked against the set-based rule: its edge, when
+    one exists, is the whole move. Both sides of the rule are reached: an
+    a2 edge taken while a lower non-a2 territory edge into the target was
+    free, and a non-a2 edge taken when no a2 edge was free."""
+    real = strategies.connector_move
+    picks = []
+
+    def checked(state, plan):
+        move = real(state, plan)
+        vc = state.v_c
+        if not vc or len(vc) == state.graph.n or plan.rounds_used > plan.budget:
+            return move  # the rule was not reached
+        x = plan.target
+        want = naive_direct_edge(state, plan, x)
+        if want is not None:
+            assert move.edges == (want,) and not move.forfeit
+            w = want[0] if want[1] == x else want[1]
+            lower = any(
+                v < w and v in vc and v not in plan.a2 and state.is_free(edge(v, x))
+                for v in state.graph.row(x)
+            )
+            picks.append((w in plan.a2, lower))
+        return move
+
+    monkeypatch.setattr(strategies, "connector_move", checked)
+    for n, e in ((60, -0.3), (60, -0.4), (200, -0.3), (200, -0.4)):
+        for seed in range(4):
+            g = gen_gnp(n, n**e, seed)
+            for bid in ("random", "greedy-degree", "paper-breaker"):
+                run_game(
+                    g,
+                    make_strategy("paper-connector", p_hint=n**e),
+                    make_strategy(bid),
+                    start_vertex=0,
+                    seed=seed,
+                )
+    assert len(picks) > 100
+    assert (True, True) in picks
+    assert any(not in_a2 for in_a2, _ in picks)
