@@ -670,10 +670,11 @@ def select_target(state: GameState, plan: ConnectorPlan) -> int:
 
     The states passed to one plan must be successive positions of one
     game: the lowest missing vertex is a cursor `low` that moves past
-    territory, and stage II reads a lazy heap fed with the Breaker claims
-    logged since its last call. An entry is dropped when its vertex has
-    joined the territory or gained Breaker edges since (a newer entry
-    holds the new degree)."""
+    territory, and stage II reads a lazy heap. Each call pushes one entry
+    for each vertex outside territory that a Breaker claim logged since
+    the last call touched, however many of those claims touch it. An
+    entry is dropped when its vertex has joined the territory or gained
+    Breaker edges since (a newer entry holds the new degree)."""
     vc = state.v_c
     n = state.graph.n
     low = plan.low
@@ -691,10 +692,10 @@ def select_target(state: GameState, plan: ConnectorPlan) -> int:
         heap = plan.degree_heap = [(-deg[v], v) for v in range(n) if v not in vc]
         heapq.heapify(heap)
     else:
-        for role, e in state.log[plan.log_read:]:
-            if role == BREAKER:
-                for w in e:
-                    heapq.heappush(heap, (-deg[w], w))
+        touched = {w for role, e in state.log[plan.log_read:] if role == BREAKER for w in e}
+        for w in touched:
+            if w not in vc:
+                heapq.heappush(heap, (-deg[w], w))
     plan.log_read = len(state.log)
     # every missing vertex has an entry with its current degree, and low
     # is missing, so the heap holds a live entry
@@ -715,8 +716,11 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
     Per round: refresh bookkeeping, grab a free edge straight into the
     target when one exists, otherwise acquire the target's structure and
     hand two of its branches to a TargetChase, which descends one level
-    per round. A missing or broken structure, or a blown round budget, is
-    an explicit forfeit carrying a reason flag."""
+    per round. The direct edge comes from one ascending pass over the
+    target's row, O(deg x): the first free edge from a territory vertex
+    in a2, else the first free edge from any other territory vertex. A
+    missing or broken structure, or a blown round budget, is an explicit
+    forfeit carrying a reason flag."""
     g = state.graph
     vc = state.v_c
     # the territory only grows, so its entries past len(vc_order) are new
@@ -747,11 +751,18 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
 
     # a free edge straight into the target beats any structure; prefer the
     # a2 reservoir side so the endgame case stays on its guaranteed supply
-    near = vc.intersection(g.row(x))
-    for pool in (sorted(near.intersection(plan.a2)), sorted(near.difference(plan.a2))):
-        for w in pool:
-            if state.is_free(edge(w, x)):
-                return Move((edge(w, x),))
+    claimed, blocked = state.connector_edges, state.breaker_edges
+    fallback = None
+    for w in g.row(x):
+        if w in vc:
+            e = (w, x) if w < x else (x, w)
+            if e not in claimed and e not in blocked:
+                if w in plan.a2:
+                    return Move((e,))
+                if fallback is None:
+                    fallback = e
+    if fallback is not None:
+        return Move((fallback,))
 
     if plan.case == 3:
         # every reservoir is in territory; a single free edge must exist
