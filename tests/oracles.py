@@ -494,6 +494,187 @@ def hand_cells(
 
 
 # ---------------------------------------------------------------------------
+# embedded trees and the subtree-based descent
+
+
+def tree_arcs(t) -> List[Tuple[int, int]]:
+    """(parent vertex, child vertex) pairs of an embedded tree, top level
+    first."""
+    h = t.heap
+    return [(h[p - 1], h[c - 1]) for p in range(1, 2 ** (t.k - 1)) for c in (2 * p, 2 * p + 1)]
+
+
+def tree_leaves(t) -> List[int]:
+    """The vertices of an embedded tree's leaves, left to right."""
+    return list(t.heap[2 ** (t.k - 1) - 1 :])
+
+
+def subtree(t, h: int):
+    """The embedded subtree rooted at node h, re-indexed so its own root
+    is node 1."""
+    from conbreak.connector import TreeEmbedding
+
+    k = t.k - h.bit_length() + 1
+    heap: List[int] = []
+    for d in range(k):
+        first = h << d
+        heap.extend(t.heap[first - 1 : first - 1 + 2**d])
+    return TreeEmbedding(k, tuple(heap))
+
+
+def reference_tree_survives(t, x: int, state) -> bool:
+    """Every arc of t is free of Breaker or leads into territory, and every
+    leaf has an edge to x that Breaker has not claimed."""
+    for u, w in tree_arcs(t):
+        if edge(u, w) in state.breaker_edges and w not in state.v_c:
+            return False
+    return all(
+        state.graph.has_edge(leaf, x) and edge(leaf, x) not in state.breaker_edges
+        for leaf in tree_leaves(t)
+    )
+
+
+def reference_branch_good(branch, x: int, state) -> bool:
+    """A branch (parent vertex, child vertex, subtree below the child) is
+    good when its entry edge is free or leads into territory and its
+    subtree survives."""
+    parent, child, sub = branch
+    if child not in state.v_c and not state.is_free(edge(parent, child)):
+        return False
+    return reference_tree_survives(sub, x, state)
+
+
+def reference_two_good(cands, x: int, state):
+    """The first two good candidates, or None when fewer are good."""
+    good = [br for br in cands if reference_branch_good(br, x, state)][:2]
+    return good if len(good) == 2 else None
+
+
+def reference_root_branches(t):
+    """The two branches below t's root, each with its subtree re-embedded."""
+    return [(t.root, sub.root, sub) for sub in (subtree(t, 2), subtree(t, 3))]
+
+
+class ReferenceChase:
+    """The tree descent with every branch held as a re-embedded subtree:
+    after a level claim the next step expands the entered branches into
+    their root branches and re-selects two good ones; a chase down a whole
+    tree starts from its two root branches as they are."""
+
+    def __init__(self, x: int, branches, needs_expand: bool = False):
+        self.x = x
+        self.branches = branches
+        self.needs_expand = needs_expand
+
+    @staticmethod
+    def of(tree, x: int) -> "ReferenceChase":
+        return ReferenceChase(x, reference_root_branches(tree))
+
+    def step(self, state):
+        from conbreak import Move
+        from conbreak.connector import FORFEIT_BROKEN
+
+        broken = Move((), flags=(FORFEIT_BROKEN,), forfeit=True)
+        vc = state.v_c
+        x = self.x
+        if self.needs_expand:
+            self.needs_expand = False
+            cands = [
+                b
+                for _, child, sub in self.branches
+                if child in vc
+                for b in reference_root_branches(sub)
+            ]
+            good = reference_two_good(cands, x, state)
+            if good is None:
+                return broken
+            self.branches = good
+        if self.branches[0][2].k == 1:
+            for parent, leaf, _ in self.branches:
+                lx = edge(leaf, x)
+                if leaf in vc and state.is_free(lx):
+                    return Move((lx,))
+                pe = edge(parent, leaf)
+                if state.is_free(pe) and state.is_free(lx):
+                    return Move((pe, lx))
+            return broken
+        claims = []
+        for parent, child, _ in self.branches:
+            if child not in vc:
+                pe = edge(parent, child)
+                if not state.is_free(pe):
+                    return broken
+                claims.append(pe)
+        self.needs_expand = True
+        return Move(tuple(claims))
+
+
+class ReferenceStructure:
+    """One target's structure rounds, with the stage-II pivot held over a
+    round: the round that claims the pivot edge keeps (z, trees) pending,
+    and the next structure round rechecks that z is in territory and picks
+    two good trees among the four. `move` is called on every round of the
+    target that gets past the direct edge in a reservoir case, and returns
+    the move with the names of the paths it took."""
+
+    def __init__(self):
+        self.chase: Optional[ReferenceChase] = None
+        self.pending = None
+
+    def move(self, state, plan):
+        from conbreak import Move
+        from conbreak.connector import (
+            FORFEIT_BROKEN,
+            FORFEIT_NO_STRUCTURE,
+            find_structure_stage2,
+            find_tree_stage1,
+        )
+        from conbreak.rng import MASK64
+
+        g = state.graph
+        vc = state.v_c
+        x = plan.target
+        seed = (plan.seed + plan.targets_done) & MASK64
+        stage = "stage-I chase" if plan.case == 1 else "stage-II chase"
+        if self.chase is None:
+            if plan.case == 1:
+                tree = find_tree_stage1(
+                    g, state.breaker_edges, plan.vc_order, x, plan.k1, seed=seed
+                )
+                if tree is None:
+                    return Move((), flags=(FORFEIT_NO_STRUCTURE,), forfeit=True), ()
+                self.chase = ReferenceChase.of(tree, x)
+            else:
+                if self.pending is not None:
+                    found, self.pending = self.pending, None
+                    if found[0] not in vc:
+                        return Move((), flags=(FORFEIT_BROKEN,), forfeit=True), ()
+                else:
+                    found = find_structure_stage2(
+                        g, state.breaker_edges, vc, plan.a1, x, plan.k2, seed=seed
+                    )
+                    if found is None:
+                        return Move((), flags=(FORFEIT_NO_STRUCTURE,), forfeit=True), ()
+                    z = found[0]
+                    if z not in vc:
+                        for a in plan.a1:
+                            if a != z and g.has_edge(a, z) and state.is_free(edge(a, z)):
+                                self.pending = found
+                                return Move((edge(a, z),)), ("pivot claim",)
+                        return Move((), flags=(FORFEIT_BROKEN,), forfeit=True), ()
+                z, trees = found
+                branches = reference_two_good([(z, t.root, t) for t in trees], x, state)
+                if branches is None:
+                    return Move((), flags=(FORFEIT_BROKEN,), forfeit=True), ()
+                self.chase = ReferenceChase(x, branches)
+        move = self.chase.step(state)
+        paths = (stage,)
+        if not move.forfeit and any(x in e for e in move.edges):
+            paths += ("leaf finish",)
+        return move, paths
+
+
+# ---------------------------------------------------------------------------
 # exhaustive adversary for the tree-descent chase
 
 
@@ -544,8 +725,8 @@ def chase_witness(k: int, extra_edges: Iterable[Tuple[int, int]] = ()):
     nodes = 2**k - 1
     x = nodes
     t = TreeEmbedding(k, tuple(range(nodes)))
-    edges = list(t.arcs())
-    edges += [(leaf, x) for leaf in t.leaves()]
+    edges = tree_arcs(t)
+    edges += [(leaf, x) for leaf in tree_leaves(t)]
     edges += list(extra_edges)
     return Graph(nodes + 1, edges), t, x
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,10 +37,13 @@ from conbreak.connector import (
     _find_tree,
     connector_move,
 )
-from conbreak import connector
+from conbreak import connector, strategies
+from conbreak.engine import run_game
 from conbreak.rng import Rng
+from conbreak.strategies import make_strategy
 
 from oracles import (
+    ReferenceStructure,
     chase_survives_all_breaker_play,
     chase_witness,
     copy_chase,
@@ -901,3 +905,43 @@ def test_connector_move_case3_needs_single_edge():
     mv2 = connector_move(s2, plan2)
     assert mv2.forfeit
     assert FORFEIT_NO_EDGE in mv2.flags
+
+
+def test_chase_matches_subtree_descent_on_paper_games(monkeypatch):
+    """Recorded paper-connector games near the crossing, n 200 and 400,
+    against the paper and random Breakers. Every round that gets past the
+    direct edge in a reservoir case is checked against the subtree-based
+    descent in `oracles`, which holds the stage-II pivot over a round.
+    Each path is reached: a stage-I chase, a stage-II pivot claim, a
+    stage-II chase and a finish at the leaves."""
+    real = strategies.connector_move
+    paths = Counter()
+    held = {}
+
+    def checked(state, plan):
+        move = real(state, plan)
+        if not state.v_c or plan.rounds_used > plan.budget or plan.case == 3:
+            return move
+        if naive_direct_edge(state, plan, plan.target) is not None:
+            return move
+        if held.get("plan") is not plan or held["done"] != plan.targets_done:
+            held.update(plan=plan, done=plan.targets_done, ref=ReferenceStructure())
+        want, took = held["ref"].move(state, plan)
+        assert move == want
+        paths.update(took)
+        return move
+
+    monkeypatch.setattr(strategies, "connector_move", checked)
+    for n in (200, 400):
+        for e in (-0.5, -0.45):
+            for seed in range(4):
+                g = gen_gnp(n, n**e, seed)
+                for bid in ("paper-breaker", "random"):
+                    run_game(
+                        g,
+                        make_strategy("paper-connector", p_hint=n**e),
+                        make_strategy(bid),
+                        start_vertex=0,
+                        seed=seed,
+                    )
+    assert set(paths) == {"stage-I chase", "pivot claim", "stage-II chase", "leaf finish"}
