@@ -5,9 +5,11 @@ x she first secures a structure that survives Breaker's interference: a
 full binary tree rooted in her territory whose leaves all see x, with
 every tree edge still claimable. Each round she claims the two edges
 entering the next tree level; Breaker's reply can poison at most two of
-the four surviving branch pairs, so two good branches always remain and
+the four branches below them, so two good branches always remain and
 the tree shrinks by one level per round until a leaf hands her the edge
-into x.
+into x. A branch is named by its node index in the tree the search
+returned, and each round assumes her previous move was applied to the
+position it is given.
 
 Targets come in two alternating flavours, by the parity of the number of
 targets reached: stage I picks the lowest missing vertex, stage II the
@@ -66,43 +68,6 @@ class TreeEmbedding:
 
     def vertices(self) -> FrozenSet[int]:
         return frozenset(self.heap)
-
-    def leaves(self) -> List[int]:
-        return list(self.heap[2 ** (self.k - 1) - 1 :])
-
-    def arcs(self) -> List[Tuple[int, int]]:
-        """(parent vertex, child vertex) pairs, top level first."""
-        t = self.heap
-        inner = range(1, 2 ** (self.k - 1))
-        return [(t[h - 1], t[c - 1]) for h in inner for c in (2 * h, 2 * h + 1)]
-
-    def subtree(self, h: int) -> "TreeEmbedding":
-        """The embedded subtree rooted at node h, re-indexed so its own
-        root is node 1."""
-        if not 1 <= h < 2**self.k:
-            raise ParameterError(f"no node {h} in the {self.k}-level tree")
-        k = self.k - h.bit_length() + 1
-        heap = []
-        for d in range(k):
-            first = h << d
-            heap.extend(self.heap[first - 1 : first - 1 + 2**d])
-        return TreeEmbedding(k, tuple(heap))
-
-
-def _tree_survives(t: TreeEmbedding, x: int, state: GameState) -> bool:
-    """Every tree edge is unclaimed by Breaker or already leads into
-    territory, and every leaf has an edge to x that Breaker has not
-    claimed."""
-    g = state.graph
-    eb = state.breaker_edges
-    vc = state.v_c
-    for u, w in t.arcs():
-        if edge(u, w) in eb and w not in vc:
-            return False
-    for leaf in t.leaves():
-        if not g.has_edge(leaf, x) or edge(leaf, x) in eb:
-            return False
-    return True
 
 
 class _Capped(Exception):
@@ -290,24 +255,24 @@ def find_tree_stage1(
     x: int,
     k: int,
     seed: int = 0,
-    cap: int = EXPANSION_CAP,
 ) -> Optional[TreeEmbedding]:
     """The first k-level tree rooted at one of `roots`, tried in order:
     every arc avoids `blocked` (read in place, not copied), every leaf has
     an unblocked edge to x, and x stays outside the tree. Each root's
     search draws from a fresh Rng(seed); all roots share one budget of
-    `cap` expansions. Returns None when no root has a tree or when the cap
-    runs out (logged), even if a later root has one."""
+    EXPANSION_CAP expansions, read at the call. Returns None when no root
+    has a tree or when the cap runs out (logged), even if a later root
+    has one."""
     if k < 2:
         raise ParameterError(f"tree search needs k >= 2 levels, got {k}")
-    budget = [cap]
+    budget = [EXPANSION_CAP]
     try:
         for r in roots:
             tree = _find_tree(g, blocked, r, x, k, Rng(seed), budget)
             if tree is not None:
                 return tree
     except _Capped:
-        log.debug("stage-1 tree search capped at %d expansions (x=%d)", cap, x)
+        log.debug("stage-1 tree search capped at %d expansions (x=%d)", EXPANSION_CAP, x)
     return None
 
 
@@ -319,19 +284,19 @@ def find_structure_stage2(
     x: int,
     k2: int,
     seed: int = 0,
-    cap: int = EXPANSION_CAP,
 ) -> Optional[Tuple[int, List[TreeEmbedding]]]:
     """Search for a pivot z adjacent to A1 through an unblocked edge, plus
     four vertex-disjoint k2-level trees rooted at distinct unblocked
     neighbors of z. Tree arcs may ride a blocked edge only into `m_set`;
     leaf-to-x edges must be unblocked and x stays outside every tree.
     `blocked` and `m_set` are read in place, not copied. Returns
-    (z, trees) or None (not found, or expansion cap hit)."""
+    (z, trees) or None (not found, or the EXPANSION_CAP budget, read at
+    the call, ran out)."""
     if k2 < 2:
         raise ParameterError(f"tree search needs k2 >= 2 levels, got {k2}")
     a1set = set(a1)
     rng = Rng(seed)
-    budget = [cap]
+    budget = [EXPANSION_CAP]
 
     z_cands = set()
     for a in a1set:
@@ -359,7 +324,7 @@ def find_structure_stage2(
                     if len(trees) == 4:
                         return (z, trees)
     except _Capped:
-        log.debug("stage-2 structure search capped at %d expansions (x=%d)", cap, x)
+        log.debug("stage-2 structure search capped at %d expansions (x=%d)", EXPANSION_CAP, x)
         return None
     return None
 
@@ -543,29 +508,39 @@ FORFEIT_BUDGET = "connector-budget-exceeded"
 FORFEIT_NO_EDGE = "connector-no-edge"
 
 
-@dataclass
-class _Branch:
-    """A surviving branch: an edge from territory vertex `parent` into
-    `child`, plus the embedded subtree hanging below `child`."""
-
-    parent: int
-    child: int
-    sub: TreeEmbedding
+# A branch (v, t, h) is node h of tree t entered from vertex v by the
+# edge (v, t.heap[h-1]), and covers t's subtree below node h. v is in
+# territory by the time a step picks the branch.
+Branch = Tuple[int, TreeEmbedding, int]
 
 
-def _root_branches(t: TreeEmbedding) -> List[_Branch]:
-    """The two branches below t's root."""
-    subs = (t.subtree(2), t.subtree(3))
-    return [_Branch(t.root, sub.root, sub) for sub in subs]
+def _branch_good(br: Branch, x: int, state: GameState) -> bool:
+    """Whether a branch can still lead to x: its entry edge and every arc
+    below node h is unclaimed by Breaker or leads into territory, and
+    every leaf below h has an edge to x that Breaker has not claimed. One
+    walk down the levels of the subtree."""
+    v, t, h = br
+    heap = t.heap
+    eb = state.breaker_edges
+    vc = state.v_c
+    first_leaf = 1 << (t.k - 1)
+    # (parent vertex, node) for every node of the current level
+    level = [(v, h)]
+    while True:
+        for u, c in level:
+            w = heap[c - 1]
+            if w not in vc and edge(u, w) in eb:
+                return False
+        if level[0][1] >= first_leaf:
+            break
+        level = [(heap[c - 1], d) for _, c in level for d in (2 * c, 2 * c + 1)]
+    g = state.graph
+    return all(
+        g.has_edge(heap[c - 1], x) and edge(heap[c - 1], x) not in eb for _, c in level
+    )
 
 
-def _branch_good(br: _Branch, x: int, state: GameState) -> bool:
-    if br.child not in state.v_c and not state.is_free(edge(br.parent, br.child)):
-        return False
-    return _tree_survives(br.sub, x, state)
-
-
-def _two_good(cands: Iterable[_Branch], x: int, state: GameState) -> Optional[List[_Branch]]:
+def _two_good(cands: Iterable[Branch], x: int, state: GameState) -> Optional[List[Branch]]:
     """The first two candidates still good for reaching x, or None when
     fewer survive (the structure is broken)."""
     good = list(islice((br for br in cands if _branch_good(br, x, state)), 2))
@@ -582,9 +557,11 @@ class ConnectorPlan:
     (reservoir fill) or "II" (Breaker-pressure relief) by the parity of
     `targets_done`, the number of targets that have landed in territory.
     `case` is the structure case of the current target, set at its
-    selection. `chase` descends the current target's structure once it is
-    acquired. `vc_order` lists the territory, each batch of new vertices
-    sorted, as the case-1 roots.
+    selection. `chase` descends the current target's structure from the
+    round that acquires it; in case 2 that round may claim only the
+    pivot's edge. `vc_order` lists the territory, each batch of new
+    vertices sorted, as the case-1 roots. Each round assumes the move the
+    plan proposed last was applied to the position it is given.
 
     `select_target` keeps its per-game state here, outside equality:
     `low`, the lowest vertex outside territory (territory only grows, so
@@ -598,7 +575,6 @@ class ConnectorPlan:
     target: Optional[int] = None
     rounds_used: int = 0
     chase: Optional[TargetChase] = None
-    pending_pivot: Optional[Tuple[int, List[TreeEmbedding]]] = None
     case: int = 0
     vc_order: List[int] = field(default_factory=list)
     targets_done: int = 0
@@ -741,7 +717,6 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
         plan.target = select_target(state, plan)
         plan.rounds_used = 0
         plan.chase = None
-        plan.pending_pivot = None
 
     x = plan.target
     search_seed = (plan.seed + plan.targets_done) & MASK64
@@ -777,87 +752,70 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
                 return _forfeit(FORFEIT_NO_STRUCTURE)
             plan.chase = TargetChase.of(tree, x)
         else:
-            if plan.pending_pivot is not None:
-                found, plan.pending_pivot = plan.pending_pivot, None
-                if found[0] not in vc:
-                    return _forfeit(FORFEIT_BROKEN)
-            else:
-                found = find_structure_stage2(
-                    g, state.breaker_edges, vc, plan.a1, x, plan.k2, seed=search_seed
-                )
-                if found is None:
-                    return _forfeit(FORFEIT_NO_STRUCTURE)
-                z = found[0]
-                if z not in vc:
-                    # claim the pivot first; its trees are checked next
-                    # round. In case 2 all of a1 is in territory
-                    for a in plan.a1:
-                        if a != z and g.has_edge(a, z) and state.is_free(edge(a, z)):
-                            plan.pending_pivot = found
-                            return Move((edge(a, z),))
-                    return _forfeit(FORFEIT_BROKEN)
+            found = find_structure_stage2(
+                g, state.breaker_edges, vc, plan.a1, x, plan.k2, seed=search_seed
+            )
+            if found is None:
+                return _forfeit(FORFEIT_NO_STRUCTURE)
             z, trees = found
-            branches = _two_good([_Branch(z, t.root, t) for t in trees], x, state)
-            if branches is None:
+            plan.chase = TargetChase(x, [(z, t, 1) for t in trees])
+            if z not in vc:
+                # claim the pivot first and descend from it next round. In
+                # case 2 all of a1 is in territory
+                for a in plan.a1:
+                    if g.has_edge(a, z) and state.is_free(edge(a, z)):
+                        return Move((edge(a, z),))
                 return _forfeit(FORFEIT_BROKEN)
-            plan.chase = TargetChase(x, branches)
     return plan.chase.step(state)
 
 
 @dataclass
 class TargetChase:
-    """Drives one good tree toward a single target vertex, one proposed
-    move per Connector turn, following the recursive branch descent.
+    """Drives one good structure toward a single target vertex, one
+    proposed move per Connector turn, following the recursive branch
+    descent.
 
-    `branches` are the two branches whose entry edges the next `step`
-    claims (or, at depth 1, the two leaves it finishes through). Each
-    later step re-selects two branches the Breaker left intact, descends
-    one level, and finishes by claiming a leaf-to-target edge. A step is
-    a forfeit (with a reason flag) when fewer than two branches survive a
-    reply, which cannot happen against a Breaker bound by bias 2 while
-    the tree was good.
+    `candidates` are the branches the next `step` picks from: the two
+    below a tree's root, the four trees below a pivot, or the four
+    children of the two branches the last step entered. Each step picks
+    the first two good candidates, then either finishes through them
+    when they are leaves, claiming a leaf-to-target edge, or claims their
+    entry edges and keeps their four children as the next candidates. A
+    step assumes the move the previous step returned was applied, so the
+    branches it entered are in territory. A step is a forfeit (with a
+    reason flag) when fewer than two candidates are good, which cannot
+    happen against a Breaker bound by bias 2 while the structure was
+    good.
     """
 
     x: int
-    branches: List[_Branch]
-    needs_expand: bool = False
+    candidates: List[Branch]
 
     @staticmethod
     def of(tree: TreeEmbedding, x: int) -> "TargetChase":
         """The chase down a whole tree whose root is in territory."""
-        if x in tree.vertices():
-            raise ParameterError(f"target {x} lies inside the tree")
-        return TargetChase(x, _root_branches(tree))
+        if tree.k < 2 or x in tree.vertices():
+            raise ParameterError(f"no chase toward {x} down this {tree.k}-level tree")
+        return TargetChase(x, [(tree.root, tree, 2), (tree.root, tree, 3)])
 
     def step(self, state: GameState) -> Move:
-        """One round of descent from the held branches: after Breaker's
-        reply to a level claim, re-select two good branches one level
-        down; then finish from depth 1 or claim the next entry edges."""
+        """One round of descent toward x, which must be outside territory:
+        pick two good candidates, then finish through the first when they
+        are leaves, or claim both entry edges."""
         vc = state.v_c
         x = self.x
-        if self.needs_expand:
-            self.needs_expand = False
-            cands = [b for br in self.branches if br.child in vc for b in _root_branches(br.sub)]
-            good = _two_good(cands, x, state)
-            if good is None:
-                return _forfeit(FORFEIT_BROKEN)
-            self.branches = good
-        if self.branches[0].sub.k == 1:
-            for br in self.branches:
-                leaf = br.child
-                lx = edge(leaf, x)
-                if leaf in vc and state.is_free(lx):
-                    return Move((lx,))
-                pe = edge(br.parent, leaf)
-                if state.is_free(pe) and state.is_free(lx):
-                    return Move((pe, lx))
+        good = _two_good(self.candidates, x, state)
+        if good is None:
             return _forfeit(FORFEIT_BROKEN)
+        # x is outside territory, so a good branch entered from outside it
+        # has a free entry edge, and a good leaf a free edge to x
         claims = []
-        for br in self.branches:
-            if br.child not in vc:
-                pe = edge(br.parent, br.child)
-                if not state.is_free(pe):
-                    return _forfeit(FORFEIT_BROKEN)
-                claims.append(pe)
-        self.needs_expand = True
+        self.candidates = []
+        for v, t, h in good:
+            c = t.heap[h - 1]
+            if c not in vc:
+                claims.append(edge(v, c))
+            if h >= 1 << (t.k - 1):
+                return Move((*claims, edge(c, x)))
+            self.candidates += [(c, t, 2 * h), (c, t, 2 * h + 1)]
         return Move(tuple(claims))

@@ -300,7 +300,6 @@ class IsolationBreakerStrategy:
                 self.pending_flags.append(FLAG_NO_CANDIDATE)
             else:
                 self.candidate, self.decomposition = found
-                self.cursor = [0]
         flags = tuple(self.pending_flags)
         self.pending_flags = []
         if self.decomposition is not None and self.decomposition.x in state.v_c:

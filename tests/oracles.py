@@ -470,10 +470,11 @@ def free_edge_count(state) -> int:
 
 
 def copy_chase(chase):
-    """A copy of a TargetChase whose branch list can change independently."""
+    """A copy of a TargetChase whose candidate list can change
+    independently."""
     from dataclasses import replace
 
-    return replace(chase, branches=list(chase.branches))
+    return replace(chase, candidates=list(chase.candidates))
 
 
 def hand_cells(

@@ -31,7 +31,6 @@ from conbreak.connector import (
     FORFEIT_BUDGET,
     FORFEIT_NO_EDGE,
     FORFEIT_NO_STRUCTURE,
-    _root_branches,
     _two_good,
     _Capped,
     _find_tree,
@@ -50,6 +49,8 @@ from oracles import (
     hand_cells,
     naive_direct_edge,
     naive_find_tree,
+    tree_arcs,
+    tree_leaves,
 )
 
 
@@ -66,8 +67,8 @@ def test_embedding_accessors():
     assert t.root == 0
     assert t.heap[2] == 2
     assert t.vertices() == frozenset({0, 1, 2})
-    assert t.leaves() == [1, 2]
-    assert t.arcs() == [(0, 1), (0, 2)]
+    assert tree_leaves(t) == [1, 2]
+    assert tree_arcs(t) == [(0, 1), (0, 2)]
 
 
 def test_embedding_validation():
@@ -79,34 +80,22 @@ def test_embedding_validation():
         TreeEmbedding(0, ())
 
 
-def test_subtree_reindexes():
-    _, t, _ = chase_witness(3)
-    # node h sits on vertex h-1 in the witness
-    assert t.subtree(1) == t
-    left = t.subtree(2)
-    assert left.k == 2
-    assert left.heap == (1, 3, 4)
-    right = t.subtree(3)
-    assert right.heap == (2, 5, 6)
-    leaf = t.subtree(6)
-    assert leaf.k == 1 and leaf.root == 5
-    for bad in (0, 8):
-        with pytest.raises(ParameterError):
-            t.subtree(bad)
-
-
 # ---------------------------------------------------------------------------
 # good trees and the first descent step
 
 
+def root_branches(t: TreeEmbedding):
+    return [(t.root, t, 2), (t.root, t, 3)]
+
+
 def good_branches(t: TreeEmbedding, x: int, state: GameState):
-    return _two_good(_root_branches(t), x, state)
+    return _two_good(root_branches(t), x, state)
 
 
 def test_is_good_tree():
     g, t, x = chase_witness(2)
     s = GameState(g, m=2, b=2, start_vertex=t.root)
-    assert good_branches(t, x, s) == _root_branches(t)
+    assert good_branches(t, x, s) == root_branches(t)
     # breaker on an arc whose child is outside territory: not good
     s2 = GameState(g, m=2, b=2, start_vertex=t.root, breaker_edges=[(0, 2)])
     assert good_branches(t, x, s2) is None
@@ -120,7 +109,7 @@ def test_is_good_tree():
     # an arc into territory is tolerated
     g4 = Graph(5, list(g.sorted_edges()) + [(2, 4)])
     s4 = GameState(g4, m=2, b=2, connector_edges=[(2, 4)], breaker_edges=[(0, 2)])
-    assert good_branches(t, x, s4) == _root_branches(t)
+    assert good_branches(t, x, s4) == root_branches(t)
     # breaker on a leaf-to-target edge: not good
     s5 = GameState(g, m=2, b=2, start_vertex=t.root, breaker_edges=[(1, 3)])
     assert good_branches(t, x, s5) is None
@@ -207,7 +196,9 @@ def test_chase_beats_random_breakers_k5():
 def test_chase_beats_tree_hunting_breaker_k5():
     # adversary that always claims the two lowest free tree arcs
     g, t, x = chase_witness(5)
-    arcs = sorted({tuple(sorted(a)) for a in t.arcs()} | {tuple(sorted((l, x))) for l in t.leaves()})
+    arcs = sorted(
+        {tuple(sorted(a)) for a in tree_arcs(t)} | {tuple(sorted((l, x))) for l in tree_leaves(t)}
+    )
     chase = TargetChase.of(t, x)
     state = GameState(g, m=2, b=2, start_vertex=t.root)
     moves = 0
@@ -241,7 +232,7 @@ def test_chase_copy_is_independent():
 
 
 def is_embedded(g: Graph, t: TreeEmbedding) -> bool:
-    return all(g.has_edge(u, w) for u, w in t.arcs())
+    return all(g.has_edge(u, w) for u, w in tree_arcs(t))
 
 
 def test_find_tree_stage1_on_witness():
@@ -250,7 +241,7 @@ def test_find_tree_stage1_on_witness():
     assert found is not None
     assert found.root == t.root
     assert is_embedded(g, found)
-    for leaf in found.leaves():
+    for leaf in tree_leaves(found):
         assert g.has_edge(leaf, x)
     # blocking one subtree entry forces the search around it or kills it;
     # here the board is exactly the tree, so blocking both entries kills it
@@ -277,13 +268,13 @@ def test_find_tree_stage1_dense_random():
         assert found.root == root
         assert x not in found.vertices()
         assert is_embedded(g, found)
-        for leaf in found.leaves():
+        for leaf in tree_leaves(found):
             assert g.has_edge(leaf, x)
         return
     pytest.fail("no stage-1 tree found on a dense board")
 
 
-def test_find_tree_stage1_roots_share_the_cap_and_reseed():
+def test_find_tree_stage1_roots_share_the_cap_and_reseed(monkeypatch):
     # two wide dead roots (no vertex of their fans reaches x) before the
     # real tree's root: searching one spends expansions and finds no tree
     k = 3
@@ -305,12 +296,12 @@ def test_find_tree_stage1_roots_share_the_cap_and_reseed():
     # Rng shared across roots, seed 5 gives a mirrored tree)
     assert find_tree_stage1(g, set(), [*dead, t.root], x, k, seed=5) == alone
 
+    def capped(roots, cap):
+        monkeypatch.setattr(connector, "EXPANSION_CAP", cap)
+        return find_tree_stage1(g, set(), roots, x, k, seed=5)
+
     def smallest_cap(roots):
-        return next(
-            cap
-            for cap in range(1, 2000)
-            if find_tree_stage1(g, set(), roots, x, k, seed=5, cap=cap) == alone
-        )
+        return next(cap for cap in range(1, 2000) if capped(roots, cap) == alone)
 
     # every root's expansions count against the one cap
     live = smallest_cap([t.root])
@@ -319,8 +310,8 @@ def test_find_tree_stage1_roots_share_the_cap_and_reseed():
     assert one_dead < smallest_cap([*dead, t.root])
     # one short, the budget left after the dead root's failed search runs
     # out, although the later root alone finds its tree within that cap
-    assert find_tree_stage1(g, set(), [t.root], x, k, seed=5, cap=one_dead - 1) == alone
-    assert find_tree_stage1(g, set(), [dead[0], t.root], x, k, seed=5, cap=one_dead - 1) is None
+    assert capped([t.root], one_dead - 1) == alone
+    assert capped([dead[0], t.root], one_dead - 1) is None
 
 
 def search_outcome(search, g, blocked, root, x, k, seed, budget, tolerate_into, banned):
