@@ -153,6 +153,9 @@ def test_chase_rejects_target_inside_tree():
     _, t, _ = chase_witness(2)
     with pytest.raises(ParameterError):
         TargetChase.of(t, t.root)
+    # a lone root has no branches to descend
+    with pytest.raises(ParameterError):
+        TargetChase.of(TreeEmbedding(1, (0,)), 1)
 
 
 def test_chase_survives_every_breaker_line_small():
