@@ -345,6 +345,27 @@ def naive_build_bad_set(g: Graph, x: int, excluded: Iterable[int] = ()):
     return BadSetDecomposition(x=x, layers=tuple(layers))
 
 
+def naive_find_candidate(g: Graph, m_set: Iterable[int], seed: int = 0):
+    """The candidate search without the early return: every sampled
+    candidate outside the earlier bad sets gets its full layering and all
+    four B clauses, the package's `find_candidate` before it rejected
+    candidates whose neighbourhood spans an edge up front."""
+    from conbreak.breaker import CANDIDATES, build_bad_set
+    from conbreak.rng import Rng
+    from conbreak.verifier import check_b
+
+    m_fixed = frozenset(m_set)
+    excluded: set = set()
+    for x in Rng(seed).sample(range(g.n), CANDIDATES):
+        if x in excluded:
+            continue
+        dec = build_bad_set(g, x, excluded)
+        excluded |= dec.union
+        if check_b(g, dec, m_fixed).all_passed():
+            return (x, dec)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # exhaustive adversary for the box-game defensive rule
 
@@ -910,7 +931,12 @@ def naive_select_target(state, plan) -> int:
     missing = [v for v in range(n) if v not in vc]
     if not missing:
         raise ValueError("no target")
-    return max(missing, key=lambda v: sum(1 for e in state.breaker_edges if v in e))
+    count = dict.fromkeys(missing, 0)
+    for e in state.breaker_edges:
+        for w in e:
+            if w in count:
+                count[w] += 1
+    return max(missing, key=count.__getitem__)
 
 
 def naive_direct_edge(state, plan, x: int) -> Optional[Tuple[int, int]]:

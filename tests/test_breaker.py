@@ -18,7 +18,7 @@ from conbreak import (
 from conbreak.engine import BREAKER
 from conbreak.rng import Rng
 
-from oracles import naive_build_bad_set, oracle_bad_layers
+from oracles import naive_build_bad_set, naive_find_candidate, oracle_bad_layers
 
 
 def fan_graph() -> Graph:
@@ -153,6 +153,43 @@ def test_find_candidate_skips_vertices_buried_by_earlier_builds():
 def test_find_candidate_none_on_complete_graph():
     g = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
     assert find_candidate(g, m_set={0}, seed=1) is None
+
+
+def _neighbourhood_spans_an_edge(g: Graph, x: int) -> bool:
+    nx = set(g.row(x))
+    return any(w in nx for v in nx for w in g.row(v))
+
+
+def test_find_candidate_matches_the_full_layering():
+    """find_candidate against the candidate loop that layers and checks
+    every candidate, on G(n, p) boards from sparse to dense with a padded
+    opening territory: a random vertex and up to two of its neighbours,
+    then the lowest outside vertices up to three. Both kinds of board
+    occur: every sampled candidate's neighbourhood spans an edge (so
+    B1 rejects them all), and some candidate's does not."""
+    kinds = set()
+    for n in (30, 60, 200):
+        for e in (-0.95, -0.85, -0.75, -0.65, -0.55, -0.45, -0.35, -0.3):
+            for seed in range(4):
+                g = gen_gnp(n, n**e, seed)
+                rng = Rng(seed + 1000 * n)
+                start = rng.randrange(n)
+                opening = {start, *g.row(start)[: rng.randrange(3)]}
+                pad = [v for v in range(n) if v not in opening][: 3 - len(opening)]
+                m_set = sorted(opening) + pad
+                sample = Rng(seed).sample(range(n), 7)
+                kinds.add(all(_neighbourhood_spans_an_edge(g, x) for x in sample))
+                assert find_candidate(g, m_set, seed=seed) == naive_find_candidate(
+                    g, m_set, seed=seed
+                )
+    assert kinds == {True, False}
+
+
+def test_find_candidate_refuses_an_off_board_territory():
+    # a dense board, where every candidate's neighbourhood spans an edge
+    g = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
+    with pytest.raises(ParameterError, match="out of range"):
+        find_candidate(g, m_set={0, 12}, seed=1)
 
 
 def test_find_candidate_capacity():

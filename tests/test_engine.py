@@ -26,6 +26,7 @@ from conbreak import (
     run_game,
     validate_and_apply,
 )
+from conbreak.engine import _SCAN_CHUNK
 from conbreak.rng import Rng
 
 from oracles import free_edge_count, replay_states
@@ -75,6 +76,40 @@ def test_lowest_free_cursor_and_skip():
     assert cursor == [3]
     assert s.lowest_free(5, cursor) == [(2, 3)] and cursor == [4]
     assert s.lowest_free(0, cursor) == [] and cursor == [4]
+
+
+def test_lowest_free_resumes_across_chunks_between_claims():
+    """Successive `lowest_free` calls through one cursor, with claims
+    applied between them ahead of, inside and behind the scan, against a
+    fresh scan of the sorted edge tuple from the same index. The board
+    spans several scan chunks, two states on it scan in turn, and some
+    calls ask for nothing, which takes nothing and leaves the cursor."""
+    g = gen_gnp(40, 0.5, 3)
+    edges = g.sorted_edges()
+    assert len(edges) >= 3 * _SCAN_CHUNK
+    rng = Rng(3)
+    states = [GameState(g), GameState(g)]
+    cursors = [[0], [rng.randrange(len(edges))]]
+    ks = []
+    for turn in range(400):
+        s, cursor = states[turn % 2], cursors[turn % 2]
+        for _ in range(rng.randrange(4)):
+            e = edges[max(0, min(len(edges) - 1, cursor[0] + rng.randrange(100) - 20))]
+            if s.is_free(e):
+                (s.connector_edges if rng.randrange(2) else s.breaker_edges).add(e)
+        k = rng.randrange(4)
+        skip = {e for e in edges[cursor[0] : cursor[0] + 30] if rng.randrange(5) == 0}
+        want, i = [], cursor[0]
+        while len(want) < k and i < len(edges):
+            if s.is_free(edges[i]) and edges[i] not in skip:
+                want.append(edges[i])
+            i += 1
+        assert s.lowest_free(k, cursor, skip) == want
+        assert cursor == [i]
+        ks.append(k)
+        if cursor[0] == len(edges):
+            cursor[0] = rng.randrange(len(edges))
+    assert 0 in ks
 
 
 def test_state_parameter_validation():

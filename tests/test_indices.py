@@ -16,6 +16,7 @@ up to date with.
 from __future__ import annotations
 
 import copy
+import heapq
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -187,33 +188,59 @@ def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
     """Recorded paper-connector games, with every select_target call
     checked against the full scan and the case it sets checked against
     the reservoir subset tests; both stages and all three cases are
-    reached."""
+    reached. The dense n=400 games make the lazy heap drop stale
+    entries, each checked stale when it is popped, and make some stage-II
+    target win a Breaker-degree tie against a higher vertex."""
     real = connector.select_target
     stages = []
     cases = []
+    ties = []
+    popped = []
+    current = []  # the (state, plan) of the call in progress
+    real_pop = heapq.heappop
 
     def checked(state, plan):
+        current.append((state, plan))
         got = real(state, plan)
+        current.pop()
         assert got == naive_select_target(state, plan)
         assert plan.case == naive_case(state, plan)
         stages.append(plan.stage)
         cases.append(plan.case)
+        if plan.stage == "II":
+            deg = state.breaker_degrees
+            ties.append(any(
+                v > got and v not in state.v_c and deg[v] == deg[got]
+                for v in range(state.graph.n)
+            ))
         return got
 
+    def checked_pop(heap):
+        entry = real_pop(heap)
+        if current:
+            state, plan = current[-1]
+            d, v = entry if isinstance(entry, tuple) else divmod(entry, state.graph.n)
+            assert v in state.v_c or -d != state.breaker_degrees[v]
+            popped.append(v)
+        return entry
+
     monkeypatch.setattr(connector, "select_target", checked)
-    for n, e in ((60, -0.3), (60, -0.4), (200, -0.3), (200, -0.4)):
-        for seed in range(4):
-            g = gen_gnp(n, n**e, seed)
-            for bid in ("random", "greedy-degree", "paper-breaker"):
-                run_game(
-                    g,
-                    make_strategy("paper-connector", p_hint=n**e),
-                    make_strategy(bid),
-                    start_vertex=0,
-                    seed=seed,
-                )
+    monkeypatch.setattr(heapq, "heappop", checked_pop)
+    games = [(n, e, seed) for n in (60, 200) for e in (-0.3, -0.4) for seed in range(4)]
+    games += [(400, -0.35, seed) for seed in range(2)]
+    for n, e, seed in games:
+        g = gen_gnp(n, n**e, seed)
+        for bid in ("random", "greedy-degree", "paper-breaker"):
+            run_game(
+                g,
+                make_strategy("paper-connector", p_hint=n**e),
+                make_strategy(bid),
+                start_vertex=0,
+                seed=seed,
+            )
     assert stages.count("I") > 50 and stages.count("II") > 50
     assert set(cases) == {1, 2, 3}
+    assert len(popped) > 10 and any(ties)
 
 
 def test_direct_edge_matches_set_rule_on_paper_games(monkeypatch):
