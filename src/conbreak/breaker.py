@@ -105,6 +105,11 @@ def build_bad_set(
 CANDIDATES = 7
 
 
+def _spans_an_edge(g: Graph, vertices: Tuple[int, ...]) -> bool:
+    inside = set(vertices)
+    return any(w in inside for v in vertices for w in g.row(v))
+
+
 def find_candidate(
     g: Graph,
     m_set: Iterable[int],
@@ -115,9 +120,12 @@ def find_candidate(
     territory `m_set`.
 
     Candidates are drawn uniformly without replacement from the seeded
-    stream; bad sets are built in succession, each excluding the earlier
-    ones. Returns None when every candidate fails. Graphs with fewer than
-    CANDIDATES + 4 vertices are refused.
+    stream. When every candidate's neighbourhood spans an edge, clause
+    B1 rejects them all, so None comes back at once, with no bad set
+    built. Otherwise bad sets are built in succession, each excluding
+    the earlier ones, and each checked in full. Returns None when every
+    candidate fails. Graphs with fewer than CANDIDATES + 4 vertices, and
+    territory vertices off the board, are refused.
     """
     from .verifier import check_b
 
@@ -126,8 +134,16 @@ def find_candidate(
             f"need at least {CANDIDATES + 4} vertices to sample {CANDIDATES} candidates"
         )
     m_fixed = frozenset(m_set)
+    off = [v for v in m_fixed if not 0 <= v < g.n]
+    if off:
+        raise ParameterError(f"protected vertex {min(off)} out of range")
     rng = Rng(seed)
     candidates = rng.sample(range(g.n), CANDIDATES)
+    # B1 asks the first layer to be all of N(x) and to span no edge, so a
+    # candidate whose N(x) spans an edge fails it whatever the earlier
+    # bad sets exclude
+    if all(_spans_an_edge(g, g.row(x)) for x in candidates):
+        return None
     excluded: set = set()
     for x in candidates:
         if x in excluded:

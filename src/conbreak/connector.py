@@ -565,8 +565,10 @@ class ConnectorPlan:
 
     `select_target` keeps its per-game state here, outside equality:
     `low`, the lowest vertex outside territory (territory only grows, so
-    it only moves forward), and the stage-II max-heap of (-Breaker
-    degree, vertex) with the number of claim-log entries it has read."""
+    it only moves forward), and the stage-II min-heap of the ints
+    v - deg(v) * n, for v a vertex and deg(v) its Breaker degree, with the
+    number of claim-log entries it has read. Such an int orders as the
+    pair (-deg(v), v), and divmod by n gives that pair back."""
 
     a1: range
     a2: range
@@ -579,7 +581,7 @@ class ConnectorPlan:
     vc_order: List[int] = field(default_factory=list)
     targets_done: int = 0
     low: int = field(default=0, repr=False, compare=False)
-    degree_heap: Optional[List[Tuple[int, int]]] = field(
+    degree_heap: Optional[List[int]] = field(
         default=None, repr=False, compare=False
     )
     log_read: int = field(default=0, repr=False, compare=False)
@@ -646,9 +648,10 @@ def select_target(state: GameState, plan: ConnectorPlan) -> int:
 
     The states passed to one plan must be successive positions of one
     game: the lowest missing vertex is a cursor `low` that moves past
-    territory, and stage II reads a lazy heap. Each call pushes one entry
-    for each vertex outside territory that a Breaker claim logged since
-    the last call touched, however many of those claims touch it. An
+    territory, and stage II reads a lazy heap of ints v - deg(v) * n,
+    which order as (-deg(v), v). Each call pushes one entry for each
+    endpoint outside territory of each Breaker claim logged since the
+    last call; a vertex two such claims touch gets two equal entries. An
     entry is dropped when its vertex has joined the territory or gained
     Breaker edges since (a newer entry holds the new degree)."""
     vc = state.v_c
@@ -665,18 +668,20 @@ def select_target(state: GameState, plan: ConnectorPlan) -> int:
     deg = state.breaker_degrees
     heap = plan.degree_heap
     if heap is None:
-        heap = plan.degree_heap = [(-deg[v], v) for v in range(n) if v not in vc]
+        heap = plan.degree_heap = [v - deg[v] * n for v in range(n) if v not in vc]
         heapq.heapify(heap)
     else:
-        touched = {w for role, e in state.log[plan.log_read:] if role == BREAKER for w in e}
-        for w in touched:
-            if w not in vc:
-                heapq.heappush(heap, (-deg[w], w))
+        for role, (u, w) in state.log[plan.log_read:]:
+            if role == BREAKER:
+                if u not in vc:
+                    heapq.heappush(heap, u - deg[u] * n)
+                if w not in vc:
+                    heapq.heappush(heap, w - deg[w] * n)
     plan.log_read = len(state.log)
     # every missing vertex has an entry with its current degree, and low
     # is missing, so the heap holds a live entry
     while True:
-        d, v = heap[0]
+        d, v = divmod(heap[0], n)
         if v not in vc and -d == deg[v]:
             return v
         heapq.heappop(heap)

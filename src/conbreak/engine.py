@@ -18,10 +18,11 @@ from a position she refuses to play).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Container, Dict, Iterable, List, Optional, Protocol, Set, Tuple
 
 from .errors import ConbreakError, ConnectivityError, IllegalMoveError, ParameterError
-from .graph import Edge, Graph, edge, is_integer
+from .graph import EDGE_CHUNK, Edge, Graph, edge, is_integer
 from .rng import check_seed, derive
 
 CONNECTOR = "C"
@@ -49,10 +50,6 @@ class Move:
     @staticmethod
     def of(*pairs) -> "Move":
         return Move(tuple(edge(u, v) for u, v in pairs))
-
-
-# edges `GameState.lowest_free` reads from the edge arrays at a time
-_SCAN_CHUNK = 64
 
 
 class GameState:
@@ -176,16 +173,20 @@ class GameState:
         An optional one-element `cursor` list holds the index into the
         sorted edge order (the board's `u`/`v` arrays) where the scan
         starts, and is left just past the last edge taken, so a per-game
-        caller can resume its scan there."""
+        caller can resume its scan there. k = 0 takes nothing and leaves
+        the cursor where it is."""
         g = self.graph
         claimed, blocked = self.connector_edges, self.breaker_edges
         out: List[Edge] = []
         i = cursor[0] if cursor is not None else 0
         m = g.edge_count()
-        # edge i is (u[i], v[i]); read the arrays a chunk at a time so
-        # that no whole-board edge list is built
+        # edge i is entry i % EDGE_CHUNK of the board's chunk i // EDGE_CHUNK;
+        # the board keeps the last chunk read, so a filler that takes two
+        # edges a move reads the arrays once a chunk, and no whole-board
+        # edge list is built
         while len(out) < k and i < m:
-            for e in zip(g.u[i : i + _SCAN_CHUNK].tolist(), g.v[i : i + _SCAN_CHUNK].tolist()):
+            j, r = divmod(i, EDGE_CHUNK)
+            for e in islice(g.edge_chunk(j), r, None):
                 i += 1
                 if e not in claimed and e not in blocked and e not in skip:
                     out.append(e)
@@ -221,7 +222,8 @@ def _check_move(state: GameState, move: Move) -> Tuple[Edge, ...]:
     subclass ConnectivityError) for anything else, unreadable entries
     included."""
     role = state.to_move
-    limit = state.bias(role)
+    connector = role == CONNECTOR
+    limit = state.m if connector else state.b
     try:
         count = len(move.edges)
     except TypeError:
@@ -230,6 +232,8 @@ def _check_move(state: GameState, move: Move) -> Tuple[Edge, ...]:
         raise IllegalMoveError(f"{role} claimed {count} edges, bias allows {limit}")
     seen: Dict[Edge, None] = {}  # the checked edges, in move order
     vc = state.v_c
+    claimed, blocked = state.connector_edges, state.breaker_edges
+    has_edge = state.graph.has_edge
     added: Set[int] = set()  # vertices this move has added so far
     for e in move.edges:
         try:
@@ -242,15 +246,19 @@ def _check_move(state: GameState, move: Move) -> Tuple[Edge, ...]:
             if not (is_integer(u) and is_integer(v)):
                 raise IllegalMoveError(f"{e!r} is not a pair of integer vertices")
             u, v = int(u), int(v)
-        e = u, v = edge(u, v)
+        if u > v:
+            u, v = v, u
+        elif u == v:
+            raise ParameterError(f"loop edge ({u},{v}) is not allowed")
+        e = (u, v)
         if e in seen:
             raise IllegalMoveError(f"edge {e} claimed twice in one move", edge=e)
         seen[e] = None
-        if not state.graph.has_edge(u, v):
+        if not has_edge(u, v):
             raise IllegalMoveError(f"edge {e} is not an edge of the board", edge=e)
-        if e in state.connector_edges or e in state.breaker_edges:
+        if e in claimed or e in blocked:
             raise IllegalMoveError(f"edge {e} is already claimed", edge=e)
-        if role == CONNECTOR:
+        if connector:
             if (
                 (vc or added)
                 and u not in vc and v not in vc
@@ -268,22 +276,24 @@ def _apply_in_place(state: GameState, edges: Tuple[Edge, ...]) -> None:
     """Apply the edges `_check_move` returned for the player to move.
     Mutates `state`; used by the game loop."""
     role = state.to_move
-    vc = state.v_c
-    for e in edges:
-        state.log.append((role, e))
-        if role == CONNECTOR:
-            state.connector_edges.add(e)
+    log = state.log
+    if role == CONNECTOR:
+        claimed, vc, territory = state.connector_edges, state.v_c, state.territory
+        for e in edges:
+            log.append((role, e))
+            claimed.add(e)
             for w in e:
                 if w not in vc:
                     vc.add(w)
-                    state.territory.append(w)
-        else:
-            state.breaker_edges.add(e)
-            state.breaker_degrees[e[0]] += 1
-            state.breaker_degrees[e[1]] += 1
-    if role == CONNECTOR:
+                    territory.append(w)
         state.to_move = BREAKER
     else:
+        blocked, deg = state.breaker_edges, state.breaker_degrees
+        for e in edges:
+            log.append((role, e))
+            blocked.add(e)
+            deg[e[0]] += 1
+            deg[e[1]] += 1
         state.to_move = CONNECTOR
         state.round += 1
 

@@ -112,6 +112,10 @@ def _canonical_arrays(n: int, edges) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     return u, v, keys
 
 
+# edges `Graph.edge_chunk` reads from the edge arrays at a time
+EDGE_CHUNK = 64
+
+
 class Graph:
     """Immutable undirected graph.
 
@@ -119,7 +123,7 @@ class Graph:
     integer array, in any order and orientation; duplicates are merged.
     Loops, out-of-range and non-integer vertices raise ParameterError."""
 
-    __slots__ = ("n", "u", "v", "off", "nbr", "_deg", "_rows", "_sorted")
+    __slots__ = ("n", "u", "v", "off", "nbr", "_deg", "_rows", "_sorted", "_chunk_at", "_chunk")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if not is_integer(n):
@@ -141,6 +145,8 @@ class Graph:
         self._deg: List[int] = deg.tolist()
         self._rows: List[Optional[Tuple[int, ...]]] = [None] * n
         self._sorted: Optional[Tuple[Edge, ...]] = None
+        self._chunk_at = -1
+        self._chunk: Tuple[Edge, ...] = ()
 
     def edge_count(self) -> int:
         return len(self.u)
@@ -178,6 +184,18 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self._deg[v]
+
+    def edge_chunk(self, j: int) -> Tuple[Edge, ...]:
+        """Edges j * EDGE_CHUNK onwards of the sorted edge order, at most
+        EDGE_CHUNK of them, as (u, v) tuples: one slice of the edge
+        arrays. The last chunk read is kept, so a scan that resumes
+        inside it reads no array and builds no tuple."""
+        if j != self._chunk_at:
+            lo = j * EDGE_CHUNK
+            hi = lo + EDGE_CHUNK
+            self._chunk = tuple(zip(self.u[lo:hi].tolist(), self.v[lo:hi].tolist()))
+            self._chunk_at = j
+        return self._chunk
 
     def sorted_edges(self) -> Tuple[Edge, ...]:
         if self._sorted is None:

@@ -15,6 +15,7 @@ from conbreak import (
     gen_gnp,
     q_violations,
 )
+from conbreak import verifier
 from conbreak.engine import BREAKER
 from conbreak.rng import Rng
 
@@ -160,13 +161,21 @@ def _neighbourhood_spans_an_edge(g: Graph, x: int) -> bool:
     return any(w in nx for v in nx for w in g.row(v))
 
 
-def test_find_candidate_matches_the_full_layering():
+def test_find_candidate_matches_the_full_layering(monkeypatch):
     """find_candidate against the candidate loop that layers and checks
     every candidate, on G(n, p) boards from sparse to dense with a padded
     opening territory: a random vertex and up to two of its neighbours,
-    then the lowest outside vertices up to three. Both kinds of board
-    occur: every sampled candidate's neighbourhood spans an edge (so
-    B1 rejects them all), and some candidate's does not."""
+    then the lowest outside vertices up to three. Both paths occur: when
+    every sampled candidate's neighbourhood spans an edge the search
+    returns at once, checking no bad set, and otherwise it layers and
+    checks the candidates in turn."""
+    real = verifier.check_b
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return real(*args)
+
     kinds = set()
     for n in (30, 60, 200):
         for e in (-0.95, -0.85, -0.75, -0.65, -0.55, -0.45, -0.35, -0.3):
@@ -177,11 +186,16 @@ def test_find_candidate_matches_the_full_layering():
                 opening = {start, *g.row(start)[: rng.randrange(3)]}
                 pad = [v for v in range(n) if v not in opening][: 3 - len(opening)]
                 m_set = sorted(opening) + pad
+                want = naive_find_candidate(g, m_set, seed=seed)
+                checks.clear()
+                monkeypatch.setattr(verifier, "check_b", counted)
+                got = find_candidate(g, m_set, seed=seed)
+                monkeypatch.setattr(verifier, "check_b", real)
+                assert got == want
                 sample = Rng(seed).sample(range(n), 7)
-                kinds.add(all(_neighbourhood_spans_an_edge(g, x) for x in sample))
-                assert find_candidate(g, m_set, seed=seed) == naive_find_candidate(
-                    g, m_set, seed=seed
-                )
+                at_once = all(_neighbourhood_spans_an_edge(g, x) for x in sample)
+                assert (not checks) == at_once
+                kinds.add(at_once)
     assert kinds == {True, False}
 
 

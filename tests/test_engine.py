@@ -26,7 +26,7 @@ from conbreak import (
     run_game,
     validate_and_apply,
 )
-from conbreak.engine import _SCAN_CHUNK
+from conbreak.graph import EDGE_CHUNK
 from conbreak.rng import Rng
 
 from oracles import free_edge_count, replay_states
@@ -86,7 +86,7 @@ def test_lowest_free_resumes_across_chunks_between_claims():
     calls ask for nothing, which takes nothing and leaves the cursor."""
     g = gen_gnp(40, 0.5, 3)
     edges = g.sorted_edges()
-    assert len(edges) >= 3 * _SCAN_CHUNK
+    assert len(edges) >= 3 * EDGE_CHUNK
     rng = Rng(3)
     states = [GameState(g), GameState(g)]
     cursors = [[0], [rng.randrange(len(edges))]]

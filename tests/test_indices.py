@@ -219,7 +219,7 @@ def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
         entry = real_pop(heap)
         if current:
             state, plan = current[-1]
-            d, v = entry if isinstance(entry, tuple) else divmod(entry, state.graph.n)
+            d, v = divmod(entry, state.graph.n)
             assert v in state.v_c or -d != state.breaker_degrees[v]
             popped.append(v)
         return entry
