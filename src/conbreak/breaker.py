@@ -105,11 +105,6 @@ def build_bad_set(
 CANDIDATES = 7
 
 
-def _spans_an_edge(g: Graph, vertices: Tuple[int, ...]) -> bool:
-    inside = set(vertices)
-    return any(w in inside for v in vertices for w in g.row(v))
-
-
 def find_candidate(
     g: Graph,
     m_set: Iterable[int],
@@ -127,7 +122,7 @@ def find_candidate(
     candidate fails. Graphs with fewer than CANDIDATES + 4 vertices, and
     territory vertices off the board, are refused.
     """
-    from .verifier import check_b
+    from .verifier import _first_internal_edge, check_b
 
     if g.n < CANDIDATES + 4:
         raise CapacityError(
@@ -142,7 +137,7 @@ def find_candidate(
     # B1 asks the first layer to be all of N(x) and to span no edge, so a
     # candidate whose N(x) spans an edge fails it whatever the earlier
     # bad sets exclude
-    if all(_spans_an_edge(g, g.row(x)) for x in candidates):
+    if all(_first_internal_edge(g, set(g.row(x))) is not None for x in candidates):
         return None
     excluded: set = set()
     for x in candidates:
