@@ -196,11 +196,11 @@ def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
     cases = []
     ties = []
     popped = []
-    current = []  # the (state, plan) of the call in progress
+    current = []  # the state of the select_target call in progress
     real_pop = heapq.heappop
 
     def checked(state, plan):
-        current.append((state, plan))
+        current.append(state)
         got = real(state, plan)
         current.pop()
         assert got == naive_select_target(state, plan)
@@ -218,7 +218,7 @@ def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
     def checked_pop(heap):
         entry = real_pop(heap)
         if current:
-            state, plan = current[-1]
+            state = current[-1]
             d, v = divmod(entry, state.graph.n)
             assert v in state.v_c or -d != state.breaker_degrees[v]
             popped.append(v)
