@@ -24,7 +24,7 @@ isolated until the board is exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -182,17 +182,18 @@ def q_violations(state: GameState, dec: BadSetDecomposition) -> List[Edge]:
 
 
 def breaker_move(
-    state: GameState, dec: BadSetDecomposition, cursor: Optional[List[int]] = None
+    state: GameState, dec: BadSetDecomposition, edges: Optional[Iterator[Edge]] = None
 ) -> Move:
     """Breaker's move: claim every current violation, then pad the
     allowance with fillers.
 
     Fillers prefer free edges at x (nearest layer first), then free edges
-    at the first layer, then the lowest free edges overall. When the
+    at the first layer, then the first free edges that `edges` yields
+    (`GameState.first_free`), the lowest free edges overall when it is
+    None. A per-game caller that keeps one `Graph.edges_from()` iterator
+    resumes that last scan where the previous move left it. When the
     violations exceed the allowance the move carries a
     'breaker-violation-overflow' flag and claims the first b of them.
-    `cursor` is the optional scan cursor of `GameState.lowest_free`,
-    letting a per-game caller amortize the final filler scan.
     """
     viol = q_violations(state, dec)
     b = state.b
@@ -230,6 +231,6 @@ def breaker_move(
             picked.append(e)
             chosen.add(e)
 
-    picked += state.lowest_free(b - len(picked), cursor, chosen)
+    picked += state.first_free(b - len(picked), edges, chosen)
 
     return Move(tuple(picked), flags=flags)

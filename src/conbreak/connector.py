@@ -699,7 +699,8 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
     hand two of its branches to a TargetChase, which descends one level
     per round. The direct edge comes from one ascending pass over the
     target's row, O(deg x): the first free edge from a territory vertex
-    in a2, else the first free edge from any other territory vertex. A
+    in a2, else the first free edge from any other territory vertex; the
+    pass stops past a2 once it holds the latter. A
     missing or broken structure, or a blown round budget, is an explicit
     forfeit carrying a reason flag."""
     g = state.graph
@@ -715,7 +716,7 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
         return Move(())
     if not vc:
         # free opening: no territory constraint yet, grab the lowest edge
-        opening = state.lowest_free(1)
+        opening = state.first_free(1)
         return Move(tuple(opening)) if opening else _forfeit(FORFEIT_NO_EDGE)
 
     if plan.target is None:
@@ -733,7 +734,10 @@ def connector_move(state: GameState, plan: ConnectorPlan) -> Move:
     # a2 reservoir side so the endgame case stays on its guaranteed supply
     claimed, blocked = state.connector_edges, state.breaker_edges
     fallback = None
+    a2_stop = plan.a2.stop
     for w in g.row(x):
+        if fallback is not None and w >= a2_stop:
+            break
         if w in vc:
             e = (w, x) if w < x else (x, w)
             if e not in claimed and e not in blocked:

@@ -18,11 +18,10 @@ from a position she refuses to play).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Container, Dict, Iterable, List, Optional, Protocol, Set, Tuple
+from typing import Container, Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
 
 from .errors import ConbreakError, ConnectivityError, IllegalMoveError, ParameterError
-from .graph import EDGE_CHUNK, Edge, Graph, edge, is_integer
+from .graph import Edge, Graph, edge, is_integer
 from .rng import check_seed, derive
 
 CONNECTOR = "C"
@@ -66,9 +65,10 @@ class GameState:
 
     The state holds the position and nothing a strategy alone reads:
     `is_free`, `free_edges_at` and the move checks read one CSR row,
-    `lowest_free` reads the edge arrays, and none of them builds a
-    whole-board Python view. A strategy that wants an index of the free
-    edges keeps its own, brought up to date from `log` and `territory`.
+    `first_free` reads an edge iterator its caller may keep, and none of
+    them builds a whole-board Python view. A strategy that wants an index
+    of the free edges keeps its own, brought up to date from `log` and
+    `territory`.
     """
 
     __slots__ = (
@@ -158,42 +158,28 @@ class GameState:
         return u < v and self.graph.has_edge(u, v)
 
     def free_edges(self) -> List[Edge]:
-        """Free edges in ascending order. O(|E|): a full scan of the
-        board's sorted edge tuple, for tests, the random Breaker's index
-        and the baseline Connectors' opening from an empty territory."""
-        claimed = self.connector_edges
-        blocked = self.breaker_edges
-        return [e for e in self.graph.sorted_edges() if e not in claimed and e not in blocked]
+        """Free edges in ascending order. O(|E|): `first_free` over the
+        whole board, for tests, the random Breaker's index and the
+        baseline Connectors' opening from an empty territory."""
+        return self.first_free(self.graph.edge_count())
 
-    def lowest_free(
-        self, k: int, cursor: Optional[List[int]] = None, skip: Container[Edge] = ()
+    def first_free(
+        self, k: int, edges: Optional[Iterator[Edge]] = None, skip: Container[Edge] = ()
     ) -> List[Edge]:
-        """Up to k lowest free edges outside `skip`, in ascending order.
-
-        An optional one-element `cursor` list holds the index into the
-        sorted edge order (the board's `u`/`v` arrays) where the scan
-        starts, and is left just past the last edge taken, so a per-game
-        caller can resume its scan there. k = 0 takes nothing and leaves
-        the cursor where it is."""
-        g = self.graph
-        claimed, blocked = self.connector_edges, self.breaker_edges
+        """The first k free edges outside `skip` that the iterator `edges`
+        yields, in its order, or fewer when it runs out; without an
+        iterator, the k lowest of the board's sorted edge order
+        (`Graph.edges_from`). A caller that keeps the iterator resumes
+        just past the last edge taken; k = 0 reads nothing from it."""
         out: List[Edge] = []
-        i = cursor[0] if cursor is not None else 0
-        m = g.edge_count()
-        # edge i is entry i % EDGE_CHUNK of the board's chunk i // EDGE_CHUNK;
-        # the board keeps the last chunk read, so a filler that takes two
-        # edges a move reads the arrays once a chunk, and no whole-board
-        # edge list is built
-        while len(out) < k and i < m:
-            j, r = divmod(i, EDGE_CHUNK)
-            for e in islice(g.edge_chunk(j), r, None):
-                i += 1
-                if e not in claimed and e not in blocked and e not in skip:
-                    out.append(e)
-                    if len(out) == k:
-                        break
-        if cursor is not None:
-            cursor[0] = i
+        if k <= 0:
+            return out
+        claimed, blocked = self.connector_edges, self.breaker_edges
+        for e in self.graph.edges_from() if edges is None else edges:
+            if e not in claimed and e not in blocked and e not in skip:
+                out.append(e)
+                if len(out) == k:
+                    break
         return out
 
     def free_edges_at(self, v: int) -> List[Edge]:
@@ -415,20 +401,17 @@ def run_game(
     while winner is None:
         role = state.to_move
         move = strategies[role].propose(state)
-        if move.forfeit:
-            winner = BREAKER if role == CONNECTOR else CONNECTOR
-            reason = REASON_FORFEIT
-            flags.extend(move.flags)
-            break
+        flags.extend(move.flags)
+        # a forfeit move and a move the checks refuse both lose the game
         try:
-            edges = _check_move(state, move)
+            edges = None if move.forfeit else _check_move(state, move)
         except ConbreakError:
+            edges = None
+        if edges is None:
             winner = BREAKER if role == CONNECTOR else CONNECTOR
             reason = REASON_FORFEIT
-            flags.extend(move.flags)
             break
         transcript.append((state.round, role, edges))
-        flags.extend(move.flags)
         _apply_in_place(state, edges)
         if role == CONNECTOR and state.connector_has_spanned():
             winner, reason = CONNECTOR, REASON_SPANNED

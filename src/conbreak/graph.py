@@ -10,13 +10,13 @@ vertex, the ascending row as a tuple (`row`, built on first use and
 cached; "has a neighbour in c" is `not c.isdisjoint(g.row(v))`); for all
 vertices at once, the neighbour count inside a boolean vertex mask
 (`counts_in`, one numpy pass); the degrees, a plain list of ints. An
-edge test (`has_edge`) bisects one row. The one whole-board view left,
-the sorted edge tuple (`sorted_edges()`), is cached on first use too.
-It holds a Python object per edge, which the cyclic garbage collector
-then keeps traversing, so the paper strategies, the engine's move
-checks, `check_b` and `contains_hn` never build it; the random
-Breaker's free-edge list, the greedy Breaker's rank order,
-`GameState.free_edges` and the solver do.
+edge test (`has_edge`) bisects one row. A scan of the edges in sorted
+order (`edges_from`) reads the edge arrays EDGE_CHUNK edges at a time
+and keeps nothing. The one whole-board view left, the sorted edge tuple
+(`sorted_edges()`), is cached on first use. It holds a Python object
+per edge, which the cyclic garbage collector then keeps traversing, so
+the engine, `check_b` and every strategy but the greedy Breaker never
+build it; that Breaker's rank order, the solver and `check_d` do.
 
 G(n, p) boards come from one uniform per vertex pair, in canonical pair
 order, kept when it is below p (the coupling of Stojakovic-Szabo 2005).
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def _canonical_arrays(n: int, edges) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     return u, v, keys
 
 
-# edges `Graph.edge_chunk` reads from the edge arrays at a time
+# edges `Graph.edges_from` reads from the edge arrays at a time
 EDGE_CHUNK = 64
 
 
@@ -123,7 +123,7 @@ class Graph:
     integer array, in any order and orientation; duplicates are merged.
     Loops, out-of-range and non-integer vertices raise ParameterError."""
 
-    __slots__ = ("n", "u", "v", "off", "nbr", "_deg", "_rows", "_sorted", "_chunk_at", "_chunk")
+    __slots__ = ("n", "u", "v", "off", "nbr", "_deg", "_rows", "_sorted")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if not is_integer(n):
@@ -145,8 +145,6 @@ class Graph:
         self._deg: List[int] = deg.tolist()
         self._rows: List[Optional[Tuple[int, ...]]] = [None] * n
         self._sorted: Optional[Tuple[Edge, ...]] = None
-        self._chunk_at = -1
-        self._chunk: Tuple[Edge, ...] = ()
 
     def edge_count(self) -> int:
         return len(self.u)
@@ -185,17 +183,12 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._deg[v]
 
-    def edge_chunk(self, j: int) -> Tuple[Edge, ...]:
-        """Edges j * EDGE_CHUNK onwards of the sorted edge order, at most
-        EDGE_CHUNK of them, as (u, v) tuples: one slice of the edge
-        arrays. The last chunk read is kept, so a scan that resumes
-        inside it reads no array and builds no tuple."""
-        if j != self._chunk_at:
-            lo = j * EDGE_CHUNK
-            hi = lo + EDGE_CHUNK
-            self._chunk = tuple(zip(self.u[lo:hi].tolist(), self.v[lo:hi].tolist()))
-            self._chunk_at = j
-        return self._chunk
+    def edges_from(self, i: int = 0) -> Iterator[Edge]:
+        """Edges i onwards of the sorted edge order, as (u, v) tuples,
+        read from the edge arrays a slice of EDGE_CHUNK at a time."""
+        u, v = self.u, self.v
+        for lo in range(i, len(u), EDGE_CHUNK):
+            yield from zip(u[lo : lo + EDGE_CHUNK].tolist(), v[lo : lo + EDGE_CHUNK].tolist())
 
     def sorted_edges(self) -> Tuple[Edge, ...]:
         if self._sorted is None:

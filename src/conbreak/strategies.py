@@ -108,8 +108,9 @@ class GreedyDegreeStrategy:
     (lowest edge on ties). Breaker claims the free edges with the largest
     endpoint degree sums.
 
-    Breaker reads one rank order, sorted once per game, through a cursor
-    past the claimed edges. Connector keeps one live heap entry per
+    Breaker keeps one rank order, sorted once per game, and one iterator
+    over it that `GameState.first_free` resumes each move: the edges it
+    has passed are all claimed. Connector keeps one live heap entry per
     outside vertex x next to her territory, (-degree(x), e, x) with e the
     lowest free edge from the territory to x, named by `lowest[x]`. When
     x joins the territory, dropping `lowest[x]` retires its entry at once,
@@ -135,7 +136,7 @@ class GreedyDegreeStrategy:
             rank = np.argsort(-(deg[graph.u] + deg[graph.v]), kind="stable")
             edges = graph.sorted_edges()
             self.order = [edges[i] for i in rank.tolist()]
-            self.cursor = 0
+            self.scan = iter(self.order)
         else:
             self.heap: List[Tuple[int, Edge, int]] = []
             self.lowest: Dict[int, Edge] = {}
@@ -145,17 +146,7 @@ class GreedyDegreeStrategy:
 
     def propose(self, state: GameState) -> Move:
         if self.role == BREAKER:
-            order = self.order
-            i = self.cursor
-            while i < len(order) and not state.is_free(order[i]):
-                i += 1
-            self.cursor = i
-            picks: List[Edge] = []
-            while len(picks) < state.b and i < len(order):
-                if state.is_free(order[i]):
-                    picks.append(order[i])
-                i += 1
-            return Move(tuple(picks))
+            return Move(tuple(state.first_free(state.b, self.scan)))
         joined = self.joined
         # as for the random Connector: the first len(joined) have joined
         for w in state.territory[len(joined):]:
@@ -263,7 +254,9 @@ class IsolationBreakerStrategy:
     then on every move clears the violation edges and spends leftovers on
     fillers near the defended vertex. Without a verified candidate (or if
     the target is ever reached, which the theorem rules out when the
-    clauses held) he degrades to lowest-free-edge filler play, flagged."""
+    clauses held) he degrades to lowest-free-edge filler play, flagged.
+    That filler and his last-resort fillers while isolating resume one
+    `Graph.edges_from()` iterator kept for the game."""
 
     def __init__(self):
         self.graph: Optional[Graph] = None
@@ -271,7 +264,6 @@ class IsolationBreakerStrategy:
         self.decomposition: Optional[BadSetDecomposition] = None
         self.candidate: Optional[int] = None
         self.attempted = False
-        self.cursor = [0]
         self.pending_flags: List[str] = []
 
     def start(self, graph: Graph, role: str, seed: Seed) -> None:
@@ -279,6 +271,7 @@ class IsolationBreakerStrategy:
             raise ParameterError("isolation strategy plays Breaker only")
         self.graph = graph
         self.seed = seed
+        self.scan = graph.edges_from()
 
     def _padded_m(self, state: GameState) -> List[int]:
         m_set = sorted(state.v_c)
@@ -306,9 +299,9 @@ class IsolationBreakerStrategy:
             self.decomposition = None
             flags += (FLAG_TARGET_REACHED,)
         if self.decomposition is not None:
-            mv = breaker_move(state, self.decomposition, self.cursor)
+            mv = breaker_move(state, self.decomposition, self.scan)
         else:
-            mv = Move(tuple(state.lowest_free(state.b, self.cursor)))
+            mv = Move(tuple(state.first_free(state.b, self.scan)))
         if flags:
             mv = Move(mv.edges, flags=mv.flags + flags)
         return mv

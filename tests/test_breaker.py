@@ -260,18 +260,21 @@ def test_breaker_move_overflow_flag():
     assert "breaker-violation-overflow" in mv.flags
 
 
-def test_breaker_move_cursor_advances():
+def test_breaker_move_resumes_its_edge_iterator():
     # center with no free incident edges left: fillers fall through to the
-    # cursor scan over the whole edge list
+    # kept scan over the whole edge list
     g = Graph(6, [(0, 1), (2, 3), (2, 4), (3, 4), (4, 5)])
     dec = build_bad_set(g, 0)
     s = GameState(g, m=2, b=2, to_move=BREAKER, breaker_edges=[(0, 1)])
-    cursor = [0]
-    mv = breaker_move(s, dec, cursor)
+    scan = g.edges_from()
+    mv = breaker_move(s, dec, scan)
     assert mv.edges == ((2, 3), (2, 4))
-    assert cursor[0] >= 3
     s2 = GameState(
         g, m=2, b=2, to_move=BREAKER, breaker_edges=[(0, 1), (2, 3), (2, 4)]
     )
-    mv2 = breaker_move(s2, dec, cursor)
+    mv2 = breaker_move(s2, dec, scan)
     assert mv2.edges == ((3, 4), (4, 5))
+    # the scan has passed every edge: it finds nothing, even where a
+    # fresh one would
+    assert breaker_move(s, dec, scan).edges == ()
+    assert breaker_move(s, dec).edges == ((2, 3), (2, 4))

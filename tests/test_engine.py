@@ -68,48 +68,65 @@ def test_state_init_and_accessors():
     assert (1, 2) not in s.connector_edges and 9 not in s.v_c
 
 
-def test_lowest_free_cursor_and_skip():
+def test_first_free_kept_iterator_and_skip():
     s = GameState(square(), connector_edges=[(0, 1)])
-    assert s.lowest_free(2) == [(0, 3), (1, 2)]
-    cursor = [0]
-    assert s.lowest_free(1, cursor, skip={(0, 3)}) == [(1, 2)]
-    assert cursor == [3]
-    assert s.lowest_free(5, cursor) == [(2, 3)] and cursor == [4]
-    assert s.lowest_free(0, cursor) == [] and cursor == [4]
+    assert s.first_free(2) == [(0, 3), (1, 2)]
+    scan = s.graph.edges_from()
+    assert s.first_free(1, scan, skip={(0, 3)}) == [(1, 2)]
+    # k = 0 reads nothing, so the next call still finds (2, 3)
+    assert s.first_free(0, scan) == []
+    assert s.first_free(5, scan) == [(2, 3)]
+    assert list(scan) == []
+    # a restart mid-board
+    assert s.first_free(5, s.graph.edges_from(2)) == [(1, 2), (2, 3)]
 
 
-def test_lowest_free_resumes_across_chunks_between_claims():
-    """Successive `lowest_free` calls through one cursor, with claims
-    applied between them ahead of, inside and behind the scan, against a
-    fresh scan of the sorted edge tuple from the same index. The board
-    spans several scan chunks, two states on it scan in turn, and some
-    calls ask for nothing, which takes nothing and leaves the cursor."""
+def test_first_free_reads_an_iterator_in_its_own_order():
+    s = GameState(square(), connector_edges=[(0, 1)])
+    scan = iter([(2, 3), (0, 1), (0, 3), (1, 2)])
+    assert s.first_free(1, scan, skip={(2, 3)}) == [(0, 3)]
+    assert s.first_free(3, scan) == [(1, 2)]
+    assert s.first_free(1, iter([(2, 3), (0, 3)])) == [(2, 3)]
+
+
+def test_first_free_resumes_across_chunks_between_claims():
+    """Successive `first_free` calls through one kept iterator per state,
+    with claims applied between them ahead of, inside and behind the
+    scan, against a fresh scan of the sorted edge tuple from the position
+    the test tracks. The board spans several scan chunks, two states on
+    it scan in turn, some calls ask for nothing, which reads nothing, and
+    a scan that reaches the end restarts mid-board with `edges_from(i)`."""
     g = gen_gnp(40, 0.5, 3)
     edges = g.sorted_edges()
     assert len(edges) >= 3 * EDGE_CHUNK
     rng = Rng(3)
     states = [GameState(g), GameState(g)]
-    cursors = [[0], [rng.randrange(len(edges))]]
+    at = [0, rng.randrange(len(edges))]
+    scans = [g.edges_from(), g.edges_from(at[1])]
     ks = []
     for turn in range(400):
-        s, cursor = states[turn % 2], cursors[turn % 2]
+        side = turn % 2
+        s, pos = states[side], at[side]
         for _ in range(rng.randrange(4)):
-            e = edges[max(0, min(len(edges) - 1, cursor[0] + rng.randrange(100) - 20))]
+            e = edges[max(0, min(len(edges) - 1, pos + rng.randrange(100) - 20))]
             if s.is_free(e):
                 (s.connector_edges if rng.randrange(2) else s.breaker_edges).add(e)
         k = rng.randrange(4)
-        skip = {e for e in edges[cursor[0] : cursor[0] + 30] if rng.randrange(5) == 0}
-        want, i = [], cursor[0]
+        skip = {e for e in edges[pos : pos + 30] if rng.randrange(5) == 0}
+        want, i = [], pos
         while len(want) < k and i < len(edges):
             if s.is_free(edges[i]) and edges[i] not in skip:
                 want.append(edges[i])
             i += 1
-        assert s.lowest_free(k, cursor, skip) == want
-        assert cursor == [i]
+        assert s.first_free(k, scans[side], skip) == want
+        at[side] = i
         ks.append(k)
-        if cursor[0] == len(edges):
-            cursor[0] = rng.randrange(len(edges))
+        if i == len(edges):
+            at[side] = rng.randrange(len(edges))
+            scans[side] = g.edges_from(at[side])
     assert 0 in ks
+    for pos, scan in zip(at, scans):
+        assert tuple(scan) == edges[pos:]
 
 
 def test_state_parameter_validation():
@@ -373,7 +390,7 @@ def test_replay_reproduces_final_state(n, p, seed, connector, breaker):
         assert state.breaker_degrees == counts
         naive_free = [e for e in g.sorted_edges() if state.is_free(e)]
         assert state.free_edges() == naive_free
-        assert state.lowest_free(3) == naive_free[:3]
+        assert state.first_free(3) == naive_free[:3]
     assert state.connector_edges == res.final_state.connector_edges
     assert state.breaker_edges == res.final_state.breaker_edges
     assert state.breaker_degrees == res.final_state.breaker_degrees
@@ -433,7 +450,7 @@ def test_edge_tests_on_reversed_pairs_loops_and_off_board_vertices():
     k=st.integers(0, 6),
 )
 @example(n=30, p=1.0, seed=0, start=60, k=6)
-def test_lowest_free_matches_a_tuple_scan(n, p, seed, start, k):
+def test_first_free_matches_a_tuple_scan(n, p, seed, start, k):
     g = gen_gnp(n, p, seed)
     edges = g.sorted_edges()
     rng = Rng(seed)
@@ -441,14 +458,17 @@ def test_lowest_free_matches_a_tuple_scan(n, p, seed, start, k):
     connector, breaker = claimed[::2], claimed[1::2]
     skip = {e for e in edges if rng.randrange(4) == 0}
     s = GameState(g, connector_edges=connector, breaker_edges=breaker)
-    want, i = [], start
-    while len(want) < k and i < len(edges):
-        e = edges[i]
-        if e not in connector and e not in breaker and e not in skip:
-            want.append(e)
-        i += 1
-    cursor = [start]
-    assert s.lowest_free(k, cursor, skip) == want
-    assert cursor == [i]
+    scan = g.edges_from(start)
+    i = start
+    # the second call must continue from where the first stopped
+    for _ in range(2):
+        want = []
+        while len(want) < k and i < len(edges):
+            e = edges[i]
+            if e not in connector and e not in breaker and e not in skip:
+                want.append(e)
+            i += 1
+        assert s.first_free(k, scan, skip) == want
+    assert tuple(scan) == edges[i:]
     free = [e for e in edges if e not in connector and e not in breaker]
-    assert s.lowest_free(k) == free[:k]
+    assert s.first_free(k) == free[:k]

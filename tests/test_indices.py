@@ -1,7 +1,7 @@
 """The baseline strategies' own indices against full-board rescans.
 
 The baseline strategies read the claim log and the territory order and
-keep their own sorted lists, heaps and cursors instead of rescanning
+keep their own sorted lists, heaps and scans instead of rescanning
 every edge; `select_target` reads a lowest-missing-vertex cursor and a
 lazy degree heap instead of scanning every vertex, and derives the
 structure case from that cursor instead of testing the reservoirs as
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import operator
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -69,7 +70,9 @@ def check_index(player, state: GameState) -> None:
     if player.role == BREAKER:
         deg = g.degree
         assert player.order == sorted(g.sorted_edges(), key=lambda e: (-deg(e[0]) - deg(e[1]), e))
-        assert not any(state.is_free(e) for e in player.order[: player.cursor])
+        # the scan over the rank order has passed only claimed edges
+        passed = len(player.order) - operator.length_hint(player.scan)
+        assert not any(state.is_free(e) for e in player.order[:passed])
         return
     assert player.joined == vc
     # every outside vertex with a free edge into the territory has a live
