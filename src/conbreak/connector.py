@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from .engine import BREAKER, GameState, Move
+from .engine import BREAKER, GameState, Move, check_biases
 from .errors import ParameterError
 from .graph import Edge, Graph, edge, edges_between
 from .rng import MASK64, Rng
@@ -565,9 +565,9 @@ class ConnectorPlan:
 
     `select_target` keeps its per-game state here, outside equality:
     `low`, the lowest vertex outside territory (territory only grows, so
-    it only moves forward), and the stage-II min-heap of the ints
-    v - deg(v) * n, for v a vertex and deg(v) its Breaker degree, with the
-    number of claim-log entries it has read. Such an int orders as the
+    it only moves forward), and for stage II the Breaker `degrees` it
+    counts, the number `moves_read` of `GameState.moves` entries counted
+    and the min-heap of the ints v - deg(v) * n. Such an int orders as the
     pair (-deg(v), v), and divmod by n gives that pair back."""
 
     a1: range
@@ -581,10 +581,9 @@ class ConnectorPlan:
     vc_order: List[int] = field(default_factory=list)
     targets_done: int = 0
     low: int = field(default=0, repr=False, compare=False)
-    degree_heap: Optional[List[int]] = field(
-        default=None, repr=False, compare=False
-    )
-    log_read: int = field(default=0, repr=False, compare=False)
+    degrees: Optional[List[int]] = field(default=None, repr=False, compare=False)
+    degree_heap: Optional[List[int]] = field(default=None, repr=False, compare=False)
+    moves_read: int = field(default=0, repr=False, compare=False)
 
     @property
     def stage(self) -> str:
@@ -606,6 +605,7 @@ class ConnectorPlan:
 def check_bias(m: int) -> None:
     """Refuse a Connector bias the tree strategy cannot play: each of its
     rounds claims two edges."""
+    check_biases(m)
     if m < 2:
         raise ParameterError(f"the tree strategy needs Connector bias >= 2, got {m}")
 
@@ -649,11 +649,12 @@ def select_target(state: GameState, plan: ConnectorPlan) -> int:
     The states passed to one plan must be successive positions of one
     game: the lowest missing vertex is a cursor `low` that moves past
     territory, and stage II reads a lazy heap of ints v - deg(v) * n,
-    which order as (-deg(v), v). Each call pushes one entry for each
-    endpoint outside territory of each Breaker claim logged since the
-    last call; a vertex two such claims touch gets two equal entries. An
-    entry is dropped when its vertex has joined the territory or gained
-    Breaker edges since (a newer entry holds the new degree)."""
+    which order as (-deg(v), v). The plan counts the degrees: its first
+    stage-II call from `state.breaker_edges`, each later call from the
+    Breaker moves applied since, pushing one entry at the count so far
+    per outside endpoint of each claim. An entry is dropped when its
+    vertex has joined the territory or gained Breaker edges since (a
+    newer entry holds the new degree)."""
     vc = state.v_c
     n = state.graph.n
     low = plan.low
@@ -665,19 +666,24 @@ def select_target(state: GameState, plan: ConnectorPlan) -> int:
     plan.case = 1 if low in plan.a1 else 2 if low in plan.a2 else 3
     if plan.stage == "I":
         return low
-    deg = state.breaker_degrees
     heap = plan.degree_heap
     if heap is None:
+        deg = plan.degrees = [0] * n
+        for u, w in state.breaker_edges:
+            deg[u] += 1
+            deg[w] += 1
         heap = plan.degree_heap = [v - deg[v] * n for v in range(n) if v not in vc]
         heapq.heapify(heap)
     else:
-        for role, (u, w) in state.log[plan.log_read:]:
+        deg = plan.degrees
+        for _, role, edges in state.moves[plan.moves_read:]:
             if role == BREAKER:
-                if u not in vc:
-                    heapq.heappush(heap, u - deg[u] * n)
-                if w not in vc:
-                    heapq.heappush(heap, w - deg[w] * n)
-    plan.log_read = len(state.log)
+                for e in edges:
+                    for w in e:
+                        deg[w] += 1
+                        if w not in vc:
+                            heapq.heappush(heap, w - deg[w] * n)
+    plan.moves_read = len(state.moves)
     # every missing vertex has an entry with its current degree, and low
     # is missing, so the heap holds a live entry
     while True:

@@ -51,34 +51,40 @@ class Move:
         return Move(tuple(edge(u, v) for u, v in pairs))
 
 
+def check_biases(*biases) -> None:
+    """Refuse a bias that is not an integer of at least 1: a float or a
+    bool is refused, a numpy integer passes."""
+    for x in biases:
+        if not (is_integer(x) and x >= 1):
+            raise ParameterError(f"bias must be an integer of at least 1, got {x!r}")
+
+
 class GameState:
     """Snapshot of a game in progress.
 
     `v_c` is Connector's territory: the endpoints of her claimed edges,
     plus the start vertex when one is fixed. `territory` lists the same
-    vertices in the order they joined it, and `log` holds every claim
-    applied since the state was built, as (role, edge) in play order;
-    both only grow. `round` counts from 1 and increments after Breaker's
-    reply, so within one round Connector moves first and both moves share
-    the round number. `breaker_degrees[v]` is the number of Breaker edges
-    at v, kept up to date as moves apply.
+    vertices in the order they joined it, and `moves` holds one
+    (round, role, edges) entry per move applied since the state was
+    built, empty moves included; both only grow. `round` counts from 1
+    and increments after Breaker's reply, so within one round Connector
+    moves first and both moves share the round number.
 
     The state holds the position and nothing a strategy alone reads:
     `is_free`, `free_edges_at` and the move checks read one CSR row,
     `first_free` reads an edge iterator its caller may keep, and none of
     them builds a whole-board Python view. A strategy that wants an index
-    of the free edges keeps its own, brought up to date from `log` and
-    `territory`.
+    of the free edges, or Breaker's degrees, keeps its own, brought up to
+    date from `moves` and `territory`.
     """
 
     __slots__ = (
         "graph",
         "connector_edges",
         "breaker_edges",
-        "breaker_degrees",
         "v_c",
         "territory",
-        "log",
+        "moves",
         "m",
         "b",
         "round",
@@ -96,8 +102,7 @@ class GameState:
         breaker_edges: Iterable[Edge] = (),
         to_move: str = CONNECTOR,
     ):
-        if m < 1 or b < 1:
-            raise ParameterError(f"bias must be at least 1, got m={m} b={b}")
+        check_biases(m, b)
         if start_vertex is not None and not (
             is_integer(start_vertex) and 0 <= start_vertex < graph.n
         ):
@@ -119,16 +124,12 @@ class GameState:
                 raise ParameterError(f"claimed pair {e!r} is not a board edge (u, v) with u < v")
         self.round = 1
         self.to_move = to_move
-        self.breaker_degrees = [0] * graph.n
-        for u, v in self.breaker_edges:
-            self.breaker_degrees[u] += 1
-            self.breaker_degrees[v] += 1
         order = [] if start_vertex is None else [start_vertex]
         for e in sorted(self.connector_edges):
             order.extend(e)
         self.territory = list(dict.fromkeys(order))
         self.v_c = set(self.territory)
-        self.log: List[Tuple[str, Edge]] = []
+        self.moves: List[Tuple[int, str, Tuple[Edge, ...]]] = []
 
     def copy(self) -> "GameState":
         s = GameState.__new__(GameState)
@@ -138,12 +139,11 @@ class GameState:
         s.start_vertex = self.start_vertex
         s.connector_edges = set(self.connector_edges)
         s.breaker_edges = set(self.breaker_edges)
-        s.breaker_degrees = list(self.breaker_degrees)
         s.round = self.round
         s.to_move = self.to_move
         s.v_c = set(self.v_c)
         s.territory = list(self.territory)
-        s.log = list(self.log)
+        s.moves = list(self.moves)
         return s
 
     def bias(self, role: str) -> int:
@@ -259,14 +259,14 @@ def _check_move(state: GameState, move: Move) -> Tuple[Edge, ...]:
 
 
 def _apply_in_place(state: GameState, edges: Tuple[Edge, ...]) -> None:
-    """Apply the edges `_check_move` returned for the player to move.
-    Mutates `state`; used by the game loop."""
+    """Apply the edges `_check_move` returned for the player to move and
+    record the move in `state.moves`. Mutates `state`; used by the game
+    loop."""
     role = state.to_move
-    log = state.log
+    state.moves.append((state.round, role, edges))
     if role == CONNECTOR:
         claimed, vc, territory = state.connector_edges, state.v_c, state.territory
         for e in edges:
-            log.append((role, e))
             claimed.add(e)
             for w in e:
                 if w not in vc:
@@ -274,12 +274,7 @@ def _apply_in_place(state: GameState, edges: Tuple[Edge, ...]) -> None:
                     territory.append(w)
         state.to_move = BREAKER
     else:
-        blocked, deg = state.breaker_edges, state.breaker_degrees
-        for e in edges:
-            log.append((role, e))
-            blocked.add(e)
-            deg[e[0]] += 1
-            deg[e[1]] += 1
+        state.breaker_edges.update(edges)
         state.to_move = CONNECTOR
         state.round += 1
 
@@ -307,7 +302,7 @@ class Strategy(Protocol):
     successive positions of one game, as `run_game` plays them: each
     position after the first is the one before it with the proposed move
     and the opponent's reply applied. So a strategy may keep per-game
-    indices, brought up to date from the claim log and the territory
+    indices, brought up to date from the state's moves and territory
     order, and may update them at `propose` as if its move were played.
     Given the same board, role, seed and state sequence, a strategy must
     produce the same moves. Strategies must treat the passed state as
@@ -389,7 +384,6 @@ def run_game(
     breaker.start(graph, BREAKER, derive(seed, _TAG_BREAKER))
     strategies = {CONNECTOR: connector, BREAKER: breaker}
 
-    transcript: list = []
     flags: list = []
     total_edges = graph.edge_count()
     winner = reason = None
@@ -411,7 +405,6 @@ def run_game(
             winner = BREAKER if role == CONNECTOR else CONNECTOR
             reason = REASON_FORFEIT
             break
-        transcript.append((state.round, role, edges))
         _apply_in_place(state, edges)
         if role == CONNECTOR and state.connector_has_spanned():
             winner, reason = CONNECTOR, REASON_SPANNED
@@ -428,12 +421,12 @@ def run_game(
         else:
             last_was_empty = False
 
-    rounds = transcript[-1][0] if transcript else 0
+    moves = state.moves
     return GameResult(
         winner=winner,
         reason=reason,
-        rounds=rounds,
-        transcript=tuple(transcript),
+        rounds=moves[-1][0] if moves else 0,
+        transcript=tuple(moves),
         flags=tuple(flags),
         final_state=state,
         m=m,

@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -84,6 +85,12 @@ class TrialConfig:
             raise ParameterError(f"board sizes must be positive: {self.ns}")
         if (self.ps is None) == (self.eps_list is None):
             raise ParameterError("give exactly one of ps or eps_list")
+        # a bool would pass the range checks below and a string would
+        # fail them with a TypeError
+        for name, values in (("p", self.ps), ("eps", self.eps_list)):
+            for x in values or ():
+                if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                    raise ParameterError(f"{name} must be a real number, got {x!r}")
         if self.ps is not None:
             if not self.ps:
                 raise ParameterError("ps must be non-empty")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from .engine import BREAKER, CONNECTOR, GameState, Move
+from .engine import BREAKER, CONNECTOR, GameState, Move, check_biases
 from .errors import CapacityError, ParameterError
 from .graph import Graph, is_integer
 
@@ -125,8 +125,7 @@ def solve_exact(
     territory; without it her first edge is unconstrained. Boards with more
     than MAX_EDGES edges are refused (CapacityError).
     """
-    if m < 1 or b < 1:
-        raise ParameterError(f"bias must be at least 1, got m={m} b={b}")
+    check_biases(m, b)
     if first not in (CONNECTOR, BREAKER):
         raise ParameterError(f"first mover must be 'C' or 'B', got {first!r}")
     if start_vertex is not None and not (is_integer(start_vertex) and 0 <= start_vertex < g.n):

@@ -37,9 +37,9 @@ class RandomStrategy:
     Each claim draws one index into the legal edges in ascending order
     and reads that entry of one sorted list the strategy keeps. Breaker's
     list holds the free edges: a full scan at his first propose, then
-    each propose deletes the claims logged since. Connector's list holds
-    her frontier, the free edges that touch her territory: each propose
-    deletes the logged claims, and each vertex that joins the territory
+    each propose deletes the claims of the moves applied since. Connector's
+    list holds her frontier, the free edges that touch her territory: each
+    propose deletes those claims, and each vertex that joins the territory
     inserts its free edges whose other end has not joined. After each
     claim she updates the list as if the claim were played, so the next
     claim of the move draws from it. From an empty territory she draws
@@ -49,7 +49,7 @@ class RandomStrategy:
         self.role = ""
         self.rng: Optional[Rng] = None
         self.edges: Optional[List[Edge]] = None
-        self.read = 0  # claims of the log already deleted from `edges`
+        self.read = 0  # entries of `state.moves` already deleted from `edges`
         self.joined: Set[int] = set()  # vertices whose edges are in `edges`
 
     def start(self, graph: Graph, role: str, seed: Seed) -> None:
@@ -60,8 +60,8 @@ class RandomStrategy:
         if self.edges is None:
             self.edges = state.free_edges() if self.role == BREAKER else []
         else:
-            self._drop(e for _, e in state.log[self.read:])
-        self.read = len(state.log)
+            self._drop(e for _, _, claims in state.moves[self.read:] for e in claims)
+        self.read = len(state.moves)
         edges = self.edges
         if self.role == BREAKER:
             return Move(tuple(self.rng.sample(edges, min(state.b, len(edges)))))

@@ -755,8 +755,9 @@ def test_make_plan_parameters():
     assert len(plan.a2) == math.ceil(100 ** (2 / 3))
     assert plan.a2 == range(5, 5 + len(plan.a2))
     assert plan.stage == "I"
-    with pytest.raises(ParameterError):
-        make_plan(g, m=1)
+    for m in (1, 2.5, True):
+        with pytest.raises(ParameterError):
+            make_plan(g, m=m)
     # empirical density fallback gives the same depths here
     plan2 = make_plan(g, m=2)
     assert plan2.k2 == plan.k2

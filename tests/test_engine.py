@@ -61,11 +61,12 @@ def test_state_init_and_accessors():
     assert free_edge_count(s) == 3
     assert s.free_edges() == [(0, 3), (1, 2), (2, 3)]
     assert s.is_free((1, 2)) and not s.is_free((0, 1))
-    assert s.breaker_degrees[0] == 0
+    assert s.moves == []
     s2 = s.copy()
     s2.connector_edges.add((1, 2))
     s2.v_c.add(9)
-    assert (1, 2) not in s.connector_edges and 9 not in s.v_c
+    s2.moves.append((1, CONNECTOR, ((1, 2),)))
+    assert (1, 2) not in s.connector_edges and 9 not in s.v_c and s.moves == []
 
 
 def test_first_free_kept_iterator_and_skip():
@@ -139,6 +140,16 @@ def test_state_parameter_validation():
         GameState(g, start_vertex=4)
     with pytest.raises(ParameterError):
         GameState(g, to_move="X")
+    # a bias must be an integer: m = 1.5 let best_move claim four edges
+    for bias in (1.5, 2.0, True, None):
+        with pytest.raises(ParameterError, match="bias"):
+            GameState(g, m=bias)
+        with pytest.raises(ParameterError, match="bias"):
+            GameState(g, b=bias)
+    # run_game with random players died on range(2.5) with a TypeError
+    with pytest.raises(ParameterError, match="bias"):
+        run_game(g, make_strategy("random"), make_strategy("random"), m=2.5, b=1.5)
+    assert GameState(g, m=np.int64(3), b=np.uint8(1)).bias(CONNECTOR) == 3
     # a claim must be a board edge written (u, v) with u < v: a reversed
     # (2, 1) left (1, 2) free to claim again
     for opts in (
@@ -177,6 +188,20 @@ def test_connector_move_grows_territory_within_move():
     # the same edges in the other order never touch the start first
     with pytest.raises(ConnectivityError):
         validate_and_apply(s, Move.of((1, 2), (0, 1)))
+
+
+def test_validate_and_apply_records_one_entry_per_move():
+    """Each applied move appends one (round, role, edges) entry to
+    `moves`, an empty move and a reversed pair included, and the input
+    state's record is left as it was."""
+    s0 = GameState(square(), m=2, b=2, start_vertex=0)
+    s1 = validate_and_apply(s0, Move.of((0, 1), (1, 2)))
+    s2 = validate_and_apply(s1, Move(()))
+    s3 = validate_and_apply(s2, Move(((3, 2),)))
+    assert s0.moves == []
+    assert s1.moves == [(1, CONNECTOR, ((0, 1), (1, 2)))]
+    assert s2.moves == s1.moves + [(1, BREAKER, ())]
+    assert s3.moves == s2.moves + [(2, CONNECTOR, ((2, 3),))]
 
 
 def test_first_move_unanchored_without_start():
@@ -331,11 +356,11 @@ def test_numpy_vertices_are_played_as_ints():
     assert res.transcript[:2] == ((1, CONNECTOR, ((1, 2),)), (1, BREAKER, ((2, 3),)))
     s = res.final_state
     played = [w for _, _, edges in res.transcript for e in edges for w in e]
-    played += [w for _, e in s.log for w in e] + s.territory
+    played += [w for _, _, edges in s.moves for e in edges for w in e] + s.territory
     assert all(type(w) is int for w in played)
     assert res.transcript_jsonl().startswith('{"round":1,"player":"C","edges":[[1,2]]}\n')
     nxt = validate_and_apply(GameState(g, start_vertex=0), Move(((np.int16(0), 1),)))
-    assert all(type(w) is int for w in nxt.territory) and nxt.log == [(CONNECTOR, (0, 1))]
+    assert all(type(w) is int for w in nxt.territory) and nxt.moves == [(1, CONNECTOR, ((0, 1),))]
 
 
 def test_run_game_checks_the_seed():
@@ -386,14 +411,12 @@ def test_replay_reproduces_final_state(n, p, seed, connector, breaker):
     # state, and the last one (the start, when no move was made) is final
     state = GameState(g, m=2, b=2, start_vertex=0)
     for _, _, state in replay_states(res, g):
-        counts = [sum(1 for e in state.breaker_edges if v in e) for v in range(n)]
-        assert state.breaker_degrees == counts
         naive_free = [e for e in g.sorted_edges() if state.is_free(e)]
         assert state.free_edges() == naive_free
         assert state.first_free(3) == naive_free[:3]
     assert state.connector_edges == res.final_state.connector_edges
     assert state.breaker_edges == res.final_state.breaker_edges
-    assert state.breaker_degrees == res.final_state.breaker_degrees
+    assert state.moves == list(res.transcript)
     assert state.v_c == res.final_state.v_c
 
 

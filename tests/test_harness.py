@@ -88,6 +88,18 @@ def test_config_validation():
         TrialConfig(ns=(5,), ps=(0.5,), breaker_id="nonsense")
     with pytest.raises(ParameterError):
         TrialConfig(ns=(5,), ps=(0.5,), start_vertex=-1)
+    # a bool ran and wrote True into the CSV's p column, and a string
+    # failed the range checks with a TypeError
+    for grid in (
+        dict(ps=(True,)),
+        dict(ps=(0.5, False)),
+        dict(ps=("0.5",)),
+        dict(eps_list=(True,)),
+        dict(eps_list=("0.1",)),
+        dict(ps=(None,)),
+    ):
+        with pytest.raises(ParameterError, match="real number"):
+            TrialConfig(ns=(20,), **grid)
     # a density from a non-finite exponent would be made up: nan and +inf
     # both read as p = 1, -inf as p = 0
     for eps in (math.nan, math.inf, -math.inf):

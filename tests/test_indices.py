@@ -1,9 +1,10 @@
 """The baseline strategies' own indices against full-board rescans.
 
-The baseline strategies read the claim log and the territory order and
+The baseline strategies read the state's moves and territory order and
 keep their own sorted lists, heaps and scans instead of rescanning
 every edge; `select_target` reads a lowest-missing-vertex cursor and a
-lazy degree heap instead of scanning every vertex, and derives the
+lazy heap over the Breaker degrees it counts from the moves instead of
+scanning every vertex and recounting, and derives the
 structure case from that cursor instead of testing the reservoirs as
 subsets; `connector_move` finds its direct edge into the target in one
 pass over the target's row instead of set operations over the reservoir
@@ -45,20 +46,21 @@ def position(state: GameState):
         [e for e in g.sorted_edges() if state.is_free(e)],
         [state.free_edges_at(v) for v in range(g.n)],
         list(state.territory),
-        list(state.log),
+        list(state.moves),
     )
 
 
 def check_index(player, state: GameState) -> None:
     """A baseline player's index against a full scan of `state`, a
     position at or after the one its last propose saw, with its move
-    played. Claims logged since that propose may still be listed."""
+    played. Claims of the moves applied since that propose may still be
+    listed."""
     g = state.graph
     free = [e for e in g.sorted_edges() if state.is_free(e)]
     vc = state.v_c
     if isinstance(player, RandomStrategy):
         assert player.edges == sorted(set(player.edges))
-        later = {e for _, e in state.log[player.read:]}
+        later = {e for _, _, edges in state.moves[player.read:] for e in edges}
         kept = [e for e in player.edges if e not in later]
         if player.role == BREAKER:
             assert kept == free
@@ -157,21 +159,22 @@ def test_indexed_baselines_match_naive_rescan(n, p, seed, start, m, b, cid, bid,
         check_index(players[role], state)
 
 
-def test_claim_log_and_territory_follow_play():
+def test_moves_and_territory_follow_play():
     g = gen_gnp(30, 0.3, 4)
     res = run_game(g, make_strategy("random"), make_strategy("greedy-degree"), seed=4)
     s = res.final_state
-    assert s.log == [(role, e) for _, role, edges in res.transcript for e in edges]
+    assert res.transcript == tuple(s.moves)
     assert sorted(s.territory) == sorted(s.v_c)
     assert len(set(s.territory)) == len(s.territory)
     # each vertex joins when the first Connector edge at it is claimed
     first = []
-    for role, e in s.log:
+    for _, role, edges in s.moves:
         if role == CONNECTOR:
-            first.extend(w for w in e if w not in first)
+            for e in edges:
+                first.extend(w for w in e if w not in first)
     assert s.territory == first
     built = GameState(g, start_vertex=18, connector_edges=[(0, 18), (0, 9)])
-    assert built.territory == [18, 0, 9] and built.log == []
+    assert built.territory == [18, 0, 9] and built.moves == []
 
 
 def test_baseline_indices_match_a_full_scan_after_run_game():
@@ -189,9 +192,10 @@ def test_baseline_indices_match_a_full_scan_after_run_game():
 
 def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
     """Recorded paper-connector games, with every select_target call
-    checked against the full scan and the case it sets checked against
-    the reservoir subset tests; both stages and all three cases are
-    reached. The dense n=400 games make the lazy heap drop stale
+    checked against the full scan, the case it sets checked against the
+    reservoir subset tests and, in stage II, the Breaker degrees it
+    counts checked against a recount of Breaker's edges; both stages and
+    all three cases are reached. The dense n=400 games make the lazy heap drop stale
     entries, each checked stale when it is popped, and make some stage-II
     target win a Breaker-degree tie against a higher vertex."""
     real = connector.select_target
@@ -199,11 +203,11 @@ def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
     cases = []
     ties = []
     popped = []
-    current = []  # the state of the select_target call in progress
+    current = []  # the state and plan of the select_target call in progress
     real_pop = heapq.heappop
 
     def checked(state, plan):
-        current.append(state)
+        current.append((state, plan))
         got = real(state, plan)
         current.pop()
         assert got == naive_select_target(state, plan)
@@ -211,7 +215,12 @@ def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
         stages.append(plan.stage)
         cases.append(plan.case)
         if plan.stage == "II":
-            deg = state.breaker_degrees
+            deg = plan.degrees
+            naive = [0] * state.graph.n
+            for e in state.breaker_edges:
+                for w in e:
+                    naive[w] += 1
+            assert deg == naive
             ties.append(any(
                 v > got and v not in state.v_c and deg[v] == deg[got]
                 for v in range(state.graph.n)
@@ -221,9 +230,9 @@ def test_select_target_matches_naive_scan_on_paper_games(monkeypatch):
     def checked_pop(heap):
         entry = real_pop(heap)
         if current:
-            state = current[-1]
+            state, plan = current[-1]
             d, v = divmod(entry, state.graph.n)
-            assert v in state.v_c or -d != state.breaker_degrees[v]
+            assert v in state.v_c or -d != plan.degrees[v]
             popped.append(v)
         return entry
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from conbreak import (
@@ -126,6 +127,14 @@ def test_parameter_validation():
         solve_exact(g, 1, 0)
     with pytest.raises(ParameterError):
         solve_exact(g, 1, 1, first="Z")
+    # a bias must be an integer: on the 4-cycle, m = 1.5 played as m = 2
+    cycle = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for m, b in ((1.5, 1), (1, 1.5), (True, 1), (1, True), (2.0, 1)):
+        with pytest.raises(ParameterError, match="bias"):
+            solve_exact(cycle, m, b)
+    with pytest.raises(ParameterError, match="bias"):
+        best_move(GameState(cycle, m=1.5, b=1, start_vertex=0))
+    assert solve_exact(cycle, np.int64(1), np.int64(1)) == solve_exact(cycle, 1, 1)
     with pytest.raises(ParameterError):
         solve_exact(g, 1, 1, goal="nonsense")
     with pytest.raises(ParameterError):
