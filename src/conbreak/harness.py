@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, TextIO, Tuple
 
 from .breaker import BadSetDecomposition
 from .connector import check_bias
-from .engine import BREAKER, CONNECTOR, GameResult, REASON_FORFEIT, run_game
+from .engine import BREAKER, CONNECTOR, GameResult, REASON_FORFEIT, check_biases, run_game
 from .errors import ParameterError
 from .graph import GnpDraws, Graph, gen_gnp, is_integer
 from .rng import check_seed, derive
@@ -75,12 +75,13 @@ class TrialConfig:
         # a float or a bool would pass the range checks below and fail
         # only once run_trials has truncated the outputs
         counts = [("board size", n) for n in self.ns]
-        counts += [("trials", self.trials), ("m", self.m), ("b", self.b), ("jobs", self.jobs)]
+        counts += [("trials", self.trials), ("jobs", self.jobs)]
         if self.start_vertex is not None:
             counts.append(("start vertex", self.start_vertex))
         for name, value in counts:
             if not is_integer(value):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
+        check_biases(self.m, self.b)
         if any(n < 1 for n in self.ns):
             raise ParameterError(f"board sizes must be positive: {self.ns}")
         if (self.ps is None) == (self.eps_list is None):
@@ -105,8 +106,6 @@ class TrialConfig:
                     raise ParameterError(f"eps must be finite, got {eps}")
         if self.trials < 1:
             raise ParameterError(f"trials must be at least 1, got {self.trials}")
-        if self.m < 1 or self.b < 1:
-            raise ParameterError(f"bias must be at least 1, got m={self.m} b={self.b}")
         if self.jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {self.jobs}")
         cores = os.cpu_count() or 1

@@ -1,22 +1,30 @@
 """Exact game values for tiny boards.
 
-Exhaustive memoized minimax over the full move space of the biased
-connectivity game, partial moves included. A move of up to k edges is
-explored edge by edge with a remaining-claims counter plus an explicit
-"stop here" branch, which enumerates exactly the legal partial moves while
-letting the memo table collapse permutations of the same claim set.
+Exhaustive memoized minimax over full moves of the biased connectivity
+game. A move is explored edge by edge with a claims-left counter, so the
+memo table collapses permutations of the same claim set. A position is
+keyed by (territory mask, free-edge mask, mover, claims left), and the
+goal is a territory mask: Connector has won once her territory covers it.
 
-States are keyed by the claimed-edge bitmaps, the player to move, the
-remaining claims in the current move, and whether the previous move was
-empty. The goal is a territory mask: Connector has won once her territory
-covers it. The stand-off rule matches the engine: two consecutive empty
-moves end the game, and a game that ends without Connector reaching her
-goal is a Breaker win.
+Why this key is exact:
+
+- Connector's legal claims and her goal depend only on her territory and
+  the free edges, so her claimed edges need no place in the key.
+- An extra claim never hurts the player who makes it (the monotonicity of
+  Maker-Breaker-type games: Beck 2008; Hefetz, Krivelevich, Stojakovic
+  and Szabo 2014), so a full move is never worse than the partial moves
+  it contains, and the search explores only full moves.
+- Without partial moves, a move is empty only when the mover has nothing
+  to claim, and that position is a Breaker win: Connector's territory
+  grows only through her own claims, so once she has no claimable edge it
+  never grows again, and when Breaker has no free edge, Connector has
+  none either. That one rule covers the engine's stand-off (a round of
+  two empty moves ends the game) and the exhausted board.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from .engine import BREAKER, CONNECTOR, GameState, Move, check_biases
 from .errors import CapacityError, ParameterError
@@ -38,7 +46,8 @@ def check_size(g: Graph) -> None:
 
 
 class _Search:
-    """Memoized game-tree search on one board with fixed biases and goal.
+    """Memoized game-tree search over full moves on one board with fixed
+    biases and goal.
 
     `need` is the goal as a territory mask: every vertex for the spanning
     goal (none on a board of at most one vertex, which is won at once),
@@ -65,47 +74,41 @@ class _Search:
     def goal_met(self, vc: int) -> bool:
         return vc & self.need == self.need
 
-    def val(self, cmask, bmask, vc, mover, left, prev_empty) -> bool:
-        """True when Connector wins from here with best play."""
-        key = (cmask, bmask, mover, left, prev_empty)
+    def val(self, vc, free, mover, left) -> bool:
+        """True when Connector wins from here with best play: territory
+        mask `vc`, free-edge mask `free`, and `left` claims still to make
+        in `mover`'s move."""
+        key = (vc, free, mover, left)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         # `win` is the value the mover plays for; the first child worth
-        # it decides the node
+        # it decides the node, and a node with no child is a Breaker win
         win = mover == CONNECTOR
         other = BREAKER if win else CONNECTOR
         fresh = self.bias[other]
         inc = self.inc
         need = self.need
-        f = self.all_e & ~(cmask | bmask)
+        result = False
+        f = free
         while f:
             bit = f & -f
             f ^= bit
+            nvc = vc
             if win:
                 i = bit.bit_length() - 1
                 if vc and not (inc[i] & vc):
                     continue
-                cm, bm, nvc = cmask | bit, bmask, vc | inc[i]
+                nvc = vc | inc[i]
                 if nvc & need == need:
                     result = True
                     break
-            else:
-                cm, bm, nvc = cmask, bmask | bit, vc
             if left > 1:
-                r = self.val(cm, bm, nvc, mover, left - 1, prev_empty)
+                result = self.val(nvc, free ^ bit, mover, left - 1)
             else:
-                r = self.val(cm, bm, nvc, other, fresh, False)
-            if r == win:
-                result = win
+                result = self.val(nvc, free ^ bit, other, fresh)
+            if result == win:
                 break
-        else:
-            # stop here: the empty move when nothing was claimed yet, and
-            # a second empty move in a row stalls the game, a Breaker win
-            empty = left == self.bias[mover]
-            result = not (empty and prev_empty) and self.val(
-                cmask, bmask, vc, other, fresh, empty
-            )
         self.memo[key] = result
         return result
 
@@ -134,7 +137,7 @@ def solve_exact(
     start_vc = 0 if start_vertex is None else (1 << start_vertex)
     if search.goal_met(start_vc):
         return CONNECTOR
-    won = search.val(0, 0, start_vc, first, search.bias[first], False)
+    won = search.val(start_vc, search.all_e, first, search.bias[first])
     return CONNECTOR if won else BREAKER
 
 
@@ -142,52 +145,43 @@ def best_move(state: GameState) -> Move:
     """An optimal move in the spanning game for the player to move in
     `state`, on boards of at most MAX_EDGES edges.
 
-    Enumerates every legal claim sequence for the current move (all orders,
-    deduplicated by claim set), evaluates each follow-up position exactly,
+    Enumerates every legal claim sequence of up to the mover's bias (all
+    orders, one per claim set), judges each follow-up position exactly,
     and returns the first winning move in a deterministic order (largest
     claim sets first, then lexicographic). When every move loses, the first
-    candidate in that order is returned so play continues naturally. The
-    position is assumed not to sit on a half-finished stand-off: the
-    previous move is treated as non-empty.
+    candidate in that order is returned so play continues naturally.
     """
     search = _Search(state.graph, state.m, state.b)
     index, edges, inc = search.index, search.edges, search.inc
-    # distinct bits, so each sum is the union
-    cmask = sum(1 << index[e] for e in state.connector_edges)
-    bmask = sum(1 << index[e] for e in state.breaker_edges)
+    # distinct bits, so the sum is the union
+    free = search.all_e ^ sum(1 << index[e] for e in state.connector_edges | state.breaker_edges)
     vc = sum(1 << v for v in state.v_c)
     if search.goal_met(vc):
         return Move(())
 
     win = state.to_move == CONNECTOR
-    candidates: List[Tuple[Tuple, int, int, int]] = []
-    seen = set()
+    # claim set -> (the first claim order found, free edges, territory)
+    candidates: Dict[FrozenSet, Tuple[Tuple, int, int]] = {}
 
-    def enum(cm: int, bm: int, vcur: int, left: int, claims: Tuple) -> None:
-        key = frozenset(claims)
-        if key not in seen:
-            seen.add(key)
-            candidates.append((claims, cm, bm, vcur))
+    def enum(fr: int, vcur: int, left: int, claims: Tuple) -> None:
+        candidates.setdefault(frozenset(claims), (claims, fr, vcur))
         if left == 0:
             return
-        f = search.all_e & ~(cm | bm)
+        f = fr
         while f:
             bit = f & -f
             f ^= bit
             i = bit.bit_length() - 1
-            if not win:
-                enum(cm, bm | bit, vcur, left - 1, claims + (edges[i],))
-            elif not vcur or inc[i] & vcur:
-                enum(cm | bit, bm, vcur | inc[i], left - 1, claims + (edges[i],))
+            if win and vcur and not inc[i] & vcur:
+                continue
+            enum(fr ^ bit, vcur | inc[i] if win else vcur, left - 1, claims + (edges[i],))
 
-    enum(cmask, bmask, vc, state.bias(state.to_move), ())
-    candidates.sort(key=lambda c: (-len(c[0]), c[0]))
+    enum(free, vc, state.bias(state.to_move), ())
+    order = sorted(candidates.values(), key=lambda c: (-len(c[0]), c[0]))
 
     other = BREAKER if win else CONNECTOR
-    for claims, cm, bm, vcur in candidates:
-        won = (win and search.goal_met(vcur)) or search.val(
-            cm, bm, vcur, other, search.bias[other], not claims
-        )
+    for claims, fr, vcur in order:
+        won = (win and search.goal_met(vcur)) or search.val(vcur, fr, other, search.bias[other])
         if won == win:
             return Move(claims)
-    return Move(candidates[0][0])
+    return Move(order[0][0])

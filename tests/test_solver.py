@@ -13,6 +13,7 @@ from conbreak import (
     Move,
     ParameterError,
     best_move,
+    gen_gnp,
     run_game,
     solve_exact,
     validate_and_apply,
@@ -27,6 +28,8 @@ from oracles import (
 )
 
 BIASES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+# the search explores full moves only, an argument that leans on the biases
+WIDE_BIASES = [(3, 1), (1, 3), (3, 3), (3, 2), (2, 3)]
 
 
 def triangle() -> Graph:
@@ -86,6 +89,21 @@ def test_matches_oracle_n4_both_goals():
             got = solve_exact(g, m, b, goal=reach, start_vertex=0)
             want = oracle_game_value(g, m, b, goal=reach, start_vertex=0)
             assert got == want, (g.sorted_edges(), m, b)
+        for m, b in WIDE_BIASES:
+            for first in (CONNECTOR, BREAKER):
+                for start in (None, 0):
+                    for goal in ("spanning", reach):
+                        got = solve_exact(g, m, b, first, goal, start)
+                        want = oracle_game_value(g, m, b, first, goal, start)
+                        assert got == want, (g.sorted_edges(), m, b, first, start, goal)
+
+
+def test_sixteen_edge_answers_pinned():
+    # (2:2) play from vertex 0 on boards at the size limit
+    for seed, want in ((1000, BREAKER), (1033, CONNECTOR), (1045, CONNECTOR)):
+        g = gen_gnp(8, 0.55, seed)
+        assert g.edge_count() == 16
+        assert solve_exact(g, 2, 2, start_vertex=0) == want, seed
 
 
 def test_matches_oracle_n5_classes():
@@ -176,6 +194,13 @@ def test_best_move_preserves_win():
             want = solve_exact(g, m, b)
             res = run_game(g, MinimaxStrategy(), MinimaxStrategy(), m=m, b=b)
             assert res.winner == want, (g.sorted_edges(), m, b)
+
+
+def test_best_move_order_on_disconnected_free_opening():
+    # every move loses on this disconnected board with no territory yet,
+    # so best_move plays its first candidate: the largest claim set
+    g = Graph(7, [(1, 6), (2, 3), (3, 5)])
+    assert best_move(GameState(g, m=2, b=1)).edges == ((2, 3), (3, 5))
 
 
 def test_best_move_refuses_big_board():
