@@ -36,6 +36,20 @@ def naive_gen_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, np.column_stack((rows, cols)))
 
 
+def sort_modulo_csr(n: int, u, v):
+    """The CSR adjacency (off, nbr) of the canonical edge arrays u < v,
+    built as Graph once built it: each edge keyed both ways round as
+    endpoint * n + neighbour, the 2m keys sorted, the neighbours read
+    back with % n and the offsets summed from the degrees."""
+    import numpy as np
+
+    both = np.sort(np.concatenate((v * n + u, u * n + v)))
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=off[1:])
+    return off, both % n
+
+
 def all_labeled_graphs(n: int) -> List[Graph]:
     """Every labeled simple graph on n vertices."""
     pairs = list(combinations(range(n), 2))

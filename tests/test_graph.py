@@ -27,9 +27,23 @@ from oracles import (
     connected_graph_classes,
     is_spanning_connected,
     naive_gen_gnp,
+    sort_modulo_csr,
     spanning_pair_oracle,
 )
 from test_cli import write_graph
+
+
+def assert_csr_matches_oracle(g):
+    """g's arrays are int64 and read-only, its CSR is the sort-and-modulo
+    build of its edge arrays, and its degrees and rows read that CSR."""
+    for arr in (g.u, g.v, g.off, g.nbr):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    off, nbr = sort_modulo_csr(g.n, g.u, g.v)
+    assert np.array_equal(g.off, off) and np.array_equal(g.nbr, nbr)
+    bounds = off.tolist()
+    assert [g.degree(w) for w in range(g.n)] == np.diff(off).tolist()
+    for w in range(g.n):
+        assert g.row(w) == tuple(nbr[bounds[w] : bounds[w + 1]].tolist()), w
 
 
 def test_edge_canonicalizes():
@@ -129,6 +143,7 @@ def test_graph_matches_set_reference(case, seed):
     adj = {w: {b if a == w else a for a, b in canon if w in (a, b)} for w in range(n)}
     g = Graph(n, pairs)
     assert g.n == n
+    assert_csr_matches_oracle(g)
     assert g.sorted_edges() == tuple(sorted(canon))
     assert g.edge_count() == len(canon)
     for w in range(n):
@@ -227,6 +242,7 @@ def test_gnp_draws_cut_the_oracle_boards_nested_in_p(n, seed, block, p_max, ps):
     for p, g in zip(cut, boards):
         assert g == naive_gen_gnp(n, p, seed), p
         assert g == gen_gnp(n, p, seed)
+        assert_csr_matches_oracle(g)
     for lo, hi in zip(boards, boards[1:]):
         assert frozenset(lo.sorted_edges()) <= frozenset(hi.sorted_edges())
 
@@ -239,6 +255,33 @@ def test_gnp_draws_span_several_blocks():
     draws = GnpDraws(n, seed, max(ps))
     for p in ps:
         assert draws.board(p) == naive_gen_gnp(n, p, seed)
+
+
+def kept_draw_arrays(draws):
+    """Copies of the numpy arrays a GnpDraws holds, by slot name."""
+    held = {s: getattr(draws, s, None) for s in type(draws).__slots__}
+    return {s: a.copy() for s, a in held.items() if isinstance(a, np.ndarray)}
+
+
+@pytest.mark.parametrize("n, seed, p_max", [(600, 77, 0.1), (1000, 2026, 0.45)])
+def test_multi_block_boards_match_the_sort_modulo_csr(n, seed, p_max):
+    """Boards cut from one GnpDraws over several blocks (n=1000 is 499,500
+    pairs, eight default blocks) have the oracle's edges and CSR, and
+    cutting them never writes to the draws' arrays, which the p_max board
+    may share."""
+    draws = GnpDraws(n, seed, p_max)
+    top = draws.board(p_max)
+    before = kept_draw_arrays(draws)
+    assert before
+    for p in (0.0, p_max / 7, p_max / 2, p_max):
+        g = draws.board(p)
+        assert g == naive_gen_gnp(n, p, seed), p
+        assert_csr_matches_oracle(g)
+    assert g == top and np.array_equal(g.nbr, top.nbr)
+    after = kept_draw_arrays(draws)
+    assert after.keys() == before.keys()
+    for name, arr in before.items():
+        assert np.array_equal(after[name], arr), name
 
 
 def test_gnp_vector_path_matches_scalar_recipe():
@@ -391,6 +434,7 @@ def test_edge_list_format_errors(tmp_path):
 @given(n=st.integers(1, 40), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_rows_are_the_ascending_neighbourhoods(n, p, seed):
     g = gen_gnp(n, p, seed)
+    assert_csr_matches_oracle(g)
     edges = g.sorted_edges()
     for w in range(n):
         assert g.row(w) == tuple(sorted(b if a == w else a for a, b in edges if w in (a, b)))
