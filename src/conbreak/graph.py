@@ -5,11 +5,15 @@ arrays `u` and `v` with u < v, sorted by (u, v): no loops, no parallel
 edges. Adjacency is a CSR structure (compressed sparse rows) built from
 those arrays: `off[x]:off[x+1]` is the slice of the flat `nbr` array
 holding x's neighbours, in ascending order, so it is symmetric by
-construction. Every adjacency question is answered from the CSR: per
-vertex, the ascending row as a tuple (`row`, built on first use and
-cached; "has a neighbour in c" is `not c.isdisjoint(g.row(v))`); for all
-vertices at once, the neighbour count inside a boolean vertex mask
-(`counts_in`, one numpy pass); the degrees, a plain list of ints. An
+construction. The build is one in-place sort of the 2m keys
+endpoint * n + neighbour (each edge both ways round), a binary search
+of the sorted keys for where each row starts, and one subtraction of
+each row's base endpoint * n. Every adjacency question is answered
+from the CSR: per vertex, the ascending row as a tuple (`row`, built on
+first use and cached; "has a neighbour in c" is
+`not c.isdisjoint(g.row(v))`); for all vertices at once, the neighbour
+count inside a boolean vertex mask (`counts_in`, one numpy pass); the
+degrees, a plain list of ints. An
 edge test (`has_edge`) bisects one row. A scan of the edges in sorted
 order (`edges_from`) reads the edge arrays EDGE_CHUNK edges at a time
 and keeps nothing. The one whole-board view left, the sorted edge tuple
@@ -22,13 +26,17 @@ G(n, p) boards come from one uniform per vertex pair, in canonical pair
 order, kept when it is below p (the coupling of Stojakovic-Szabo 2005).
 The boards of one seed are therefore nested in p. `GnpDraws` walks a
 seed's stream once, in blocks of BLOCK draws, keeps the pairs below its
-p_max, and cuts the board for any p <= p_max from them; a trial-major
-sweep shares one GnpDraws across every density of a trial. `gen_gnp`
-is the one board builder and goes through it.
+p_max as a row array and a column array, and cuts the board for any
+p <= p_max from them; a trial-major sweep shares one GnpDraws across
+every density of a trial. A drawn board's arrays go through the same
+checks as `Graph(n, edges)` input, on the 1-D arrays themselves, and
+become the board's edge arrays uncopied. `gen_gnp` is the one board
+builder and goes through it.
 """
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left
 from itertools import chain
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
@@ -44,6 +52,12 @@ Edge = Tuple[int, int]
 def is_integer(x) -> bool:
     """Whether x is a Python or numpy integer; a bool is not."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """Whether x is a real number (`numbers.Real`, numpy's included); a
+    bool is not, nor is a string or None."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def edge(u: int, v: int) -> Edge:
@@ -99,12 +113,20 @@ def _canonical_arrays(n: int, edges) -> Tuple[np.ndarray, np.ndarray, np.ndarray
         # which numpy casts to an integer: check it pair by pair
         _reject_bad_pair(pairs, n)
         arr = np.array([(int(a), int(b)) for a, b in pairs], dtype=np.int64)
-    a = arr[:, 0].astype(np.int64)
-    b = arr[:, 1].astype(np.int64)
-    u = np.minimum(a, b)
-    v = np.maximum(a, b)
-    if (u == v).any() or (u < 0).any() or (v >= n).any():
-        _reject_bad_pair(arr.tolist(), n)
+    return _canonical(n, arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr)
+
+
+def _canonical(n: int, a: np.ndarray, b: np.ndarray, pairs) -> Tuple[np.ndarray, ...]:
+    """The edges {a[k], b[k]} of int64 arrays a and b as in
+    `_canonical_arrays`. Pairs already given as u < v in sorted order,
+    as a G(n, p) draw gives them, are kept as they are, not copied, and a
+    and b are never written. A loop or an off-board vertex raises the
+    ParameterError of its first pair in `pairs`, the input read again."""
+    if len(a) == 0:
+        return a, b, a
+    u, v = (a, b) if (a < b).all() else (np.minimum(a, b), np.maximum(a, b))
+    if u.min() < 0 or v.max() >= n or (u is not a and (u == v).any()):
+        _reject_bad_pair(pairs, n)
     keys = u * n + v
     if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
         keys = np.unique(keys)
@@ -121,7 +143,9 @@ class Graph:
 
     `Graph(n, edges)` takes any iterable of vertex pairs, or an (m, 2)
     integer array, in any order and orientation; duplicates are merged.
-    Loops, out-of-range and non-integer vertices raise ParameterError."""
+    Loops, out-of-range and non-integer vertices raise ParameterError.
+    `u`, `v`, `off` and `nbr` are read-only int64 arrays; a board cut
+    from a GnpDraws may share `u` and `v` with it, which neither writes."""
 
     __slots__ = ("n", "u", "v", "off", "nbr", "_deg", "_rows", "_sorted")
 
@@ -131,15 +155,35 @@ class Graph:
         if n < 0:
             raise ParameterError(f"vertex count must be non-negative, got {n}")
         n = int(n)
+        self._build(n, *_canonical_arrays(n, edges))
+
+    @classmethod
+    def _of_arrays(cls, n: int, a: np.ndarray, b: np.ndarray) -> "Graph":
+        """The graph on n vertices with edges {a[k], b[k]}, from int64
+        arrays that pass the same checks as `Graph(n, edges)`. Canonical
+        arrays become the graph's own edge arrays, read-only, uncopied."""
+        g = cls.__new__(cls)
+        g._build(n, *_canonical(n, a, b, zip(a, b)))
+        return g
+
+    def _build(self, n: int, u: np.ndarray, v: np.ndarray, keys: np.ndarray) -> None:
         self.n = n
-        self.u, self.v, keys = _canonical_arrays(n, edges)
-        # CSR: each edge keyed as (endpoint, neighbour) both ways round;
-        # sorting the keys groups the rows, each in ascending order
-        both = np.sort(np.concatenate((self.v * n + self.u, keys)))
-        self.nbr = both % n
-        deg = np.bincount(self.u, minlength=n) + np.bincount(self.v, minlength=n)
-        self.off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self.off[1:])
+        self.u, self.v = u, v
+        # CSR: each edge keyed as endpoint * n + neighbour both ways round;
+        # sorting the keys groups the rows, each in ascending order, row x
+        # starts at the first key >= x * n, and taking that base off each
+        # key of the row leaves the neighbours
+        m = len(keys)
+        both = np.empty(2 * m, dtype=np.int64)
+        np.multiply(v, n, out=both[:m])
+        both[:m] += u
+        both[m:] = keys
+        both.sort()
+        base = np.arange(n + 1, dtype=np.int64) * n
+        self.off = np.searchsorted(both, base)
+        deg = np.diff(self.off)
+        both -= np.repeat(base[:n], deg)
+        self.nbr = both
         for a in (self.u, self.v, self.nbr, self.off):
             a.flags.writeable = False
         self._deg: List[int] = deg.tolist()
@@ -221,15 +265,17 @@ class GnpDraws:
     canonical order (0,1), (0,2), ..., (n-2,n-1) and gets the uniform at
     stream position t + 1. The first `board` call walks the stream in
     blocks of BLOCK draws and keeps only the pairs whose uniform is below
-    p_max, with their uniforms; `board(p)` is then the kept pairs with
-    uniform below p, the same comparison on the same doubles as a draw
-    made for p alone."""
+    p_max, as three arrays in pair order: rows i, columns j and their
+    uniforms. `board(p)` is then the kept pairs with uniform below p, the
+    same comparison on the same doubles as a draw made for p alone; at
+    p_max the board shares the row and column arrays. p and p_max must be
+    real numbers (`numbers.Real`, not a bool), else ParameterError."""
 
-    __slots__ = ("n", "seed", "p_max", "_pairs", "_u")
+    __slots__ = ("n", "seed", "p_max", "_rows", "_cols", "_u")
 
     def __init__(self, n: int, seed: int, p_max: float):
-        if not (0.0 <= p_max <= 1.0):
-            raise ParameterError(f"edge probability must lie in [0,1], got {p_max}")
+        if not (is_real(p_max) and 0.0 <= p_max <= 1.0):
+            raise ParameterError(f"edge probability must be a real number in [0,1], got {p_max!r}")
         check_seed(seed)
         if not is_integer(n):
             raise ParameterError(f"vertex count must be an integer, got {n!r}")
@@ -238,7 +284,8 @@ class GnpDraws:
         self.n = int(n)
         self.seed = seed
         self.p_max = p_max
-        self._pairs: Optional[np.ndarray] = None
+        self._rows: Optional[np.ndarray] = None
+        self._cols: Optional[np.ndarray] = None
         self._u: Optional[np.ndarray] = None
 
     def _draw(self) -> None:
@@ -248,27 +295,34 @@ class GnpDraws:
         for lo in range(0, total, BLOCK):
             u = uniforms_at(self.seed, min(BLOCK, total - lo), lo)
             keep = np.flatnonzero(u < self.p_max)
-            hits.append(keep + lo)
             us.append(u[keep])
-        t = np.concatenate(hits)
+            keep += lo
+            hits.append(keep)
+        t, self._u = np.concatenate(hits), np.concatenate(us)
+        del hits, us
         # pair (i, j) is draw number starts[i] + (j - i - 1); the hits are
-        # ascending, so row i's hits start at searchsorted(t, starts[i])
+        # ascending, so row i's hits start at searchsorted(t, starts[i]),
+        # and each hit's column is t less its row's starts[i] - i - 1
         i = np.arange(n, dtype=np.int64)
         starts = i * n - i * (i + 1) // 2
-        rows = np.repeat(i, np.diff(np.searchsorted(t, starts), append=len(t)))
-        cols = t - starts[rows] + rows + 1
-        self._pairs = np.column_stack((rows, cols))
-        self._u = np.concatenate(us)
+        counts = np.diff(np.searchsorted(t, starts), append=len(t))
+        self._rows = np.repeat(i, counts)
+        starts -= i + 1
+        t -= np.repeat(starts, counts)
+        self._cols = t
 
     def board(self, p: float) -> Graph:
         """G(n, p) for this seed; p must not exceed p_max."""
-        if not (0.0 <= p <= self.p_max):
-            raise ParameterError(f"edge probability {p} outside [0, {self.p_max}] of these draws")
+        if not (is_real(p) and 0.0 <= p <= self.p_max):
+            raise ParameterError(f"edge probability {p!r} outside [0, {self.p_max}] of these draws")
         if self._u is None:
             self._draw()
-        # at p_max every kept pair is below p: skip the copy
-        pairs = self._pairs if p == self.p_max else self._pairs[self._u < p]
-        return Graph(self.n, pairs)
+        rows, cols = self._rows, self._cols
+        # at p_max every kept pair is below p: the board shares the arrays
+        if p != self.p_max:
+            below = self._u < p
+            rows, cols = rows[below], cols[below]
+        return Graph._of_arrays(self.n, rows, cols)
 
 
 def gen_gnp(n: int, p: float, seed: int, draws: Optional[GnpDraws] = None) -> Graph:
@@ -277,8 +331,10 @@ def gen_gnp(n: int, p: float, seed: int, draws: Optional[GnpDraws] = None) -> Gr
     Pairs are visited in canonical order, (0,1), (0,2), ..., (n-2,n-1),
     i.e. ascending (i, j) with i < j, one uniform draw each, edge kept when
     the draw is strictly below p. Identical seeds give identical graphs.
-    `draws`, when given, must be the GnpDraws of this (n, seed) with
-    p_max >= p; the board is cut from it instead of a fresh draw.
+    p must be a real number in [0, 1]; a bool, a string or None raises
+    ParameterError. `draws`, when given, must be the GnpDraws of this
+    (n, seed) with p_max >= p; the board is cut from it instead of a
+    fresh draw.
     """
     if draws is None:
         draws = GnpDraws(n, seed, p)

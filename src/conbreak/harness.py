@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import multiprocessing
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from .breaker import BadSetDecomposition
 from .connector import check_bias
 from .engine import BREAKER, CONNECTOR, GameResult, REASON_FORFEIT, check_biases, run_game
 from .errors import ParameterError
-from .graph import GnpDraws, Graph, gen_gnp, is_integer
+from .graph import GnpDraws, Graph, gen_gnp, is_integer, is_real
 from .rng import check_seed, derive
 from .strategies import IsolationBreakerStrategy, make_strategy
 
@@ -90,7 +89,7 @@ class TrialConfig:
         # fail them with a TypeError
         for name, values in (("p", self.ps), ("eps", self.eps_list)):
             for x in values or ():
-                if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                if not is_real(x):
                     raise ParameterError(f"{name} must be a real number, got {x!r}")
         if self.ps is not None:
             if not self.ps:

@@ -65,28 +65,30 @@ def outputs_at(seed: int, count: int, start: int = 0) -> np.ndarray:
 
     Bit-identical to calling Rng(seed).u64() `start + count` times and
     keeping the last `count`; used to vectorise bulk draws such as edge
-    generation, a block at a time."""
+    generation, a block at a time. The arithmetic runs in place on the
+    output, and the three xor-shifts share one scratch array."""
     check_seed(seed)
     if count < 0 or start < 0:
         raise ParameterError(f"need count >= 0 and start >= 0, got {count} and {start}")
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    # in place, so a block needs one temporary at a time
+    t = np.empty_like(z)
     z *= np.uint64(GOLDEN)
     z += np.uint64(seed)
-    z ^= z >> np.uint64(30)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
 def uniforms_at(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Uniform doubles in [0,1) at stream positions start+1 .. start+count,
     matching Rng.random()."""
-    u = (outputs_at(seed, count, start) >> np.uint64(11)).astype(np.float64)
-    u *= 2.0**-53
-    return u
+    z = outputs_at(seed, count, start)
+    z >>= np.uint64(11)
+    # one ufunc call converts to float64 and scales, both exact: z < 2^53
+    return np.multiply(z, 2.0**-53)
 
 
 class Rng:

@@ -192,6 +192,19 @@ def test_gnp_parameter_validation():
         gen_gnp(-2, 0.5, 0)
     with pytest.raises(ParameterError):
         gen_gnp(5, 0.5, -1)
+    # p follows TrialConfig's rule: a real number, and a bool is not one
+    draws = GnpDraws(6, 1, 0.5)
+    for bad in (True, False, np.True_, "0.5", None, 0.5j, float("nan")):
+        with pytest.raises(ParameterError, match="edge probability"):
+            gen_gnp(6, bad, 1)
+        with pytest.raises(ParameterError, match="edge probability"):
+            GnpDraws(6, 1, bad)
+        with pytest.raises(ParameterError, match="edge probability"):
+            draws.board(bad)
+        with pytest.raises(ParameterError, match="edge probability"):
+            gen_gnp(6, bad, 1, draws)
+    for p in (0, 1, np.float32(0.5), np.float64(0.25), np.int64(0)):
+        assert gen_gnp(6, p, 1) == naive_gen_gnp(6, float(p), 1)
 
 
 def test_gnp_draws_reject_mismatched_use():
