@@ -380,6 +380,69 @@ def naive_find_candidate(g: Graph, m_set: Iterable[int], seed: int = 0):
     return None
 
 
+def reference_breaker_move(state, dec, edges=None):
+    """The paper Breaker's isolating move as first written: the level map
+    rebuilt inline, the violations gathered into a set and sorted, then two
+    hand-written filler loops (x's free edges by layer and other end, the
+    first layer's free edges ascending) before the first free edges of
+    `edges`, the lowest free edges overall when it is None."""
+    from conbreak.engine import Move
+
+    g = state.graph
+    vc = state.v_c
+    levels = {dec.x: 0}
+    for i, layer in enumerate(dec.layers, start=1):
+        for v in layer:
+            levels[v] = i
+    viol = set()
+    for v, lv in levels.items():
+        if v in vc:
+            continue
+        for w in g.row(v):
+            e = edge(v, w)
+            if w in vc and state.is_free(e) and levels.get(w, lv) >= lv:
+                viol.add(e)
+    viol = sorted(viol)
+    b = state.b
+    flags = ("breaker-violation-overflow",) if len(viol) > b else ()
+    picked = list(viol[:b])
+    chosen = set(picked)
+
+    far = g.n + 1
+    if len(picked) < b:
+        x_edges = []
+        for w in g.row(dec.x):
+            e = edge(dec.x, w)
+            if e not in chosen and state.is_free(e):
+                x_edges.append((levels.get(w, far), w, e))
+        for _, _, e in sorted(x_edges):
+            if len(picked) >= b:
+                break
+            picked.append(e)
+            chosen.add(e)
+
+    if len(picked) < b and dec.layers:
+        b1_edges = set()
+        for v in dec.layers[0]:
+            for w in g.row(v):
+                e = edge(v, w)
+                if e not in chosen and state.is_free(e):
+                    b1_edges.add(e)
+        for e in sorted(b1_edges):
+            if len(picked) >= b:
+                break
+            picked.append(e)
+            chosen.add(e)
+
+    if len(picked) < b:
+        for e in g.edges_from() if edges is None else edges:
+            if e not in chosen and state.is_free(e):
+                picked.append(e)
+                if len(picked) == b:
+                    break
+    return Move(tuple(picked), flags=flags)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive adversary for the box-game defensive rule
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,12 +17,18 @@ from conbreak import (
     gen_gnp,
     q_violations,
 )
-from conbreak import verifier
+from conbreak import strategies, verifier
 from conbreak.breaker import CANDIDATES
-from conbreak.engine import BREAKER
-from conbreak.rng import Rng
+from conbreak.engine import BREAKER, run_game
+from conbreak.rng import Rng, derive
+from conbreak.strategies import IsolationBreakerStrategy, make_strategy
 
-from oracles import naive_build_bad_set, naive_find_candidate, oracle_bad_layers
+from oracles import (
+    naive_build_bad_set,
+    naive_find_candidate,
+    oracle_bad_layers,
+    reference_breaker_move,
+)
 
 
 def fan_graph() -> Graph:
@@ -278,3 +286,84 @@ def test_breaker_move_resumes_its_edge_iterator():
     # fresh one would
     assert breaker_move(s, dec, scan).edges == ()
     assert breaker_move(s, dec).edges == ((2, 3), (2, 4))
+
+
+def _played_boards():
+    """(board, seed, connector ids, p) for the recorded-games check: criterion 5's
+    sparse boards at n = 200 and 400, p = n^-0.8, seeded derive(41, trial),
+    and the n = 200, p = 200^-0.8 boards the baseline-games benchmark plays
+    (seed base from the sha256 of "baseline-games/0/<slot>", trial 0)."""
+    for n in (200, 400):
+        p = n**-0.8
+        for trial in range(12):
+            seed = derive(41, trial)
+            yield gen_gnp(n, p, seed), seed, ("random", "greedy-degree", "paper-connector"), p
+    p = 200**-0.8
+    for slot in range(16):
+        digest = hashlib.sha256(f"baseline-games/0/{slot}".encode()).digest()
+        seed = derive(int.from_bytes(digest[:8], "big"), 0)
+        yield gen_gnp(200, p, seed), seed, ("random", "greedy-degree"), p
+
+
+def test_recorded_isolating_moves_match_the_reference(monkeypatch):
+    """Every isolating move of paper-Breaker games that adopt a candidate,
+    against the first-written move on the same position, flags included.
+    The reference reads the lowest free edges afresh where the strategy
+    resumes its kept scan: every edge that scan has passed is claimed."""
+    real = strategies.breaker_move
+    moves = []
+
+    def recorded(state, dec, edges=None):
+        want = reference_breaker_move(state, dec)
+        got = real(state, dec, edges)
+        first = set(dec.layers[0])
+        viol = len(q_violations(state, dec))
+        # which filler source each claim past the violations came from
+        kinds = {
+            "x" if dec.x in e else "layer 1" if first.intersection(e) else "scan"
+            for e in got.edges[viol:]
+        }
+        moves.append((got, want, kinds))
+        return got
+
+    monkeypatch.setattr(strategies, "breaker_move", recorded)
+    games = 0
+    for g, seed, cids, p in _played_boards():
+        for cid in cids:
+            opts = {"p_hint": p} if cid == "paper-connector" else {}
+            breaker = IsolationBreakerStrategy()
+            start = len(moves)
+            connector = make_strategy(cid, **opts)
+            res = run_game(g, connector, breaker, m=2, b=2, start_vertex=0, seed=seed)
+            if breaker.candidate is None:
+                assert len(moves) == start
+                continue
+            games += 1
+            played = [edges for _, role, edges in res.transcript if role == BREAKER]
+            assert [got.edges for got, _, _ in moves[start:]] == played[: len(moves) - start]
+    assert games >= 60
+    for got, want, _ in moves:
+        assert (got.edges, got.flags) == (want.edges, want.flags)
+    assert set().union(*(kinds for _, _, kinds in moves)) == {"x", "layer 1", "scan"}
+
+
+def test_breaker_move_matches_the_reference_on_random_positions():
+    # any decomposition, exclusions included, against claimed edges that
+    # leave x outside the territory: layers off the paper's shape give x
+    # off-layer edges and same-layer violations, which played games lack
+    for seed in range(400):
+        n, p, b = 8 + seed % 33, 0.05 * (1 + seed % 8), 1 + seed % 5
+        g = gen_gnp(n, p, seed)
+        rng = Rng(seed)
+        x = rng.randrange(n)
+        dec = build_bad_set(g, x, {v for v in range(n) if v != x and rng.randrange(4) == 0})
+        claims = {"C": [], "B": []}
+        for e in g.sorted_edges():
+            r = rng.randrange(8)  # one edge in eight to Connector, two to Breaker
+            if r < 3 and x not in e:
+                claims["CBB"[r]].append(e)
+        s = GameState(
+            g, m=2, b=b, connector_edges=claims["C"], breaker_edges=claims["B"], to_move=BREAKER
+        )
+        got, want = breaker_move(s, dec), reference_breaker_move(s, dec)
+        assert (got.edges, got.flags) == (want.edges, want.flags), seed
