@@ -12,25 +12,30 @@ whose layering passes those checks against Connector's opening territory.
 Each layer is one numpy count over the board's CSR arrays, and the
 per-move scans read the ascending CSR rows (`Graph.row`) of the vertices
 they visit, so the Breaker builds no Python object per edge of the board.
+A decomposition builds its bad set (`union`) and its layer table
+(`levels`) once, on first use.
 
 During play Breaker maintains one invariant: whenever a free edge could
 carry Connector from her territory onto a bad vertex (or onto x itself)
 "from the wrong side", it is a violation and gets claimed immediately.
 Under the structural checks at selection time at most two violations can
 appear per round, which is exactly Breaker's allowance; x then stays
-isolated until the board is exhausted.
+isolated until the board is exhausted. The rest of each move is filled
+by one rule, `GameState.first_free`: first the edges near x, built only
+when the move still has room, then the kept scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .engine import GameState, Move
 from .errors import CapacityError, ParameterError
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph, edge, is_integer
 from .rng import Rng
 
 
@@ -50,17 +55,37 @@ class BadSetDecomposition:
     def r_x(self) -> int:
         return len(self.layers)
 
-    @property
+    # built once on first use; a cached_property lives in the instance
+    # dict, outside the dataclass fields, == and hash
+    @cached_property
     def union(self) -> FrozenSet[int]:
-        return frozenset().union(*self.layers) if self.layers else frozenset()
+        return frozenset().union(*self.layers)
 
-    def level_map(self) -> Dict[int, int]:
+    @cached_property
+    def levels(self) -> Dict[int, int]:
         """Layer index of every bad vertex, and 0 for x."""
         out = {self.x: 0}
         for i, layer in enumerate(self.layers, start=1):
             for v in layer:
                 out[v] = i
         return out
+
+
+def _check_vertices(g: Graph, what: str, vertices: Iterable[int]) -> List[int]:
+    """`vertices` as a list; a bool, a float or any other non-integer is
+    refused with ParameterError, then the lowest vertex off the board.
+    One pass sets aside what is not a Python int on the board, and only
+    that is looked at again."""
+    out = list(vertices)
+    odd = [v for v in out if type(v) is not int or not 0 <= v < g.n]
+    if odd:
+        for v in odd:
+            if not is_integer(v):
+                raise ParameterError(f"{what} vertex {v!r} is not an integer")
+        off = [v for v in odd if not 0 <= v < g.n]
+        if off:
+            raise ParameterError(f"{what} vertex {min(off)} out of range")
+    return out
 
 
 def build_bad_set(
@@ -75,14 +100,11 @@ def build_bad_set(
     carries earlier candidates' bad sets when `find_candidate` processes
     candidates in succession; leave it empty for standalone use.
     """
-    if not (0 <= x < g.n):
-        raise ParameterError(f"vertex {x} out of range")
-    excl = frozenset(excluded)
+    if not (is_integer(x) and 0 <= x < g.n):
+        raise ParameterError(f"center {x!r} is not a vertex of the board")
+    excl = frozenset(_check_vertices(g, "excluded", excluded))
     if x in excl:
         raise ParameterError(f"the center vertex {x} cannot be excluded")
-    off = [v for v in excl if not 0 <= v < g.n]
-    if off:
-        raise ParameterError(f"excluded vertex {min(off)} out of range")
     b1 = frozenset(w for w in g.row(x) if w not in excl)
     layers = [b1]
     bad = np.zeros(g.n, dtype=bool)
@@ -128,10 +150,7 @@ def find_candidate(
         raise CapacityError(
             f"need at least {CANDIDATES + 4} vertices to sample {CANDIDATES} candidates"
         )
-    m_fixed = frozenset(m_set)
-    off = [v for v in m_fixed if not 0 <= v < g.n]
-    if off:
-        raise ParameterError(f"protected vertex {min(off)} out of range")
+    m_fixed = frozenset(_check_vertices(g, "protected", m_set))
     rng = Rng(seed)
     candidates = rng.sample(range(g.n), CANDIDATES)
     # B1 asks the first layer to be all of N(x) and to span no edge, so a
@@ -158,11 +177,12 @@ def q_violations(state: GameState, dec: BadSetDecomposition) -> List[Edge]:
     A free edge vw is a violation when v sits outside Connector territory
     on some bad layer (x itself counts as layer 0), w sits inside the
     territory, and w is not on a strictly earlier layer (x included as
-    layer 0). Returned in ascending edge order.
+    layer 0). Returned in ascending edge order; each is found once, from
+    its outside end v.
     """
     if dec.x in state.v_c:
         raise ParameterError(f"isolation target {dec.x} is already in Connector territory")
-    levels = dec.level_map()
+    levels = dec.levels
     g = state.graph
     out = []
     vc = state.v_c
@@ -178,59 +198,37 @@ def q_violations(state: GameState, dec: BadSetDecomposition) -> List[Edge]:
             lw = levels.get(w)
             if lw is None or lw >= lv:
                 out.append(e)
-    return sorted(set(out))
+    return sorted(out)
 
 
 def breaker_move(
     state: GameState, dec: BadSetDecomposition, edges: Optional[Iterator[Edge]] = None
 ) -> Move:
-    """Breaker's move: claim every current violation, then pad the
-    allowance with fillers.
-
-    Fillers prefer free edges at x (nearest layer first), then free edges
-    at the first layer, then the first free edges that `edges` yields
-    (`GameState.first_free`), the lowest free edges overall when it is
-    None. A per-game caller that keeps one `Graph.edges_from()` iterator
-    resumes that last scan where the previous move left it. When the
-    violations exceed the allowance the move carries a
-    'breaker-violation-overflow' flag and claims the first b of them.
+    """Breaker's move: claim every current violation, then fill the
+    allowance by one rule, `GameState.first_free`, over two ordered
+    sources in turn. The first is a generator, so it is built only when
+    the move still has room: x's edges, nearest layer first (off the
+    layers last), then by the other end, and after them the first
+    layer's other edges, ascending. The second is what `edges` yields,
+    the lowest edges overall when it is None; a per-game caller that
+    keeps one `Graph.edges_from()` iterator resumes that last scan where
+    the previous move left it. When the violations exceed the allowance
+    the move carries a 'breaker-violation-overflow' flag and claims the
+    first b of them.
     """
+    g, x, b = state.graph, dec.x, state.b
     viol = q_violations(state, dec)
-    b = state.b
-    flags: Tuple[str, ...] = ()
-    if len(viol) > b:
-        flags = ("breaker-violation-overflow",)
-    picked = list(viol[:b])
-    chosen = set(picked)
-    levels = dec.level_map()
+    flags = ("breaker-violation-overflow",) if len(viol) > b else ()
+    picked = viol[:b]
 
-    far = state.graph.n + 1
-    if len(picked) < b:
-        x_edges = []
-        for w in state.graph.row(dec.x):
-            e = edge(dec.x, w)
-            if e not in chosen and state.is_free(e):
-                lw = levels.get(w)
-                x_edges.append((lw if lw is not None else far, w, e))
-        for _, _, e in sorted(x_edges):
-            if len(picked) >= b:
-                break
-            picked.append(e)
-            chosen.add(e)
+    def near_x() -> Iterator[Edge]:
+        levels, far = dec.levels, g.n + 1
+        for _, w in sorted((levels.get(w, far), w) for w in g.row(x)):
+            yield edge(x, w)
+        # reached only once every edge at x is passed (taken, claimed
+        # or a violation), so the first layer's edges skip x
+        yield from sorted({edge(v, w) for v in dec.layers[0] for w in g.row(v) if w != x})
 
-    if len(picked) < b and dec.layers:
-        b1_edges = set()
-        for v in dec.layers[0]:
-            for w in state.graph.row(v):
-                e = edge(v, w)
-                if e not in chosen and state.is_free(e):
-                    b1_edges.add(e)
-        for e in sorted(b1_edges):
-            if len(picked) >= b:
-                break
-            picked.append(e)
-            chosen.add(e)
-
-    picked += state.first_free(b - len(picked), edges, chosen)
-
+    for source in (near_x(), edges):
+        picked += state.first_free(b - len(picked), source, picked)
     return Move(tuple(picked), flags=flags)

@@ -127,8 +127,11 @@ class Rng:
         """k distinct elements of the sequence xs, drawn without
         replacement: draw i is randrange(len(xs) - i), an index into the
         elements not drawn yet, in their order. Reads len(xs) and the k
-        drawn elements only."""
+        drawn elements only. A k that is negative, a bool or not an
+        integer is refused."""
         n = len(xs)
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
+            raise ParameterError(f"sample needs a count k >= 0, got {k!r}")
         if k > n:
             raise ParameterError(f"cannot sample {k} from {n} items")
         taken: list = []  # indices into xs drawn so far, ascending

@@ -264,7 +264,6 @@ class IsolationBreakerStrategy:
         self.decomposition: Optional[BadSetDecomposition] = None
         self.candidate: Optional[int] = None
         self.attempted = False
-        self.pending_flags: List[str] = []
 
     def start(self, graph: Graph, role: str, seed: Seed) -> None:
         if role != BREAKER:
@@ -273,38 +272,29 @@ class IsolationBreakerStrategy:
         self.seed = seed
         self.scan = graph.edges_from()
 
-    def _padded_m(self, state: GameState) -> List[int]:
-        m_set = sorted(state.v_c)
-        for v in range(self.graph.n):
-            if len(m_set) >= PAD_TO:
-                break
-            if v not in state.v_c:
-                m_set.append(v)
-        return sorted(m_set)
-
     def propose(self, state: GameState) -> Move:
+        flags: Tuple[str, ...] = ()
         if not self.attempted:
             self.attempted = True
+            m_set = set(state.v_c)
+            for v in range(self.graph.n):
+                if len(m_set) >= PAD_TO:
+                    break
+                m_set.add(v)
             try:
-                found = find_candidate(self.graph, self._padded_m(state), seed=self.seed)
+                found = find_candidate(self.graph, m_set, seed=self.seed)
             except CapacityError:
                 found = None
             if found is None:
-                self.pending_flags.append(FLAG_NO_CANDIDATE)
+                flags = (FLAG_NO_CANDIDATE,)
             else:
                 self.candidate, self.decomposition = found
-        flags = tuple(self.pending_flags)
-        self.pending_flags = []
         if self.decomposition is not None and self.decomposition.x in state.v_c:
             self.decomposition = None
-            flags += (FLAG_TARGET_REACHED,)
+            flags = (FLAG_TARGET_REACHED,)
         if self.decomposition is not None:
-            mv = breaker_move(state, self.decomposition, self.scan)
-        else:
-            mv = Move(tuple(state.first_free(state.b, self.scan)))
-        if flags:
-            mv = Move(mv.edges, flags=mv.flags + flags)
-        return mv
+            return breaker_move(state, self.decomposition, self.scan)
+        return Move(tuple(state.first_free(state.b, self.scan)), flags=flags)
 
 
 class SpanningConnectorStrategy:

@@ -22,11 +22,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .breaker import BadSetDecomposition
+from .breaker import BadSetDecomposition, _check_vertices
 from .connector import Decomposition, alpha_table
 from .engine import BREAKER, CONNECTOR, GameResult
 from .errors import ParameterError
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph, edge, is_integer
 
 Witness = Dict[str, object]
 
@@ -112,12 +112,11 @@ def check_b(g: Graph, dec: BadSetDecomposition, m_set: Iterable[int]) -> Propert
     (and not the center) sees at most one bad vertex. B4: the bad set
     avoids the protected set and its neighborhood."""
     x = dec.x
-    mset = set(m_set)
-    bad = set(dec.union)
-    for what, vertices in (("protected", mset), ("bad", bad)):
-        off = [v for v in vertices if not 0 <= v < g.n]
-        if off:
-            raise ParameterError(f"{what} vertex {min(off)} out of range")
+    if not (is_integer(x) and 0 <= x < g.n):
+        raise ParameterError(f"center {x!r} is not a vertex of the board")
+    mset = set(_check_vertices(g, "protected", m_set))
+    bad = dec.union
+    _check_vertices(g, "bad", bad)
     report = PropertyReport(
         family="B",
         params={"n": g.n, "x": x, "m": sorted(mset), "r_x": dec.r_x},
@@ -276,7 +275,7 @@ def check_q(g: Graph, result: GameResult, dec: BadSetDecomposition) -> PropertyR
     # (or off the layers) is a violation after Breaker move t exactly when
     # joined[w] <= t < min(joined[v], claimed[vw], joined[x]); as w joined at
     # -1 or an even index, t0 = max(joined[w] + 1, 1) is Breaker's next move
-    levels = dec.level_map()
+    levels = dec.levels
     spans = []
     for v, lv in levels.items():
         for w in g.row(v):

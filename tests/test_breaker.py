@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,7 +43,24 @@ def test_layering_worked_example():
     assert dec.layers == (frozenset({1, 2, 3}), frozenset({4}))
     assert dec.r_x == 2
     assert dec.union == frozenset({1, 2, 3, 4})
-    assert dec.level_map() == {0: 0, 1: 1, 2: 1, 3: 1, 4: 2}
+    assert dec.levels == {0: 0, 1: 1, 2: 1, 3: 1, 4: 2}
+
+
+def test_levels_and_union_match_the_layers():
+    # the cached tables against a dict filled layer by layer
+    for seed in range(4):
+        for p in (0.05, 0.15, 0.4):
+            g = gen_gnp(30, p, seed)
+            for x in (0, 7, 29):
+                dec = build_bad_set(g, x, excluded={v for v in (3, 11) if v != x})
+                want = {x: 0}
+                for i, layer in enumerate(dec.layers, start=1):
+                    want.update(dict.fromkeys(layer, i))
+                assert dec.levels == want
+                assert dec.union == frozenset(want) - {x}
+                # built once, outside ==
+                assert dec.levels is dec.levels and dec.union is dec.union
+                assert dec == build_bad_set(g, x, excluded={v for v in (3, 11) if v != x})
 
 
 def test_layering_stops_without_two_witnesses():
@@ -50,7 +68,7 @@ def test_layering_stops_without_two_witnesses():
     g = Graph(4, [(0, 1), (0, 2), (1, 3)])
     dec = build_bad_set(g, 0)
     assert dec.layers == (frozenset({1, 2}),)
-    assert dec.level_map().get(3) is None
+    assert 3 not in dec.levels
 
 
 def test_layering_isolated_center():
@@ -69,6 +87,29 @@ def test_layering_with_exclusions():
         build_bad_set(g, 0, excluded={0})
     with pytest.raises(ParameterError):
         build_bad_set(g, 9)
+
+
+@pytest.mark.parametrize(
+    "x, excluded, match",
+    [
+        (True, (), "center True is not a vertex"),
+        (1.0, (), "center 1.0 is not a vertex"),
+        (0, [2.0, True], "excluded vertex .* is not an integer"),
+        (0, [2, 2.5], "excluded vertex 2.5 is not an integer"),
+        (0, [None], "excluded vertex None is not an integer"),
+    ],
+)
+def test_layering_refuses_a_non_integer_vertex(x, excluded, match):
+    # True would pass as vertex 1 and 2.0 as vertex 2; 1.0 would crash
+    g = gen_gnp(30, 0.1, 2)
+    with pytest.raises(ParameterError, match=match):
+        build_bad_set(g, x, excluded=excluded)
+
+
+def test_layering_takes_numpy_integers():
+    g = gen_gnp(30, 0.1, 2)
+    want = build_bad_set(g, 4, excluded=[2, 9])
+    assert build_bad_set(g, np.int64(4), excluded=np.array([2, 9])) == want
 
 
 @pytest.mark.parametrize("v", [5, 999, -1])
@@ -213,6 +254,13 @@ def test_find_candidate_refuses_an_off_board_territory():
         find_candidate(g, m_set={0, 12}, seed=1)
 
 
+@pytest.mark.parametrize("m_set", [[True, 1.0], [0, 1.5], [1, True]])
+def test_find_candidate_refuses_a_non_integer_territory(m_set):
+    # [True, 1.0] would otherwise be read as vertex 1 twice over
+    with pytest.raises(ParameterError, match="protected vertex .* is not an integer"):
+        find_candidate(gen_gnp(30, 0.1, 2), m_set, seed=3)
+
+
 def test_find_candidate_capacity():
     with pytest.raises(CapacityError):
         find_candidate(Graph(10), m_set={0}, seed=0)
@@ -240,7 +288,7 @@ def test_q_violations_examples():
 def test_q_violations_outsider_territory():
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5)])
     dec = build_bad_set(g, 0)
-    assert dec.level_map().get(5) is None
+    assert 5 not in dec.levels
     s = GameState(g, m=2, b=2, start_vertex=5)
     # a (layer 1) can be entered from the outsider 5: that is a violation
     assert q_violations(s, dec) == [(1, 5)]

@@ -112,6 +112,12 @@ def test_choice_and_sample_errors():
         Rng(0).choice([])
     with pytest.raises(ParameterError):
         Rng(0).sample([1, 2], 3)
+    # a negative count would draw nothing, True one element, 1.5 crash
+    for k in (-2, -1, True, False, 1.5, 2.0, "1", None):
+        with pytest.raises(ParameterError, match="sample needs a count"):
+            Rng(1).sample([1, 2, 3], k)
+    assert Rng(1).sample([1, 2, 3], np.int64(2)) == Rng(1).sample([1, 2, 3], 2)
+    assert Rng(1).sample([1, 2, 3], 0) == []
 
 
 def test_shuffle_and_sample_deterministic():

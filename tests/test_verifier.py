@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from conbreak import (
@@ -72,6 +73,24 @@ def test_b_rejects_off_board_territory(v):
     g = fan_graph()
     with pytest.raises(ParameterError, match=f"protected vertex {v} out of range"):
         check_b(g, build_bad_set(g, 0), {1, v})
+
+
+@pytest.mark.parametrize("m_set", [[True, 2.5], [1, True], [2.0], ["1"]])
+def test_b_refuses_a_non_integer_territory(m_set):
+    # a bool or float would pass the range check and crash or alias a vertex
+    g = gen_gnp(30, 0.1, 2)
+    with pytest.raises(ParameterError, match="protected vertex .* is not an integer"):
+        check_b(g, build_bad_set(g, 0), m_set)
+
+
+def test_b_refuses_a_non_integer_center_or_bad_vertex():
+    g = fan_graph()
+    with pytest.raises(ParameterError, match="center 0.0 is not a vertex"):
+        check_b(g, BadSetDecomposition(x=0.0, layers=(frozenset({1, 2, 3}),)), ())
+    with pytest.raises(ParameterError, match="bad vertex 4.0 is not an integer"):
+        check_b(g, BadSetDecomposition(x=0, layers=(frozenset({1, 2, 3}), frozenset({4.0}))), ())
+    # numpy integers are vertices
+    assert check_b(g, build_bad_set(g, 0), np.array([4])).clauses["B4"].passed is False
 
 
 @pytest.mark.parametrize("v", [5, -1])
