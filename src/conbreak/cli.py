@@ -5,10 +5,8 @@ JSON lines, `sweep` runs a seeded experiment grid to CSV, `verify`
 checks a structural property family on a graph file and prints a JSON
 report, and `solve` computes the exact winner of a small board.
 
-A config file of key=value lines (via --config) supplies defaults for
-any long flag of the chosen subcommand; flags given on the command line
-win. Relative output paths are resolved against $CONBREAK_OUTDIR when
-that variable is set.
+Relative output paths are resolved against $CONBREAK_OUTDIR when that
+variable is set.
 """
 
 from __future__ import annotations
@@ -22,17 +20,13 @@ from typing import List, Optional, Sequence
 from .breaker import build_bad_set
 from .connector import decompose, make_cells
 from .engine import CONNECTOR, run_game
-from .errors import ConbreakError, FormatError, ParameterError
+from .errors import ConbreakError, ParameterError
 from .graph import Graph, gen_gnp, read_edge_list
 from .harness import TrialConfig, connector_options, run_trials, summary_csv, threshold_scan
 from .solver import GOAL_SPANNING, solve_exact
 from .strategies import make_strategy, strategy_ids
 
 OUTDIR_ENV = "CONBREAK_OUTDIR"
-
-# deliberately no "1"/"0": those read as numeric values, not switches
-_TRUE_WORDS = {"true", "yes", "on"}
-_FALSE_WORDS = {"false", "no", "off"}
 
 
 def _int_list(text: str) -> List[int]:
@@ -57,57 +51,6 @@ def resolve_out(path: Optional[str]) -> Optional[str]:
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
-
-
-def load_config(path: str) -> List[str]:
-    """Turn key=value lines into an argv fragment.
-
-    Keys are long option names without the leading dashes; boolean values
-    become --key / --no-key. Blank lines and # comments are skipped."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: config file is not UTF-8 text") from None
-    args: List[str] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lstrip("-")
-        value = value.strip()
-        if not key:
-            raise FormatError(f"{path}:{lineno}: empty key")
-        low = value.lower()
-        if low in _TRUE_WORDS:
-            args.append(f"--{key}")
-        elif low in _FALSE_WORDS:
-            args.append(f"--no-{key}")
-        else:
-            args.extend([f"--{key}", value])
-    return args
-
-
-def _inject_config(argv: Sequence[str]) -> List[str]:
-    """Splice config-file options in after the subcommand so explicit
-    flags, parsed later, override them."""
-    argv = list(argv)
-    if not argv:
-        return argv
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            break
-    if path is None:
-        return argv
-    return [argv[0]] + load_config(path) + argv[1:]
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -195,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.eps is not None and not math.isfinite(args.eps):
             raise ParameterError(f"--eps must be finite, got {args.eps}")
         cells = make_cells(g.n, args.x, args.k, seed=args.seed)
-        dec = decompose(g, args.x, cells, args.k, seed=args.seed)
+        dec = decompose(g, args.x, cells, args.k)
         if dec is None:
             sys.stdout.write('{"family": "D", "decomposed": false}\n')
             return 1
@@ -237,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     play = subs.add_parser("play", help="play one game, transcript as JSON lines")
     _add_graph_source(play)
-    play.add_argument("--config", help="key=value defaults file")
     play.add_argument("--connector", default="paper-connector", help=f"one of: {ids}")
     play.add_argument("--breaker", default="paper-breaker", help=f"one of: {ids}")
     play.add_argument("--m", type=int, default=2, help="Connector claims per round")
@@ -247,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     play.set_defaults(func=cmd_play)
 
     sweep = subs.add_parser("sweep", help="run an experiment grid, summary as CSV")
-    sweep.add_argument("--config", help="key=value defaults file")
     sweep.add_argument("--ns", type=_int_list, required=True, help="board sizes, comma-separated")
     sweep.add_argument("--ps", type=_float_list, help="edge probabilities, comma-separated")
     sweep.add_argument(
@@ -266,29 +207,25 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--records", help="per-trial JSONL path")
     sweep.add_argument(
         "--verify-degree-bound",
-        action=argparse.BooleanOptionalAction,
-        default=False,
+        action="store_true",
         help="flag rounds after which a vertex outside Connector's territory has at least "
         "ln^2(n) Breaker edges",
     )
     sweep.add_argument(
         "--verify-isolation",
-        action=argparse.BooleanOptionalAction,
-        default=False,
+        action="store_true",
         help="flag when the defended vertex joined territory and the first uncleared violation",
     )
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes, at most the core count")
     sweep.add_argument(
         "--scan",
-        action=argparse.BooleanOptionalAction,
-        default=False,
+        action="store_true",
         help="append threshold-crossing estimates",
     )
     sweep.set_defaults(func=cmd_sweep)
 
     verify = subs.add_parser("verify", help="check a property family, report as JSON")
     _add_graph_source(verify)
-    verify.add_argument("--config", help="key=value defaults file")
     verify.add_argument(
         "--family", required=True, choices=["b", "d"], help="property family to check"
     )
@@ -306,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = subs.add_parser("solve", help="exact winner of a small board")
     _add_graph_source(solve)
-    solve.add_argument("--config", help="key=value defaults file")
     solve.add_argument("--m", type=int, default=1)
     solve.add_argument("--b", type=int, default=1)
     solve.add_argument("--first", default=CONNECTOR, choices=["C", "B"])
@@ -319,13 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        argv = _inject_config(argv)
-    except (OSError, ConbreakError) as exc:
-        sys.stderr.write(f"conbreak: {exc}\n")
-        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -108,7 +108,12 @@ class Rng:
 
     def randrange(self, k: int) -> int:
         """Integer in [0, k). Uses a plain modulo reduction; the tiny
-        modulo bias is irrelevant here, determinism is what matters."""
+        modulo bias is irrelevant here, determinism is what matters.
+        A bound that is a bool or not an integer is refused."""
+        # a plain int, the bound of every draw shuffle and sample make,
+        # skips the isinstance tests
+        if type(k) is not int and (isinstance(k, bool) or not isinstance(k, (int, np.integer))):
+            raise ParameterError(f"randrange needs an integer bound, got {k!r}")
         if k <= 0:
             raise ParameterError(f"randrange needs a positive bound, got {k}")
         return self.u64() % k

@@ -4,8 +4,10 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,28 +231,60 @@ def test_sweep_failing_in_a_game_keeps_existing_outputs(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.jsonl"]
 
 
-@pytest.mark.parametrize("via_config", [False, True])
 @pytest.mark.parametrize("flag", ["k-cap", "expansion-cap"])
-def test_sweep_refuses_the_retired_k_cap(capsys, tmp_path, flag, via_config):
+def test_sweep_refuses_the_retired_k_cap(capsys, tmp_path, flag):
     # the tree depth cap and the search budget are constants: their flags
     # are refused, not ignored
     out_csv = tmp_path / "x.csv"
     records = tmp_path / "x.jsonl"
     out_csv.write_text("keep me\n")
     records.write_text("keep me too\n")
-    argv = sweep_argv(["--out", str(out_csv), "--records", str(records)])
-    if via_config:
-        cfg = tmp_path / "k.cfg"
-        cfg.write_text(f"{flag}=3\n")
-        argv += ["--config", str(cfg)]
-    else:
-        argv += [f"--{flag}", "3"]
+    argv = sweep_argv(["--out", str(out_csv), "--records", str(records), f"--{flag}", "3"])
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"--{flag}" in capsys.readouterr().err
     assert out_csv.read_text() == "keep me\n"
     assert records.read_text() == "keep me too\n"
+
+
+@pytest.mark.parametrize(
+    "command, retired",
+    [
+        (["play", "--n", "8", "--p", "0.5"], ["--config", "run.cfg"]),
+        (sweep_argv(), ["--config", "run.cfg"]),
+        (["verify", "--n", "8", "--p", "0.5", "--family", "b", "--x", "0"],
+         ["--config", "run.cfg"]),
+        (["solve", "--n", "3", "--p", "1.0"], ["--config", "run.cfg"]),
+        (sweep_argv(), ["--no-scan"]),
+        (sweep_argv(), ["--no-verify-degree-bound"]),
+        (sweep_argv(), ["--no-verify-isolation"]),
+    ],
+    ids=["play-config", "sweep-config", "verify-config", "solve-config", "no-scan",
+         "no-verify-degree-bound", "no-verify-isolation"],
+)
+def test_retired_config_and_negation_flags_are_refused(
+    capsys, tmp_path, monkeypatch, command, retired
+):
+    # flags are the one way to set a run: no config file, and a switch is
+    # off unless given
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("trials=3\nscan=yes\n")
+    out_csv = tmp_path / "x.csv"
+    records = tmp_path / "x.jsonl"
+    out_csv.write_text("keep me\n")
+    records.write_text("keep me too\n")
+    argv = command + retired
+    if command[0] == "sweep":
+        argv += ["--out", str(out_csv), "--records", str(records)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and retired[0] in captured.err
+    assert out_csv.read_text() == "keep me\n"
+    assert records.read_text() == "keep me too\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "x.csv", "x.jsonl"]
 
 
 @pytest.mark.parametrize(
@@ -299,64 +333,33 @@ def test_sweep_flags_map_one_to_one_onto_trial_config():
     dests = [
         a.dest
         for a in subs.choices["sweep"]._actions
-        if a.dest not in ("help", "config", "scan")
+        if a.dest not in ("help", "scan")
     ]
     mapped = [SWEEP_RENAMES.get(d, d) for d in dests]
     assert len(set(mapped)) == len(mapped)
     assert set(mapped) == {f.name for f in dataclasses.fields(TrialConfig)}
 
 
-def test_config_file_supplies_defaults(capsys, tmp_path):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(
-        "# defaults for the smoke sweep\n"
-        "\n"
-        "ns=10\n"
-        "ps=0.5\n"
-        "trials=2\n"
-        "connector=random\n"
-        "breaker=random\n"
-        "scan=false\n"
-    )
-    rc, out, _ = run_main(capsys, ["sweep", "--config", str(cfg)])
-    assert rc == 0
-    assert out.strip().split("\n")[1].startswith("10,0.5,2,")
-
-    # explicit flags beat config values
-    rc2, out2, _ = run_main(capsys, ["sweep", "--config", str(cfg), "--trials", "3"])
-    assert rc2 == 0
-    assert out2.strip().split("\n")[1].startswith("10,0.5,3,")
+# named in README as refused; test_sweep_refuses_the_retired_k_cap checks that
+RETIRED_FLAGS = {"--k-cap", "--expansion-cap"}
 
 
-def test_config_boolean_words(capsys, tmp_path):
-    cfg = tmp_path / "scan.cfg"
-    cfg.write_text("ns=10\nps=0.2,0.9\ntrials=2\nconnector=random\nbreaker=random\nscan=yes\n")
-    rc, out, _ = run_main(capsys, ["sweep", "--config", str(cfg)])
-    assert rc == 0 and "# threshold n=10:" in out
-    # ... and the command line can switch it back off
-    rc2, out2, _ = run_main(capsys, ["sweep", "--config", str(cfg), "--no-scan"])
-    assert rc2 == 0 and "# threshold" not in out2
-
-
-def test_config_file_errors(capsys, tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("this line has no equals sign\n")
-    rc, _, err = run_main(capsys, ["sweep", "--config", str(bad), "--ns", "5", "--ps", "0.5"])
-    assert rc == 2 and "key=value" in err
-    rc2, _, err2 = run_main(capsys, ["sweep", "--config", str(tmp_path / "absent.cfg"),
-                                     "--ns", "5", "--ps", "0.5"])
-    assert rc2 == 2 and "conbreak:" in err2
-    # a config that is not UTF-8 is a format error, and no output is touched
-    latin1 = tmp_path / "latin1.cfg"
-    latin1.write_bytes(b"trials=\xff\n")
-    out_csv = tmp_path / "x.csv"
-    out_csv.write_text("keep me\n")
-    rc3, out3, err3 = run_main(
-        capsys, sweep_argv(["--config", str(latin1), "--out", str(out_csv)])
-    )
-    assert rc3 == 2 and out3 == ""
-    assert err3 == f"conbreak: {latin1}: config file is not UTF-8 text\n"
-    assert out_csv.read_text() == "keep me\n"
+def test_readme_cli_section_names_every_parser_option():
+    # an option README does not document, or a documented flag the parser
+    # does not know, fails here
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        opt
+        for sub in subs.choices.values()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z0-9]+(?:-[a-z0-9]+)*", section))
+    assert sorted(options - named) == []
+    assert sorted(named - options - RETIRED_FLAGS) == []
 
 
 @pytest.mark.parametrize("command", ["play", "verify", "solve"])
@@ -420,7 +423,6 @@ def test_verify_family_b_rejects_off_board_vertex_lists(capsys, extra):
     assert err.startswith("conbreak:") and "out of range" in err
 
 
-@pytest.mark.parametrize("via_config", [False, True])
 @pytest.mark.parametrize(
     "command, retired",
     [
@@ -429,17 +431,9 @@ def test_verify_family_b_rejects_off_board_vertex_lists(capsys, extra):
     ],
     ids=["verify-family-p", "solve-depth-cap"],
 )
-def test_retired_verify_and_solve_flags_are_refused(
-    capsys, tmp_path, fan_file, command, retired, via_config
-):
+def test_retired_verify_and_solve_flags_are_refused(capsys, fan_file, command, retired):
     # verify has no family p and solve no depth cap: refused, not ignored
-    argv = command + ["--graph", fan_file]
-    if via_config:
-        cfg = tmp_path / "retired.cfg"
-        cfg.write_text(f"{retired[0][2:]}={retired[1]}\n")
-        argv += ["--config", str(cfg)]
-    else:
-        argv += list(retired)
+    argv = command + ["--graph", fan_file, *retired]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -107,6 +107,15 @@ def test_randrange_rejects_nonpositive():
         Rng(0).randrange(-3)
 
 
+def test_randrange_refuses_a_non_integer_bound():
+    # 2.5 would return a float, True a draw from [0, 1), "3" a raw TypeError
+    for bad in (2.5, True, "3", None, np.float64(3.0), np.bool_(True)):
+        with pytest.raises(ParameterError, match="integer bound"):
+            Rng(0).randrange(bad)
+    # numpy integers stay accepted and draw as the same int does
+    assert Rng(5).randrange(np.int64(7)) == Rng(5).randrange(7)
+
+
 def test_choice_and_sample_errors():
     with pytest.raises(ParameterError):
         Rng(0).choice([])
